@@ -6,12 +6,12 @@ cubes of twice the side are complete. Stage (n, i) holds all allowed blocks
 whose first i axes have length 2^n*l and whose remaining axes have length
 2^(n-1)*l.
 
-Admission of a concatenated pair: during the first cycle the pairing extent
-equals l, **so the half-overlap covering argument does not apply and each
-candidate is fully window-scanned; from the second cycle on a pair is kept
-iff the half-overlapping middle block along the pairing axis belongs to the
-current stage set. For d=2 this reproduces the square pipeline stage by
-stage.
+Admission of a concatenated pair is `relation.pair_relation` along the
+pairing axis: during the first cycle the pairing extent equals l, so the
+half-overlap covering argument does not apply and each candidate is fully
+window-scanned; from the second cycle on a pair is kept iff the
+half-overlapping middle block along the pairing axis belongs to the current
+stage set. For d=2 this reproduces the square pipeline stage by stage.
 """
 from __future__ import annotations
 
@@ -19,9 +19,10 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .caps import DEFAULT_CAPS, Caps
-from .core import Block, CubeSet, SftSpec, allowed_data, concat, window
+from .core import Block, CubeSet, SftSpec
 from .errors import BudgetError
 from .levels import AnalysisResult, LevelReport, LevelRow
+from .relation import join, pair_relation
 
 
 @dataclass(frozen=True)
@@ -60,38 +61,17 @@ def chain_relation(state: DChainState, cubes: CubeSet, caps: Caps = DEFAULT_CAPS
     """Compute the admitted pairs along the next axis."""
     if state.relation is not None:
         return state
-    blocks = state.blocks
-    n = len(blocks)
+    n = len(state.blocks)
     if n * n > caps.max_work:
         raise BudgetError(
             f"chain relation needs {n * n} pair checks (cap {caps.max_work})",
             required=n * n,
         )
-    axis = state.next_axis()
-    next_level = state.next_stage()[0]
-    extent = blocks[0].shape[axis] if blocks else 0
-    full_scan = next_level == 1  # covering needs the pairing extent >= 2l
-    rel = set()
-    if full_scan:
-        for i, p in enumerate(blocks):
-            for j, q in enumerate(blocks):
-                joined = concat(p, q, axis)
-                if allowed_data(joined.data, joined.shape, cubes):
-                    rel.add((i, j))
-    else:
-        members = {b.data for b in blocks}
-        half = extent // 2
-        shape = blocks[0].shape
-        half_shape = shape[:axis] + (half,) + shape[axis + 1 :]
-        hi_offset = tuple(half if a == axis else 0 for a in range(state.dimension))
-        zero = (0,) * state.dimension
-        hi_halves = [window(p, hi_offset, half_shape) for p in blocks]
-        lo_halves = [window(q, zero, half_shape) for q in blocks]
-        for i, p_hi in enumerate(hi_halves):
-            for j, q_lo in enumerate(lo_halves):
-                if concat(p_hi, q_lo, axis).data in members:
-                    rel.add((i, j))
-    return replace(state, relation=frozenset(rel))
+    if not state.blocks:
+        return replace(state, relation=frozenset())
+    datas = [b.data for b in state.blocks]
+    rel = pair_relation(datas, state.blocks[0].shape, state.next_axis(), cubes)
+    return replace(state, relation=rel)
 
 
 def d_chain_step(state: DChainState, cubes: CubeSet, caps: Caps = DEFAULT_CAPS) -> DChainState:
@@ -106,14 +86,13 @@ def d_chain_step(state: DChainState, cubes: CubeSet, caps: Caps = DEFAULT_CAPS) 
         )
     axis = state.next_axis()
     level, stage = state.next_stage()
-    blocks = state.blocks
-    out = {concat(blocks[i], blocks[j], axis).data for (i, j) in state.relation}
-    if blocks:
-        shape = blocks[0].shape
+    new_blocks: tuple[Block, ...] = ()
+    if state.blocks:
+        shape = state.blocks[0].shape
         new_shape = shape[:axis] + (2 * shape[axis],) + shape[axis + 1 :]
-    else:
-        new_shape = ()
-    new_blocks = tuple(Block(new_shape, d) for d in sorted(out)) if out else ()
+        datas = [b.data for b in state.blocks]
+        out = sorted(join(datas[i], datas[j], shape, axis) for i, j in state.relation)
+        new_blocks = tuple(Block(new_shape, d) for d in out)
     side_small = state.side_small * 2 if stage == 1 else state.side_small
     return DChainState(state.dimension, level, stage, side_small, new_blocks, None)
 

@@ -11,8 +11,8 @@ import random
 import sys
 
 from .caps import Caps, DEFAULT_CAPS
-from .chain import run_chain
-from .core import SftSpec
+from .chain import DChainState, chain_relation, chain_start, d_chain_step
+from .core import CubeSet, SftSpec
 from .errors import (
     ArchiveError,
     BudgetError,
@@ -20,7 +20,7 @@ from .errors import (
     SftError,
     SpecError,
 )
-from .levels import LevelReport, analyze, sample_patch, witness_search
+from .levels import LevelReport, analyze, witness_search
 from .normalize import (
     MODE_ALL,
     MODE_NON_PROPER,
@@ -121,52 +121,40 @@ def _cmd_analyze(args) -> int:
     return result.report.exit_code()
 
 
-def _matrix_count(spec: SftSpec, shape: tuple[int, ...], caps) -> int:
+def _chain_stage(shape: tuple[int, ...], side: int) -> tuple[int, int]:
+    """(level, stage) of the chain stage whose blocks have `shape`."""
+    big = max(shape)
+    level = 0
+    while side << level < big:
+        level += 1
+    stage = shape.count(big)
+    want = (big,) * stage + (big // 2,) * (len(shape) - stage)
+    if side << level != big or shape != want or (level == 0 and stage < len(shape)):
+        raise SpecError(
+            f"shape {shape} is not a doubling stage: the matrix engine counts blocks whose "
+            f"first axes are {side}*2^n and whose other axes are half that, in axis order"
+        )
+    return level, stage
+
+
+def _walk(spec: SftSpec, cubes: CubeSet, target: tuple[int, int], caps: Caps) -> DChainState:
+    """Walk the chain stages towards stage `target` = (level, stage).
+    Returns the stage just below it with its relation computed, or the
+    target itself when it is the base, or the first empty stage."""
+    st = chain_start(enumerate_allowed_cubes(spec, cubes, caps), cubes)
+    while st.blocks and (st.level, st.stage) < target:
+        st = chain_relation(st, cubes, caps)
+        if st.next_stage() == target:
+            break
+        st = d_chain_step(st, cubes, caps)
+    return st
+
+
+def _matrix_count(spec: SftSpec, shape: tuple[int, ...], caps: Caps) -> int:
     cubes = normalize_to_cubes(spec, MODE_ALL, caps)
-    index = enumerate_allowed_cubes(spec, cubes, caps)
-    side = cubes.side
-
-    def stage_of(extent: int) -> int:
-        n = 0
-        while side * (1 << n) < extent:
-            n += 1
-        if side * (1 << n) != extent:
-            raise SpecError(
-                f"extent {extent} is not {side}*2^n; the matrix engine only "
-                f"counts doubling-stage shapes"
-            )
-        return n
-
-    if spec.dimension == 2:
-        r, c = shape
-        if r == c:
-            n = stage_of(r)
-            res = analyze(spec, n, mode="reduced", caps=caps)
-            return len(res.levels[-1].squares) if len(res.levels) > n else 0
-        if r == 2 * c:
-            n = stage_of(c)
-            res = analyze(spec, n + 1, mode="reduced", caps=caps)
-            if len(res.levels) <= n:
-                return 0
-            st = res.levels[n]
-            return 0 if st.vrel is None else len(st.vrel)
-        raise SpecError(f"shape {shape} is not a doubling stage (need RxR or 2CxC)")
-    mx, mn = max(shape), min(shape)
-    if mx == mn:
-        n = stage_of(mx)
-        states = run_chain(index, cubes, n, caps)
-        return len(states[-1].blocks) if states[-1].level == n else 0
-    if mx != 2 * mn:
-        raise SpecError(f"shape {shape} is not a chain stage")
-    i = sum(1 for s in shape if s == mx)
-    if shape != (mx,) * i + (mn,) * (spec.dimension - i):
-        raise SpecError("chain stages double axes in order; reorder the shape")
-    n = stage_of(mx)
-    states = run_chain(index, cubes, n, caps)
-    for st in states:
-        if st.level == n and st.stage == i:
-            return len(st.blocks)
-    return 0
+    st = _walk(spec, cubes, _chain_stage(shape, cubes.side), caps)
+    # a next-stage count is the size of the relation: that stage is never built
+    return len(st.blocks if st.relation is None else st.relation)
 
 
 def _count_with(spec, engine: str, shape, caps) -> int:
@@ -193,23 +181,16 @@ def _cmd_count(args) -> int:
 def _cmd_sample(args) -> int:
     spec = load_spec_file(args.spec)
     caps = _caps_of(args)
-    if spec.dimension == 2:
-        result = analyze(spec, args.level, mode="reduced", caps=caps)
-        if result.report.verdict == "inconclusive":
-            raise BudgetError(result.report.reason or "budget stop")
-        if len(result.levels) <= args.level or not result.levels[args.level].squares:
-            raise EmptyStateError(f"no allowed squares at level {args.level}")
-        patch = sample_patch(result.levels[args.level], args.seed)
-    else:
-        cubes = normalize_to_cubes(spec, MODE_ALL, caps)
-        index = enumerate_allowed_cubes(spec, cubes, caps)
-        states = run_chain(index, cubes, args.level, caps)
-        final = states[-1]
-        if final.level != args.level or final.stage != final.dimension or not final.blocks:
-            raise EmptyStateError(f"no allowed blocks at level {args.level}")
-        rng = random.Random(args.seed)
-        patch = final.blocks[rng.randrange(len(final.blocks))]
-    print(render_block(patch, spec.alphabet))
+    if args.level < 0:
+        raise SpecError("level must be >= 0")
+    cubes = normalize_to_cubes(spec, MODE_ALL, caps)
+    st = _walk(spec, cubes, (args.level, spec.dimension), caps)
+    if st.relation is not None:
+        st = d_chain_step(st, cubes, caps)
+    if not st.blocks:
+        raise EmptyStateError(f"no allowed blocks at level {args.level}")
+    rng = random.Random(args.seed)
+    print(render_block(st.blocks[rng.randrange(len(st.blocks))], spec.alphabet))
     return 0
 
 

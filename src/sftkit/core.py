@@ -219,16 +219,12 @@ def assemble(grid) -> Block:
 
 def concat(a: Block, b: Block, axis: int) -> Block:
     """Join two equal-shape blocks along one axis, `a` on the low side."""
-    grid: list = [a, b]
-    for _ in range(axis):
-        grid = [grid]
-    for depth in range(axis + 1, a.dimension):
-        def wrap(node, lvl):
-            if lvl == depth:
-                return [node]
-            return [wrap(child, lvl + 1) for child in node]
-        grid = wrap(grid, 0)
-    return assemble(grid)
+    from .relation import join  # the kernel module imports this one
+
+    if a.shape != b.shape:
+        raise ShapeError(f"mixed block shapes {a.shape} vs {b.shape}")
+    shape = a.shape[:axis] + (2 * a.shape[axis],) + a.shape[axis + 1 :]
+    return Block(shape, join(a.data, b.data, a.shape, axis))
 
 
 def permute_axes(b: Block, perm: Sequence[int]) -> Block:
@@ -312,6 +308,8 @@ class CubeSet:
         for c in self.cubes:
             if c.shape != (self.side,) * c.dimension:
                 raise SpecError(f"cube of shape {c.shape} in a side-{self.side} set")
+        # the scanner's lookup set, built once per instance
+        object.__setattr__(self, "_data_set", frozenset(c.data for c in self.cubes))
 
     @property
     def dimension(self) -> int:
@@ -320,12 +318,7 @@ class CubeSet:
         return 0  # empty set carries no dimension of its own
 
     def data_set(self) -> frozenset[tuple[int, ...]]:
-        return _cube_data_set(self)
-
-
-@lru_cache(maxsize=None)
-def _cube_data_set(cubes: CubeSet) -> frozenset[tuple[int, ...]]:
-    return frozenset(c.data for c in cubes.cubes)
+        return self._data_set
 
 
 def occurrence_offsets(b: Block, p: Pattern) -> Iterator[Coord]:
@@ -356,12 +349,8 @@ class ScanResult:
     undersized: bool
 
 
-def _window_bases(src_shape: Coord, side: int) -> tuple[int, ...]:
-    return _window_bases_cached(src_shape, side)
-
-
 @lru_cache(maxsize=None)
-def _window_bases_cached(src_shape: Coord, side: int) -> tuple[int, ...]:
+def _window_bases(src_shape: Coord, side: int) -> tuple[int, ...]:
     st = strides(src_shape)
     ranges = [range(s - side + 1) for s in src_shape]
     return tuple(

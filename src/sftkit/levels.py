@@ -2,9 +2,10 @@
 
 A level holds the set of allowed squares of side 2^n*l (sorted canonically),
 the vertical relation (pairs whose 2:1 stack is allowed), and the horizontal
-relation (pairs of stacks whose side-by-side square is allowed). Level 0 is
-built from exhaustive window scans; from level 1 on, everything reduces to
-set lookups:
+relation (pairs of stacks whose side-by-side square is allowed). Both
+relations come from `relation.pair_relation`, and are built only when the
+next level is asked for. Level 0 uses exhaustive window scans; from level 1
+on, everything reduces to set lookups:
 
 * a stack A-over-B is allowed iff A, B and the half-overlapping middle
   square (bottom half of A on top half of B) are allowed;
@@ -19,18 +20,11 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 from .caps import DEFAULT_CAPS, Caps
-from .core import (
-    Block,
-    CubeSet,
-    SftSpec,
-    allowed_data,
-    assemble,
-    block_allowed,
-)
+from .core import Block, CubeSet, SftSpec, assemble, block_allowed
 from .errors import BudgetError, EmptyStateError, SpecError
 from .matrices import LiteralLevel, level0_matrices, step_literal
 from .normalize import (
@@ -39,6 +33,7 @@ from .normalize import (
     enumerate_allowed_cubes,
     normalize_to_cubes,
 )
+from .relation import join, pair_relation
 
 
 @dataclass(frozen=True)
@@ -49,7 +44,8 @@ class LevelState:
     `vrel` holds (upper, lower) index pairs; `hrel` holds (a, b, c, d)
     meaning stack a-over-b is horizontally compatible with stack c-over-d.
     Either may be None when a level was built only far enough to count its
-    squares.
+    squares. `cubes` is the forbidden set the relations are decided
+    against; it is not part of a state's value.
     """
 
     level: int
@@ -57,129 +53,48 @@ class LevelState:
     squares: tuple[Block, ...]
     vrel: frozenset[tuple[int, int]] | None
     hrel: frozenset[tuple[int, int, int, int]] | None
-
-    def square_index(self) -> dict[tuple[int, ...], int]:
-        return {b.data: i for i, b in enumerate(self.squares)}
-
-    def vrel_blocks(self) -> Iterator[tuple[Block, Block]]:
-        if self.vrel is None:
-            raise SpecError("vertical relation not computed for this level")
-        for a, b in self.vrel:
-            yield self.squares[a], self.squares[b]
-
-    def rect_count(self) -> int | None:
-        return None if self.vrel is None else len(self.vrel)
+    cubes: CubeSet | None = field(default=None, compare=False, repr=False)
 
 
 def level0_state(allowed_cubes: Sequence[Block], cubes: CubeSet, caps: Caps = DEFAULT_CAPS) -> LevelState:
     """Base level: allowed cubes with full-scan relations."""
-    squares = tuple(allowed_cubes)
-    k = len(squares)
-    side = cubes.side
-    if k * k > caps.max_work:
-        raise BudgetError(
-            f"base vertical relation needs {k * k} scans (cap {caps.max_work})",
-            required=k * k,
-        )
-    vshape = (2 * side, side)
-    vrel = frozenset(
-        (i, j)
-        for i in range(k)
-        for j in range(k)
-        if allowed_data(squares[i].data + squares[j].data, vshape, cubes)
-    )
-    if len(vrel) ** 2 > caps.max_work:
-        raise BudgetError(
-            f"base horizontal relation needs {len(vrel) ** 2} scans (cap {caps.max_work})",
-            required=len(vrel) ** 2,
-        )
-    rows_of = {
-        (i, j): tuple(squares[i].data[r * side : (r + 1) * side] for r in range(side))
-        + tuple(squares[j].data[r * side : (r + 1) * side] for r in range(side))
-        for (i, j) in vrel
-    }
-    sshape = (2 * side, 2 * side)
-    hrel = set()
-    for (a, b), left in rows_of.items():
-        for (c, d), right in rows_of.items():
-            data = tuple(itertools.chain.from_iterable(lr + rr for lr, rr in zip(left, right)))
-            if allowed_data(data, sshape, cubes):
-                hrel.add((a, b, c, d))
-    return LevelState(0, side, squares, vrel, frozenset(hrel))
+    return with_relations(LevelState(0, cubes.side, tuple(allowed_cubes), None, None, cubes), caps)
 
 
-def _seam_square(a: Block, c: Block, side: int, half: int) -> tuple[int, ...]:
-    # right half of `a` glued to left half of `c`, row by row
-    return tuple(
-        itertools.chain.from_iterable(
-            a.data[r * side + half : (r + 1) * side] + c.data[r * side : r * side + half]
-            for r in range(side)
-        )
-    )
+def _check_work(what: str, work: int, state: LevelState, caps: Caps) -> None:
+    if work > caps.max_work:
+        unit = "scans" if state.level == 0 else "pair checks"
+        base = "base " if state.level == 0 else ""
+        raise BudgetError(f"{base}{what} relation needs {work} {unit} (cap {caps.max_work})", required=work)
 
 
 def with_relations(
     state: LevelState, caps: Caps = DEFAULT_CAPS, need_hrel: bool = True
 ) -> LevelState:
-    """Fill vrel (and, unless `need_hrel` is off, hrel) of a level >= 1
-    state by middle-window lookups."""
+    """Fill vrel (and, unless `need_hrel` is off, hrel) of a state.
+
+    The vertical relation pairs squares along axis 0; the horizontal one
+    pairs the resulting stacks along axis 1. Both come from `pair_relation`:
+    window scans at level 0, middle-block lookups from level 1 on.
+    """
     if state.vrel is not None and (state.hrel is not None or not need_hrel):
         return state
-    if state.level == 0:
-        raise SpecError("level-0 relations come from level0_state")
-    squares = state.squares
-    n = len(squares)
+    if state.cubes is None:
+        raise SpecError("relations need the state's forbidden cube set")
     side = state.side
-    half = side // 2
-    index = state.square_index()
-    cells = side * side
-
-    if state.vrel is not None:
-        vrel = set(state.vrel)
-    else:
-        if n * n > caps.max_work:
-            raise BudgetError(
-                f"vertical relation needs {n * n} pair checks (cap {caps.max_work})",
-                required=n * n,
-            )
-        vrel = set()
-        for a in range(n):
-            top = squares[a].data[cells // 2 :]
-            for b in range(n):
-                # middle square: bottom half of a over top half of b
-                if top + squares[b].data[: cells // 2] in index:
-                    vrel.add((a, b))
+    square = (side, side)
+    datas = [b.data for b in state.squares]
+    vrel = state.vrel
+    if vrel is None:
+        _check_work("vertical", len(datas) ** 2, state, caps)
+        vrel = pair_relation(datas, square, 0, state.cubes)
     if not need_hrel:
-        return replace(state, vrel=frozenset(vrel))
-
-    if len(vrel) ** 2 > caps.max_work:
-        raise BudgetError(
-            f"horizontal relation needs {len(vrel) ** 2} pair checks (cap {caps.max_work})",
-            required=len(vrel) ** 2,
-        )
-    vrel_f = frozenset(vrel)
-    hrel = set()
-    seam_cache: dict[tuple[int, int], int] = {}
-
-    def seam_pos(x: int, y: int) -> int:
-        key = (x, y)
-        got = seam_cache.get(key)
-        if got is None:
-            got = index.get(_seam_square(squares[x], squares[y], side, half), -1)
-            seam_cache[key] = got
-        return got
-
-    for (a, b) in vrel_f:
-        for (c, d) in vrel_f:
-            mt = seam_pos(a, c)
-            if mt < 0:
-                continue
-            mb = seam_pos(b, d)
-            if mb < 0:
-                continue
-            if (mt, mb) in vrel_f:
-                hrel.add((a, b, c, d))
-    return replace(state, vrel=vrel_f, hrel=frozenset(hrel))
+        return replace(state, vrel=vrel)
+    _check_work("horizontal", len(vrel) ** 2, state, caps)
+    pairs = sorted(vrel)
+    stacks = [join(datas[a], datas[b], square, 0) for a, b in pairs]
+    hrel = pair_relation(stacks, (2 * side, side), 1, state.cubes)
+    return replace(state, vrel=vrel, hrel=frozenset(pairs[x] + pairs[y] for x, y in hrel))
 
 
 def reduced_step(state: LevelState, caps: Caps = DEFAULT_CAPS) -> LevelState:
@@ -189,35 +104,22 @@ def reduced_step(state: LevelState, caps: Caps = DEFAULT_CAPS) -> LevelState:
     quadrants a c / b d; distinct ones give distinct squares. The result
     carries no relations yet (they are only needed to step again).
     """
-    if state.hrel is None:
-        if state.level == 0:
-            raise SpecError("level-0 relations come from level0_state")
-        state = with_relations(state, caps)
-    assert state.hrel is not None
+    state = with_relations(state, caps)
     if len(state.hrel) > caps.max_blocks:
         raise BudgetError(
             f"next level would hold {len(state.hrel)} squares (cap {caps.max_blocks})",
             required=len(state.hrel),
             partial=len(state.hrel),
         )
-    squares = state.squares
+    sq = [b.data for b in state.squares]
     side = state.side
+    square, stack = (side, side), (2 * side, side)
+    datas = sorted(
+        join(join(sq[a], sq[b], square, 0), join(sq[c], sq[d], square, 0), stack, 1)
+        for a, b, c, d in state.hrel
+    )
     shape = (2 * side, 2 * side)
-    rows = range(2 * side)
-    datas = []
-    for (a, b, c, d) in state.hrel:
-        left = squares[a].data + squares[b].data  # stacked columns are contiguous
-        right = squares[c].data + squares[d].data
-        datas.append(
-            tuple(
-                itertools.chain.from_iterable(
-                    left[r * side : (r + 1) * side] + right[r * side : (r + 1) * side]
-                    for r in rows
-                )
-            )
-        )
-    datas.sort()
-    return LevelState(state.level + 1, 2 * side, tuple(Block(shape, d) for d in datas), None, None)
+    return LevelState(state.level + 1, 2 * side, tuple(Block(shape, d) for d in datas), None, None, state.cubes)
 
 
 def nine_window_admissible(q: Block, prev: LevelState) -> bool:
@@ -326,31 +228,25 @@ def analyze(
 
 
 def _analyze_reduced(spec, cubes, index, norm, levels, caps) -> AnalysisResult:
-    states: list[LevelState] = []
+    # relations are built only to step up a level, so a budget stop keeps
+    # every level counted before it
+    st = LevelState(0, cubes.side, tuple(index), None, None, cubes)
+    states = [st]
     reason = None
-    verdict = None
     try:
-        st = level0_state(index, cubes, caps)
-        states.append(st)
         while st.level < levels and st.squares:
-            if st.vrel is None or st.hrel is None:
-                st = with_relations(st, caps)
-                states[-1] = st
-            nxt = reduced_step(st, caps)
-            states.append(nxt)
-            st = nxt
+            st = level0_state(index, cubes, caps) if st.level == 0 else with_relations(st, caps)
+            states[-1] = st
+            st = reduced_step(st, caps)
+            states.append(st)
     except BudgetError as e:
-        verdict = "inconclusive"
         reason = str(e)
-    if verdict is None:
-        if any(not s.squares for s in states):
-            verdict = "empty"
-        else:
-            verdict = f"nonempty-to-level-{states[-1].level}"
+    if any(not s.squares for s in states):
+        verdict, reason = "empty", None
+    elif reason is not None:
+        verdict = "inconclusive"
     else:
-        if any(not s.squares for s in states):
-            verdict = "empty"
-            reason = None
+        verdict = f"nonempty-to-level-{states[-1].level}"
     rows = _verdict_rows_reduced(states)
     report = LevelReport(
         "reduced", norm.side, norm.cube_count, norm.allowed_count, tuple(rows), verdict, reason

@@ -18,9 +18,10 @@ re-sorted row-wise. The final row-wise order of the horizontal matrix is
 exactly the pair order (top letter, bottom letter), which is what makes the
 block arithmetic of the next step a pure index calculation.
 
-Entries are exact: level 0 is built from exhaustive window scans, and a
-doubled block is allowed iff its two halves and the half-overlapping middle
-block are, because a forbidden cube spans at most half of a doubled side.
+Entries are exact: the level-0 matrices are `relation.pair_relation` window
+scans, and a doubled block is allowed iff its two halves and the
+half-overlapping middle block are, because a forbidden cube spans at most
+half of a doubled side.
 """
 from __future__ import annotations
 
@@ -29,8 +30,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .caps import DEFAULT_CAPS, Caps
-from .core import Block, CubeSet, allowed_data, permute_axes
+from .core import Block, CubeSet, permute_axes
 from .errors import BudgetError, ShapeError
+from .relation import join, pair_relation
 
 
 @dataclass(frozen=True)
@@ -126,9 +128,6 @@ class CompatMatrix:
     def ones_count(self) -> int:
         return len(self.ones)
 
-    def row(self, r: int) -> set[int]:
-        return {c for rr, c in self.ones if rr == r}
-
     def reorder(self, row_order: OrderTag, col_order: OrderTag) -> "CompatMatrix":
         """Re-sort both indices by the symbol-level reading orders.
 
@@ -168,25 +167,10 @@ class LiteralLevel:
         return self.vert.is_zero() or (self.horiz is not None and self.horiz.is_zero())
 
 
-def _stack(a: Block, b: Block) -> Block:
-    # vertical stacking is contiguous in row-major order
-    return Block((a.shape[0] + b.shape[0],) + a.shape[1:], a.data + b.data)
-
-
-def _square_of(letters, i, j, r, s) -> Block:
-    # 2x2 arrangement i j / r s, merged by row slices (faster than assemble)
-    side = letters[i].shape[0]
-    li, lj, lr, ls = letters[i].data, letters[j].data, letters[r].data, letters[s].data
-    parts = []
-    for t in range(side):
-        lo = t * side
-        parts.append(li[lo : lo + side])
-        parts.append(lj[lo : lo + side])
-    for t in range(side):
-        lo = t * side
-        parts.append(lr[lo : lo + side])
-        parts.append(ls[lo : lo + side])
-    return Block((2 * side, 2 * side), tuple(itertools.chain.from_iterable(parts)))
+def _stacks(letters: Sequence[Block], side: int) -> tuple[Block, ...]:
+    # every letter over every letter, in (top, bottom) order
+    shape = (2 * side, side)
+    return tuple(Block(shape, a.data + b.data) for a, b in itertools.product(letters, repeat=2))
 
 
 def level0_matrices(
@@ -206,40 +190,21 @@ def level0_matrices(
             required=k * k,
         )
     side = cubes.side
-    vshape = (2 * side, side)
-    vones = set()
-    for i in range(k):
-        for j in range(k):
-            if allowed_data(letters[i].data + letters[j].data, vshape, cubes):
-                vones.add((i, j))
+    square = (side, side)
+    datas = [b.data for b in letters]
+    vones = pair_relation(datas, square, 0, cubes)
     tag = OrderTag.rowwise(2)
-    vert = CompatMatrix(letters, letters, tag, tag, frozenset(vones))
+    vert = CompatMatrix(letters, letters, tag, tag, vones)
 
     # horizontal entries need both column stacks allowed, so only scan those
-    sshape = (2 * side, 2 * side)
-    stack_rows = {
-        (i, j): tuple(
-            letters[i].data[r * side : (r + 1) * side] for r in range(side)
-        )
-        + tuple(letters[j].data[r * side : (r + 1) * side] for r in range(side))
-        for (i, j) in vones
-    }
-    pair_ones = set()
-    for (i, j), left_rows in stack_rows.items():
-        for (r, s), right_rows in stack_rows.items():
-            data = tuple(
-                itertools.chain.from_iterable(
-                    lr + rr for lr, rr in zip(left_rows, right_rows)
-                )
-            )
-            if allowed_data(data, sshape, cubes):
-                pair_ones.add(((i, j), (r, s)))
-    rect_blocks = tuple(
-        _stack(letters[i], letters[j]) for i in range(k) for j in range(k)
-    )
+    pairs = sorted(vones)
+    stacks = [join(datas[i], datas[j], square, 0) for i, j in pairs]
+    hpairs = pair_relation(stacks, (2 * side, side), 1, cubes)
+    pair_ones = frozenset((pairs[x], pairs[y]) for x, y in hpairs)
     hones = frozenset((a * k + b, c * k + d) for (a, b), (c, d) in pair_ones)
-    horiz = CompatMatrix(rect_blocks, rect_blocks, tag, tag, hones)
-    return LiteralLevel(0, side, letters, vert, horiz, frozenset(pair_ones))
+    rects = _stacks(letters, side)
+    horiz = CompatMatrix(rects, rects, tag, tag, hones)
+    return LiteralLevel(0, side, letters, vert, horiz, pair_ones)
 
 
 def _rowwise_pos(k: int, q: tuple[int, int, int, int]) -> int:
@@ -307,11 +272,13 @@ def step_literal(
                     vones_tuples.add((q, p))
 
     new_side = 2 * lvl.side
-    # letters of the next level keep arrangement-row-wise order; the
+    # letters of the next level keep arrangement-row-wise order: square
+    # (i j / r s) is row pair (i, j) stacked on row pair (r, s); the
     # column-wise view of the vertical index reuses the same blocks
-    next_letters = tuple(
-        _square_of(letters, *q) for q in itertools.product(range(k), repeat=4)
-    )
+    square = (lvl.side, lvl.side)
+    rows = [join(a.data, b.data, square, 1) for a, b in itertools.product(letters, repeat=2)]
+    shape = (new_side, new_side)
+    next_letters = tuple(Block(shape, top + bottom) for top, bottom in itertools.product(rows, repeat=2))
     order = sorted(itertools.product(range(k), repeat=4), key=lambda q: (q[0], q[2], q[1], q[3]))
     new_letters_colwise = tuple(next_letters[_rowwise_pos(k, q)] for q in order)
     ctag = OrderTag.colwise()
@@ -341,11 +308,7 @@ def step_literal(
                     pair_ones.add(
                         ((_rowwise_pos(k, q), _rowwise_pos(k, qb)), (_rowwise_pos(k, p), _rowwise_pos(k, pb)))
                     )
-        rects = tuple(
-            _stack(next_letters[a], next_letters[b])
-            for a in range(vcount)
-            for b in range(vcount)
-        )
+        rects = _stacks(next_letters, new_side)
         hones = frozenset((a * vcount + b, c * vcount + d) for (a, b), (c, d) in pair_ones)
         rtag = OrderTag.rowwise(2)
         horiz = CompatMatrix(rects, rects, rtag, rtag, hones)

@@ -290,7 +290,7 @@ def _restore(payload: dict) -> AnalysisResult:
         squares = tuple(_block_from_str(s, shape, idx, sep) for s in lv["squares"])
         vrel = None if lv["vrel"] is None else frozenset(tuple(p) for p in lv["vrel"])
         hrel = None if lv["hrel"] is None else frozenset(tuple(p) for p in lv["hrel"])
-        levels.append(LevelState(lv["level"], lv["side"], squares, vrel, hrel))
+        levels.append(LevelState(lv["level"], lv["side"], squares, vrel, hrel, cubes))
     rows = tuple(LevelRow(*row) for row in payload["report_rows"])
     report = LevelReport(
         "reduced",

@@ -182,3 +182,29 @@ def test_cli_byte_determinism(tmp_path, hs_file):
     b = subprocess.run(cmd, capture_output=True)
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
+
+
+def test_count_matrix_takes_next_stage_from_relation(tmp_path, hs_file, capsys):
+    # the asked stage is a relation size: it is neither built nor stepped past
+    assert main(["count", hs_file, "--shape", "4x2", "--engine", "matrix", "--max-work", "100"]) == 0
+    assert capsys.readouterr().out.strip() == "41"
+    assert main(["count", hs_file, "--shape", "8x4", "--engine", "matrix"]) == 0
+    assert capsys.readouterr().out.strip() == "1095851"
+    p = tmp_path / "cubes.json"
+    forbidden = [[[[0, 0, 0], "1"], [c, "1"]] for c in ([0, 0, 1], [0, 1, 0], [1, 0, 0])]
+    p.write_text(json.dumps({"dimension": 3, "symbols": ["0", "1"], "forbidden": forbidden}))
+    args = ["count", str(p), "--shape", "4x2x2", "--engine", "matrix", "--max-work", "2000"]
+    assert main(args) == 0
+    assert capsys.readouterr().out.strip() == "933"
+    # a level-0 block with one axis halved is no chain stage
+    assert main(["count", str(p), "--shape", "2x1x1", "--engine", "matrix"]) == 4
+
+
+def test_analyze_level0_builds_no_relations(tmp_path, capsys):
+    # 80 allowed cubes: level-0 relations would exceed the work cap
+    p = tmp_path / "three.json"
+    p.write_text(
+        json.dumps({"dimension": 2, "symbols": ["0", "1", "2"], "forbidden": [[["0", "1"], ["2", "0"]]]})
+    )
+    assert main(["analyze", str(p), "--levels", "0", "--format", "csv"]) == 0
+    assert "0,squares,80,,nonempty-to-level-0" in capsys.readouterr().out.splitlines()
