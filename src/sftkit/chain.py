@@ -104,17 +104,23 @@ def run_chain(
     caps: Caps = DEFAULT_CAPS,
 ) -> list[DChainState]:
     """Run `cycles` full doubling cycles; returns every stage state."""
+    states: list[DChainState] = []
+    _run_into(states, allowed_cubes, cubes, cycles, caps)
+    return states
+
+
+def _run_into(states: list[DChainState], allowed_cubes, cubes, cycles, caps) -> None:
+    # fills `states` as the run goes, so a budget stop leaves every stage
+    # certified before it in place
     state = chain_start(allowed_cubes, cubes)
-    states = [state]
-    d = state.dimension
-    for _ in range(cycles * d):
+    states.append(state)
+    for _ in range(cycles * state.dimension):
         if not state.blocks:
             break
         state = chain_relation(state, cubes, caps)
         states[-1] = state
         state = d_chain_step(state, cubes, caps)
         states.append(state)
-    return states
 
 
 def chain_report(
@@ -131,7 +137,7 @@ def chain_report(
     verdict = None
     states: list[DChainState] = []
     try:
-        states = run_chain(index, cubes, levels, caps)
+        _run_into(states, index, cubes, levels, caps)
     except BudgetError as e:
         verdict = "inconclusive"
         reason = str(e)

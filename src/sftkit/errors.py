@@ -30,7 +30,8 @@ class BudgetError(SftError):
 
     `required` names the cap that would let the operation proceed, when that
     is knowable up front; `partial` carries a partial count when work had
-    already started.
+    already started, or the part of the result that was complete before the
+    stop (a level whose next relation or matrix was refused).
     """
 
     def __init__(self, message, required=None, partial=None):

@@ -26,7 +26,7 @@ from typing import Sequence
 from .caps import DEFAULT_CAPS, Caps
 from .core import Block, CubeSet, SftSpec, assemble, block_allowed
 from .errors import BudgetError, EmptyStateError, SpecError
-from .matrices import LiteralLevel, level0_matrices, step_literal
+from .matrices import LiteralLevel, check_index, level0_matrices, step_literal
 from .normalize import (
     MODE_ALL,
     build_report,
@@ -62,10 +62,15 @@ def level0_state(allowed_cubes: Sequence[Block], cubes: CubeSet, caps: Caps = DE
 
 
 def _check_work(what: str, work: int, state: LevelState, caps: Caps) -> None:
+    # the refused state goes along as `partial`: what it holds is complete
     if work > caps.max_work:
         unit = "scans" if state.level == 0 else "pair checks"
         base = "base " if state.level == 0 else ""
-        raise BudgetError(f"{base}{what} relation needs {work} {unit} (cap {caps.max_work})", required=work)
+        raise BudgetError(
+            f"{base}{what} relation needs {work} {unit} (cap {caps.max_work})",
+            required=work,
+            partial=state,
+        )
 
 
 def with_relations(
@@ -75,7 +80,9 @@ def with_relations(
 
     The vertical relation pairs squares along axis 0; the horizontal one
     pairs the resulting stacks along axis 1. Both come from `pair_relation`:
-    window scans at level 0, middle-block lookups from level 1 on.
+    window scans at level 0, middle-block lookups from level 1 on. A
+    budget stop carries the state as far as it got (its vrel, when only
+    hrel was refused) as the BudgetError's `partial`.
     """
     if state.vrel is not None and (state.hrel is not None or not need_hrel):
         return state
@@ -88,13 +95,14 @@ def with_relations(
     if vrel is None:
         _check_work("vertical", len(datas) ** 2, state, caps)
         vrel = pair_relation(datas, square, 0, state.cubes)
+    state = replace(state, vrel=vrel)
     if not need_hrel:
-        return replace(state, vrel=vrel)
+        return state
     _check_work("horizontal", len(vrel) ** 2, state, caps)
     pairs = sorted(vrel)
     stacks = [join(datas[a], datas[b], square, 0) for a, b in pairs]
     hrel = pair_relation(stacks, (2 * side, side), 1, state.cubes)
-    return replace(state, vrel=vrel, hrel=frozenset(pairs[x] + pairs[y] for x, y in hrel))
+    return replace(state, hrel=frozenset(pairs[x] + pairs[y] for x, y in hrel))
 
 
 def reduced_step(state: LevelState, caps: Caps = DEFAULT_CAPS) -> LevelState:
@@ -229,7 +237,8 @@ def analyze(
 
 def _analyze_reduced(spec, cubes, index, norm, levels, caps) -> AnalysisResult:
     # relations are built only to step up a level, so a budget stop keeps
-    # every level counted before it
+    # every level counted before it, and a horizontal stop keeps the
+    # vertical relation built before it
     st = LevelState(0, cubes.side, tuple(index), None, None, cubes)
     states = [st]
     reason = None
@@ -240,6 +249,8 @@ def _analyze_reduced(spec, cubes, index, norm, levels, caps) -> AnalysisResult:
             st = reduced_step(st, caps)
             states.append(st)
     except BudgetError as e:
+        if isinstance(e.partial, LevelState):
+            states[-1] = e.partial
         reason = str(e)
     if any(not s.squares for s in states):
         verdict, reason = "empty", None
@@ -259,27 +270,32 @@ def _analyze_literal(spec, cubes, index, norm, levels, caps) -> AnalysisResult:
     reason = None
     verdict = None
     lits: list[LiteralLevel] = []
-    empty_seen = not index
+
+    def add(lit: LiteralLevel) -> None:
+        lits.append(lit)
+        rows.append(LevelRow(lit.level, "vert", len(lit.vert.row_blocks), lit.vert.ones_count()))
+        if lit.horiz is not None:
+            rows.append(LevelRow(lit.level, "horiz", len(lit.horiz.row_blocks), lit.horiz.ones_count()))
+
     try:
         if levels >= 1 and index:
             lit = level0_matrices(index, cubes, caps)
-            lits.append(lit)
-            rows.append(LevelRow(0, "vert", len(lit.vert.row_blocks), lit.vert.ones_count()))
-            rows.append(LevelRow(0, "horiz", len(lit.horiz.row_blocks), lit.horiz.ones_count()))
+            add(lit)
             while lit.level + 2 <= levels and not lit.zero():
-                lit = step_literal(lit, caps)
-                lits.append(lit)
-                rows.append(
-                    LevelRow(lit.level, "vert", len(lit.vert.row_blocks), lit.vert.ones_count())
-                )
-                rows.append(
-                    LevelRow(lit.level, "horiz", len(lit.horiz.row_blocks), lit.horiz.ones_count())
-                )
-            empty_seen = empty_seen or any(l.zero() for l in lits)
+                # the horizontal index length is known before any work: when
+                # only the vertical matrix fits, build and report it, then stop
+                hcount = len(lit.letters) ** 8
+                lit = step_literal(lit, caps, compute_h=hcount <= caps.max_index)
+                add(lit)
+                if lit.horiz is None and not lit.zero():
+                    check_index("horizontal", hcount, caps)
     except BudgetError as e:
+        # a horizontal work stop keeps the vertical matrix built before it
+        if isinstance(e.partial, LiteralLevel):
+            add(e.partial)
         verdict = "inconclusive"
         reason = str(e)
-    if empty_seen:
+    if not index or any(l.zero() for l in lits):
         verdict = "empty"
         reason = None
     elif verdict is None:

@@ -11,12 +11,13 @@ in arrangement order (see below). Two sparse boolean matrices are carried:
 Index orders. Level-0 letters are the canonical cubes in row-major
 dictionary order. A level-(n+1) square is a 2x2 arrangement of level-n
 letters (i j / r s): its row-wise reading is (i,j,r,s) and its column-wise
-reading (i,r,j,s); tuples compare lexicographically over letter positions.
-The vertical matrix is computed with row-wise index order and re-sorted
-column-wise afterwards; the horizontal matrix is computed column-wise and
-re-sorted row-wise. The final row-wise order of the horizontal matrix is
-exactly the pair order (top letter, bottom letter), which is what makes the
-block arithmetic of the next step a pure index calculation.
+reading (i,r,j,s); tuples compare lexicographically over letter positions,
+so a position is the reading's base-k number. The vertical matrix is
+indexed column-wise, the horizontal matrix row-wise by stacks, whose order
+is exactly the pair order (top letter, bottom letter). Every step is
+therefore pure index arithmetic: a horizontal one (i*k + r, j*k + s) is
+the allowed square at column-wise position (i*k + r)*k^2 + j*k + s, and
+index blocks are only built when they are read (`Pairs`).
 
 Entries are exact: the level-0 matrices are `relation.pair_relation` window
 scans, and a doubled block is allowed iff its two halves and the
@@ -26,8 +27,10 @@ half of a doubled side.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Sequence
+import math
+from collections import defaultdict
+from collections.abc import Sequence
+from dataclasses import InitVar, dataclass
 
 from .caps import DEFAULT_CAPS, Caps
 from .core import Block, CubeSet, permute_axes
@@ -100,19 +103,97 @@ def otimes(p: Sequence[Sequence[int]], m: Sequence[Sequence[int]]) -> tuple[int,
     return tuple(out)
 
 
+class Pairs(Sequence[Block]):
+    """Every part stacked on every part, each block built on access.
+
+    Position a*n + b holds parts[a] on top of parts[b], so the index is free
+    of duplicates whenever the parts are. The literal pipeline's indices all
+    have this form: a level's stacks pair its letters, and the next level's
+    squares pair its row pairs (i j) of letters, at position i*k + j. Those
+    squares (i j / r s) count row-wise, ((i*k + j)*k + r)*k + s, or with
+    `colwise` column-wise, ((i*k + r)*k + j)*k + s.
+    """
+
+    __slots__ = ("parts", "colwise")
+
+    def __init__(self, parts: Sequence[Block], colwise: bool = False):
+        self.parts = parts
+        self.colwise = colwise
+
+    def __len__(self) -> int:
+        return len(self.parts) ** 2
+
+    def __getitem__(self, x):
+        if isinstance(x, slice):
+            return tuple(self[i] for i in range(*x.indices(len(self))))
+        n = len(self.parts)
+        if x < 0:
+            x += n * n
+        if not 0 <= x < n * n:
+            raise IndexError(f"position {x} outside an index of {n * n}")
+        a, b = divmod(x, n)
+        if self.colwise:
+            # a = i*k + r and b = j*k + s name the top pair i*k + j and the
+            # bottom pair r*k + s
+            k = math.isqrt(n)
+            a, b = a // k * k + b // k, a % k * k + b % k
+        s = self.parts[0].shape
+        return Block((2 * s[0],) + s[1:], self.parts[a].data + self.parts[b].data)
+
+    def __iter__(self):
+        if not self.parts:
+            return
+        datas = [p.data for p in self.parts]
+        s = self.parts[0].shape
+        shape = (2 * s[0],) + s[1:]
+        if not self.colwise:
+            for top in datas:
+                for bottom in datas:
+                    yield Block(shape, top + bottom)
+            return
+        k = math.isqrt(len(datas))
+        for i in range(0, k * k, k):
+            for r in range(0, k * k, k):
+                # squares (i j / r s) for every j, s: column-wise order
+                for top in datas[i : i + k]:
+                    for bottom in datas[r : r + k]:
+                        yield Block(shape, top + bottom)
+
+    def __eq__(self, other):
+        if isinstance(other, Pairs) and self.colwise == other.colwise and self.parts == other.parts:
+            return True
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class CompatMatrix:
-    """Sparse boolean matrix over ordered block indices."""
+    """Sparse boolean matrix over ordered block indices.
 
-    row_blocks: tuple[Block, ...]
-    col_blocks: tuple[Block, ...]
+    The constructor checks that each index holds distinct blocks and that
+    every one lies inside the shape. `check=False` skips those O(n) scans
+    for a matrix that is valid by construction, as the pipeline's own are.
+    """
+
+    row_blocks: Sequence[Block]
+    col_blocks: Sequence[Block]
     row_order: OrderTag
     col_order: OrderTag
     ones: frozenset[tuple[int, int]]
+    check: InitVar[bool] = True
 
-    def __post_init__(self):
+    def __post_init__(self, check: bool):
+        if not check:
+            return
         nr, nc = len(self.row_blocks), len(self.col_blocks)
-        if len(set(self.row_blocks)) != nr or len(set(self.col_blocks)) != nc:
+        indices = [self.row_blocks]
+        if self.col_blocks is not self.row_blocks:
+            indices.append(self.col_blocks)
+        if any(len(set(ix)) != len(ix) for ix in indices):
             raise ShapeError("matrix index contains duplicate blocks")
         for r, c in self.ones:
             if not (0 <= r < nr and 0 <= c < nc):
@@ -152,25 +233,20 @@ class LiteralLevel:
     """One literal level: letters plus the vertical/horizontal matrices.
 
     `letters` are the level squares in arrangement-row-wise order; `pair_ones`
-    mirrors the horizontal matrix as ((a,b),(c,d)) letter-position pairs,
-    which is the form the next step consumes.
+    mirrors the horizontal matrix as ((a,b),(c,d)) letter-position pairs.
+    `horiz` is None (and `pair_ones` empty) when the step stopped at the
+    vertical matrix.
     """
 
     level: int
     side: int
-    letters: tuple[Block, ...]
+    letters: Sequence[Block]
     vert: CompatMatrix
     horiz: CompatMatrix | None
     pair_ones: frozenset[tuple[tuple[int, int], tuple[int, int]]]
 
     def zero(self) -> bool:
         return self.vert.is_zero() or (self.horiz is not None and self.horiz.is_zero())
-
-
-def _stacks(letters: Sequence[Block], side: int) -> tuple[Block, ...]:
-    # every letter over every letter, in (top, bottom) order
-    shape = (2 * side, side)
-    return tuple(Block(shape, a.data + b.data) for a, b in itertools.product(letters, repeat=2))
 
 
 def level0_matrices(
@@ -202,8 +278,8 @@ def level0_matrices(
     hpairs = pair_relation(stacks, (2 * side, side), 1, cubes)
     pair_ones = frozenset((pairs[x], pairs[y]) for x, y in hpairs)
     hones = frozenset((a * k + b, c * k + d) for (a, b), (c, d) in pair_ones)
-    rects = _stacks(letters, side)
-    horiz = CompatMatrix(rects, rects, tag, tag, hones)
+    rects = Pairs(letters)
+    horiz = CompatMatrix(rects, rects, tag, tag, hones, check=False)
     return LiteralLevel(0, side, letters, vert, horiz, pair_ones)
 
 
@@ -217,9 +293,22 @@ def _colwise_pos(k: int, q: tuple[int, int, int, int]) -> int:
     return ((i * k + r) * k + j) * k + s
 
 
-def _merge_cols(q: tuple[int, int, int, int], p: tuple[int, int, int, int]):
-    # seam square: right column of q glued to left column of p
-    return (q[1], p[0], q[3], p[2])
+def _colwise_to_rowwise(k: int, x: int) -> int:
+    # base-k digits (i, r, j, s) of a column-wise position, read row-wise
+    x, s = divmod(x, k)
+    x, j = divmod(x, k)
+    i, r = divmod(x, k)
+    return _rowwise_pos(k, (i, j, r, s))
+
+
+def check_index(what: str, count: int, caps: Caps) -> None:
+    """Refuse a next-level index longer than `caps.max_index`."""
+    if count > caps.max_index:
+        raise BudgetError(
+            f"next {what} index would have {count} entries "
+            f"(cap {caps.max_index}); use the reduced pipeline",
+            required=count,
+        )
 
 
 def step_literal(
@@ -234,87 +323,87 @@ def step_literal(
     With `compute_h` the next horizontal matrix is also materialized, which
     squares the index length again; pass False to stop at the vertical
     matrix when only it is needed.
+
+    Every index-length budget is checked before any work. A `max_work` stop
+    of the horizontal pass comes after the vertical matrix is built; the
+    BudgetError then carries that vertical-only level as `partial`.
     """
     if lvl.horiz is None:
         raise BudgetError("horizontal matrix missing; recompute the level with compute_h")
-    letters = lvl.letters
-    k = len(letters)
-    vcount = k**4
-    if vcount > caps.max_index:
-        raise BudgetError(
-            f"next vertical index would have {vcount} entries "
-            f"(cap {caps.max_index}); use the reduced pipeline",
-            required=vcount,
+    k = len(lvl.letters)
+    kk = k * k
+    vcount = kk * kk
+    check_index("vertical", vcount, caps)
+    if compute_h:
+        check_index("horizontal", vcount * vcount, caps)
+
+    # square (i j / r s) is allowed iff the horizontal matrix has a one at
+    # (column stack i-over-r, column stack j-over-s), and its column-wise
+    # position is that one's row times kk plus its column. Group the allowed
+    # squares by their top row pair (i, j), keyed i*k + j.
+    by_top: list[list[int]] = [[] for _ in range(kk)]
+    for a, b in lvl.horiz.ones:
+        by_top[a // k * k + b // k].append(a * kk + b)
+
+    def bottom(x: int) -> int:
+        # key of the bottom row pair (r, s) of the square at position x
+        a, b = divmod(x, kk)
+        return a % k * k + b % k
+
+    # p may sit under q iff the middle square, q's bottom row pair over p's
+    # top row pair, is allowed; so the squares under q depend only on q's
+    # bottom pair, and each row of ones is one list
+    below = [[p for m in group for p in by_top[bottom(m)]] for group in by_top]
+    vones = frozenset(
+        itertools.chain.from_iterable(
+            itertools.product((q,), below[bottom(q)]) for group in by_top for q in group
         )
-
-    # square (i j / r s) is allowed iff the horizontal matrix certified the
-    # pairing of its two column stacks: one at ((i,r),(j,s))
-    top2bot: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    allowed: set[tuple[int, int, int, int]] = set()
-    for (a, b), (c, d) in lvl.pair_ones:
-        q = (a, c, b, d)
-        allowed.add(q)
-        top2bot.setdefault((a, c), []).append((b, d))
-    for v in top2bot.values():
-        v.sort()
-
-    # stream the ones: (q, p) pairs never repeat because p determines its
-    # own top half, so no dedup set is needed
-    vones_pos = set()
-    vones_tuples = set() if compute_h else None
-    for q in allowed:
-        qpos = _colwise_pos(k, q)
-        for uv in top2bot.get((q[2], q[3]), ()):
-            for wz in top2bot.get(uv, ()):
-                p = (uv[0], uv[1], wz[0], wz[1])
-                vones_pos.add((qpos, _colwise_pos(k, p)))
-                if vones_tuples is not None:
-                    vones_tuples.add((q, p))
+    )
 
     new_side = 2 * lvl.side
-    # letters of the next level keep arrangement-row-wise order: square
-    # (i j / r s) is row pair (i, j) stacked on row pair (r, s); the
-    # column-wise view of the vertical index reuses the same blocks
+    # the next letters are the row pairs stacked, in arrangement-row-wise
+    # order; the vertical index reads the same squares column-wise
     square = (lvl.side, lvl.side)
-    rows = [join(a.data, b.data, square, 1) for a, b in itertools.product(letters, repeat=2)]
-    shape = (new_side, new_side)
-    next_letters = tuple(Block(shape, top + bottom) for top, bottom in itertools.product(rows, repeat=2))
-    order = sorted(itertools.product(range(k), repeat=4), key=lambda q: (q[0], q[2], q[1], q[3]))
-    new_letters_colwise = tuple(next_letters[_rowwise_pos(k, q)] for q in order)
+    rows = tuple(
+        Block((lvl.side, new_side), join(a.data, b.data, square, 1))
+        for a, b in itertools.product(lvl.letters, repeat=2)
+    )
+    next_letters = Pairs(rows)
+    index = Pairs(rows, colwise=True)
     ctag = OrderTag.colwise()
-    vert = CompatMatrix(new_letters_colwise, new_letters_colwise, ctag, ctag, frozenset(vones_pos))
+    vert = CompatMatrix(index, index, ctag, ctag, vones, check=False)
+    level = lvl.level + 1
+    if not compute_h:
+        return LiteralLevel(level, new_side, next_letters, vert, None, frozenset())
 
-    horiz = None
-    next_pair_ones: frozenset = frozenset()
-    if compute_h:
-        hcount = vcount * vcount
-        if hcount > caps.max_index:
-            raise BudgetError(
-                f"next horizontal index would have {hcount} entries "
-                f"(cap {caps.max_index}); use the reduced pipeline",
-                required=hcount,
-            )
-        if len(vones_tuples) ** 2 > caps.max_work:
-            raise BudgetError(
-                f"horizontal step would examine {len(vones_tuples) ** 2} stack pairs "
-                f"(cap {caps.max_work})",
-                required=len(vones_tuples) ** 2,
-            )
-        vset = vones_tuples
-        pair_ones = set()
-        for (q, qb) in vset:
-            for (p, pb) in vset:
-                if (_merge_cols(q, p), _merge_cols(qb, pb)) in vset:
-                    pair_ones.add(
-                        ((_rowwise_pos(k, q), _rowwise_pos(k, qb)), (_rowwise_pos(k, p), _rowwise_pos(k, pb)))
-                    )
-        rects = _stacks(next_letters, new_side)
-        hones = frozenset((a * vcount + b, c * vcount + d) for (a, b), (c, d) in pair_ones)
-        rtag = OrderTag.rowwise(2)
-        horiz = CompatMatrix(rects, rects, rtag, rtag, hones)
-        next_pair_ones = frozenset(pair_ones)
-
-    return LiteralLevel(lvl.level + 1, new_side, next_letters, vert, horiz, next_pair_ones)
+    work = len(vones) ** 2
+    if work > caps.max_work:
+        raise BudgetError(
+            f"horizontal step would examine {work} stack pairs (cap {caps.max_work})",
+            required=work,
+            partial=LiteralLevel(level, new_side, next_letters, vert, None, frozenset()),
+        )
+    # a stack x-over-y has left column pair (x // kk, y // kk) and right
+    # column pair (x % kk, y % kk). Stacks L and R sit side by side iff the
+    # seam stack (L's right columns, R's left columns) is a vertical one:
+    # join on the seam's two column pairs
+    by_left: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
+    by_right: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
+    for x, y in vones:
+        by_left[x // kk, y // kk].append((x, y))
+        by_right[x % kk, y % kk].append((x, y))
+    to_row = [_colwise_to_rowwise(k, x) for x in range(vcount)]
+    next_pair_ones = frozenset(
+        ((to_row[lx], to_row[ly]), (to_row[rx], to_row[ry]))
+        for x, y in vones
+        for lx, ly in by_right.get((x // kk, y // kk), ())
+        for rx, ry in by_left.get((x % kk, y % kk), ())
+    )
+    hones = frozenset((a * vcount + b, c * vcount + d) for (a, b), (c, d) in next_pair_ones)
+    rects = Pairs(next_letters)
+    rtag = OrderTag.rowwise(2)
+    horiz = CompatMatrix(rects, rects, rtag, rtag, hones, check=False)
+    return LiteralLevel(level, new_side, next_letters, vert, horiz, next_pair_ones)
 
 
 def literal_vert_pairs(lvl: LiteralLevel) -> set[tuple[Block, Block]]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import itertools
 import multiprocessing
+import os
 from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, Caps
@@ -84,7 +85,8 @@ def brute_force_allowed(
     side = cubes.side if cubes is not None else 1
     cube_data = tuple(sorted(c.data for c in cubes.cubes)) if cubes is not None else ()
 
-    workers = max(1, caps.threads)
+    # more workers than cores only add processes
+    workers = max(1, min(caps.threads, os.cpu_count() or 1))
     if workers == 1 or total < 4096:
         count, kept = _scan_range((shape, spec.alphabet_size, 0, total, cube_data, side, raw))
     else:

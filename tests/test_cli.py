@@ -208,3 +208,38 @@ def test_analyze_level0_builds_no_relations(tmp_path, capsys):
     )
     assert main(["analyze", str(p), "--levels", "0", "--format", "csv"]) == 0
     assert "0,squares,80,,nonempty-to-level-0" in capsys.readouterr().out.splitlines()
+
+
+def test_analyze_literal_keeps_vertical_level_on_horizontal_stop(hs_file, capsys):
+    # the level-1 vertical matrix fits the index cap, the horizontal one
+    # does not: the vertical row is reported before the stop
+    assert main(["analyze", hs_file, "--levels", "2", "--mode", "literal", "--format", "csv"]) == 3
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1:] == [
+        "0,vert,7,41,inconclusive",
+        "0,horiz,49,1234,inconclusive",
+        "1,vert,2401,1095851,inconclusive",
+    ]
+    assert main(["analyze", hs_file, "--levels", "2", "--mode", "literal"]) == 3
+    assert "reduced" in capsys.readouterr().out
+
+
+def test_analyze_reduced_keeps_vrel_on_horizontal_stop(hs_file, capsys):
+    assert main(["analyze", hs_file, "--levels", "2", "--format", "csv"]) == 3
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[-2:] == ["1,squares,1234,1095851,inconclusive", "1,rects,1095851,,inconclusive"]
+
+
+def test_analyze_chain_keeps_stages_on_budget_stop(tmp_path, capsys):
+    # d=3 hard cubes, also without 1s on three face diagonals: 19 cubes
+    pairs = [
+        ([0, 0, 0], [0, 0, 1]), ([0, 0, 0], [0, 1, 0]), ([0, 0, 0], [1, 0, 0]),
+        ([0, 0, 0], [0, 1, 1]), ([0, 0, 1], [0, 1, 0]), ([0, 0, 0], [1, 1, 0]),
+    ]
+    p = tmp_path / "diag.json"
+    forbidden = [[[a, "1"], [b, "1"]] for a, b in pairs]
+    p.write_text(json.dumps({"dimension": 3, "symbols": ["0", "1"], "forbidden": forbidden}))
+    args = ["analyze", str(p), "--levels", "1", "--max-work", "1000", "--format", "csv"]
+    assert main(args) == 3
+    lines = capsys.readouterr().out.strip().splitlines()
+    assert lines[1:] == ["0,cubes,19,281,inconclusive", "1,dir1,281,,inconclusive"]

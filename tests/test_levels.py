@@ -228,3 +228,20 @@ def test_sample_patch_empty(kill_all):
     res = analyze(kill_all, 0)
     with pytest.raises(EmptyStateError):
         sample_patch(res.levels[0], 0)
+
+
+def test_analyze_literal_work_stop_keeps_vertical_level(full_shift):
+    # the level-1 horizontal pass is refused by max_work after the vertical
+    # matrix is built; the vertical row stays in the report
+    res = analyze(full_shift, 2, mode="literal", caps=DEFAULT_CAPS.but(max_work=1000))
+    rows = [(r.level, r.stage, r.block_count, r.relation_count) for r in res.report.rows]
+    assert rows == [(0, "vert", 2, 4), (0, "horiz", 4, 16), (1, "vert", 16, 256)]
+    assert res.report.verdict == "inconclusive"
+    assert "stack pairs" in res.report.reason
+
+
+def test_analyze_reduced_base_horizontal_stop_keeps_vrel(hard_squares):
+    res = analyze(hard_squares, 1, caps=DEFAULT_CAPS.but(max_work=1000))
+    rows = [(r.level, r.stage, r.block_count, r.relation_count) for r in res.report.rows]
+    assert rows == [(0, "squares", 7, 41), (0, "rects", 41, None)]
+    assert res.report.verdict == "inconclusive"

@@ -15,15 +15,20 @@ from sftkit import (
     block_allowed,
     enumerate_allowed_cubes,
     level0_matrices,
+    level0_state,
     literal_vert_pairs,
     normalize_to_cubes,
     order_key,
     otimes,
+    reduced_step,
     step_literal,
     transpose,
+    with_relations,
 )
 from sftkit.matrices import _colwise_pos, _rowwise_pos
 from sftkit.normalize import iter_cubes
+
+from conftest import random_square_spec
 
 
 def test_order_key_2x2():
@@ -223,3 +228,105 @@ def test_literal_vert_pairs_are_allowed_stacks(checkerboard):
     nxt = step_literal(lvl, DEFAULT_CAPS.but(max_work=10**6), compute_h=False)
     for top, bottom in literal_vert_pairs(nxt):
         assert block_allowed(Block((8, 4), top.data + bottom.data), cubes)
+
+
+def _otimes_rows(lvl):
+    # level-1 vertical ones, row by row, from the `otimes` expansion of the
+    # level-0 horizontal matrix (dense, in pair order)
+    k = len(lvl.letters)
+    h = [[0] * (k * k) for _ in range(k * k)]
+    for (a, b), (c, d) in lvl.pair_ones:
+        h[a * k + b][c * k + d] = 1
+    # otimes rows run over row-wise positions, the matrix over column-wise ones
+    to_col = [_colwise_pos(k, p) for p in itertools.product(range(k), repeat=4)]
+    below = {}
+    ones = set()
+    for (i, r), (j, s) in lvl.pair_ones:
+        if (r, s) not in below:
+            block_r = [[h[r * k + u][s * k + v] for v in range(k)] for u in range(k)]
+            below[r, s] = [to_col[x] for x, v in enumerate(otimes(block_r, h)) if v]
+        q = _colwise_pos(k, (i, j, r, s))
+        ones.update((q, p) for p in below[r, s])
+    return ones
+
+
+@given(st.integers(0, 2**32), st.integers(6, 14), st.booleans())
+@settings(max_examples=10, deadline=None)
+def test_step_literal_matches_otimes_and_reduced(seed, patterns, full_index):
+    _check_step(random_square_spec(random.Random(seed), patterns, patterns), full_index)
+
+
+@given(st.integers(0, 2**32), st.integers(11, 14))
+@settings(max_examples=15, deadline=None)
+def test_step_literal_horizontal_matches_reduced(seed, patterns):
+    # at most 5 allowed cubes: the horizontal matrix of the allowed index fits
+    spec = random_square_spec(random.Random(seed), patterns, patterns)
+    assert _check_step(spec, False, max_index=5**8)
+
+
+def _check_step(spec, full_index, max_index=70000):
+    """Step the literal pipeline once and check it against the `otimes`
+    expansion and the reduced relations; True if the horizontal matrix was
+    built and checked."""
+    caps = DEFAULT_CAPS.but(max_index=max_index, max_work=10**8)
+    cubes = normalize_to_cubes(spec, caps=caps)
+    allowed = enumerate_allowed_cubes(spec, cubes, caps)
+    letters = tuple(iter_cubes(spec, cubes.side)) if full_index else allowed
+    lvl = level0_matrices(letters, cubes, caps)
+    k = len(letters)
+    compute_h = k**8 <= caps.max_index
+    nxt = step_literal(lvl, caps, compute_h=compute_h)
+    assert nxt.vert.shape == (k**4, k**4) and len(nxt.letters) == k**4
+    assert set(nxt.vert.ones) == _otimes_rows(lvl)
+
+    # the same ones against the reduced level-1 relations, through block data
+    lvl1 = reduced_step(level0_state(allowed, cubes, caps), caps)
+    lvl1 = with_relations(lvl1, caps, need_hrel=compute_h)
+    pos = {b.data: i for i, b in enumerate(lvl1.squares)}
+    row_map = [pos.get(b.data) for b in nxt.vert.row_blocks]
+    assert {(row_map[r], row_map[c]) for r, c in nxt.vert.ones} == set(lvl1.vrel)
+    if not compute_h:
+        assert nxt.horiz is None and not nxt.pair_ones
+        return False
+    sq = lvl1.squares
+    stack_pos = {sq[a].data + sq[b].data: (a, b) for a, b in lvl1.vrel}
+    rects = nxt.horiz.row_blocks
+    mapped = {stack_pos[rects[x].data] + stack_pos[rects[y].data] for x, y in nxt.horiz.ones}
+    assert mapped == set(lvl1.hrel)
+    n = len(nxt.letters)
+    assert nxt.horiz.ones == {(a * n + b, c * n + d) for (a, b), (c, d) in nxt.pair_ones}
+    return True
+
+
+def test_step_literal_index_order(checkerboard):
+    # the lazily built index blocks are the 2x2 arrangements at their
+    # row-wise and column-wise positions, read by position and in order
+    index, cubes = _index_and_cubes(checkerboard)
+    lvl = level0_matrices(index, cubes)
+    nxt = step_literal(lvl, DEFAULT_CAPS.but(max_work=10**6))
+    k = len(lvl.letters)
+    for q in itertools.product(range(k), repeat=4):
+        want = _assemble_square(lvl.letters, q)
+        assert nxt.letters[_rowwise_pos(k, q)] == want
+        assert nxt.vert.row_blocks[_colwise_pos(k, q)] == want
+    assert list(nxt.vert.row_blocks) == [nxt.vert.row_blocks[x] for x in range(k**4)]
+    assert list(nxt.letters) == [nxt.letters[x] for x in range(k**4)]
+    assert nxt.vert.row_blocks is nxt.vert.col_blocks
+    as_tuple = tuple(nxt.vert.row_blocks)
+    assert nxt.vert.row_blocks == as_tuple and hash(nxt.vert.row_blocks) == hash(as_tuple)
+    assert nxt.vert.row_blocks[-1] == nxt.vert.row_blocks[k**4 - 1]
+    with pytest.raises(IndexError):
+        nxt.vert.row_blocks[k**4]
+    stacks = nxt.horiz.row_blocks
+    n = k**4
+    assert stacks[3 * n + 5] == Block((8, 4), nxt.letters[3].data + nxt.letters[5].data)
+
+
+def test_step_literal_horizontal_work_stop_keeps_vertical(full_shift):
+    index, cubes = _index_and_cubes(full_shift)
+    lvl = level0_matrices(index, cubes)
+    with pytest.raises(BudgetError) as exc:
+        step_literal(lvl, DEFAULT_CAPS.but(max_work=1000))
+    part = exc.value.partial
+    assert exc.value.required == 256**2
+    assert part.horiz is None and part.vert.ones_count() == 256

@@ -104,3 +104,31 @@ def test_threads_match_sequential(hard_squares):
     assert par.blocks is not None and [b.data for b in par.blocks] == [
         b.data for b in seq.blocks
     ]
+
+
+def test_threads_clamped_to_cpu_count(monkeypatch, hard_squares):
+    # the pool is faked, so no process starts: it records its size and maps
+    # in-process
+    sizes = []
+
+    class FakePool:
+        def __init__(self, n):
+            sizes.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(j) for j in jobs]
+
+    monkeypatch.setattr(oracle_mod.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(oracle_mod.multiprocessing, "Pool", FakePool)
+    res = brute_force_allowed(hard_squares, (4, 4), caps=DEFAULT_CAPS.but(threads=64))
+    assert res.count == 1234
+    assert sizes == [2]
+    monkeypatch.setattr(oracle_mod.os, "cpu_count", lambda: None)
+    assert brute_force_allowed(hard_squares, (4, 4), caps=DEFAULT_CAPS.but(threads=8)).count == 1234
+    assert sizes == [2]  # an unknown core count runs in-process
