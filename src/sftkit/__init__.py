@@ -4,7 +4,7 @@ enumerate allowed blocks, certify emptiness or nonemptiness to a level, and
 emit finite central patches."""
 
 from .caps import DEFAULT_CAPS, Caps
-from .chain import DChainState, chain_relation, chain_start, d_chain_step, run_chain
+from .chain import DChainState, chain_relation, chain_report, chain_start, d_chain_step, run_chain
 from .core import (
     Block,
     CubeSet,

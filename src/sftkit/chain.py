@@ -1,17 +1,19 @@
-"""Direction-cycling block chain for arbitrary dimension.
+"""Direction-cycling block chain for arbitrary dimension, and the one walk
+every analysis, matrix count and sample runs.
 
 Starting from the allowed l-cubes, each cycle doubles one axis at a time
 (axis 0, axis 1, ..., axis d-1, then wraps); after a full cycle the allowed
 cubes of twice the side are complete. Stage (n, i) holds all allowed blocks
 whose first i axes have length 2^n*l and whose remaining axes have length
-2^(n-1)*l.
+2^(n-1)*l. For d=2, stage (n, 2) holds the squares of doubling level n and
+stage (n+1, 1) their vertical stacks (see `levels.LevelState`).
 
 Admission of a concatenated pair is `relation.pair_relation` along the
 pairing axis: during the first cycle the pairing extent equals l, so the
 half-overlap covering argument does not apply and each candidate is fully
 window-scanned; from the second cycle on a pair is kept iff the
 half-overlapping middle block along the pairing axis belongs to the current
-stage set. For d=2 this reproduces the square pipeline stage by stage.
+stage set.
 """
 from __future__ import annotations
 
@@ -19,9 +21,8 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .caps import DEFAULT_CAPS, Caps
-from .core import Block, CubeSet, SftSpec
+from .core import Block, CubeSet
 from .errors import BudgetError
-from .levels import AnalysisResult, LevelReport, LevelRow
 from .relation import join, pair_relation
 
 
@@ -38,7 +39,6 @@ class DChainState:
     dimension: int
     level: int
     stage: int
-    side_small: int
     blocks: tuple[Block, ...]
     relation: frozenset[tuple[int, int]] | None
 
@@ -54,19 +54,23 @@ class DChainState:
 def chain_start(allowed_cubes: Sequence[Block], cubes: CubeSet) -> DChainState:
     blocks = tuple(sorted(allowed_cubes, key=lambda b: b.data))
     d = cubes.dimension if cubes.dimension else (blocks[0].dimension if blocks else 1)
-    return DChainState(d, 0, d, cubes.side, blocks, None)
+    return DChainState(d, 0, d, blocks, None)
+
+
+def _check_pairs(n: int, caps: Caps) -> None:
+    # a relation over n blocks is refused by its n^2 candidate pairs
+    if n * n > caps.max_work:
+        raise BudgetError(
+            f"chain relation needs {n * n} pair checks (cap {caps.max_work})",
+            required=n * n,
+        )
 
 
 def chain_relation(state: DChainState, cubes: CubeSet, caps: Caps = DEFAULT_CAPS) -> DChainState:
     """Compute the admitted pairs along the next axis."""
     if state.relation is not None:
         return state
-    n = len(state.blocks)
-    if n * n > caps.max_work:
-        raise BudgetError(
-            f"chain relation needs {n * n} pair checks (cap {caps.max_work})",
-            required=n * n,
-        )
+    _check_pairs(len(state.blocks), caps)
     if not state.blocks:
         return replace(state, relation=frozenset())
     datas = [b.data for b in state.blocks]
@@ -75,7 +79,9 @@ def chain_relation(state: DChainState, cubes: CubeSet, caps: Caps = DEFAULT_CAPS
 
 
 def d_chain_step(state: DChainState, cubes: CubeSet, caps: Caps = DEFAULT_CAPS) -> DChainState:
-    """Advance one direction stage, doubling the next axis."""
+    """Advance one direction stage, doubling the next axis. The new blocks
+    are sorted by data, so for axis 0 their order is that of the sorted
+    relation pairs."""
     state = chain_relation(state, cubes, caps)
     assert state.relation is not None
     if len(state.relation) > caps.max_blocks:
@@ -93,8 +99,46 @@ def d_chain_step(state: DChainState, cubes: CubeSet, caps: Caps = DEFAULT_CAPS) 
         datas = [b.data for b in state.blocks]
         out = sorted(join(datas[i], datas[j], shape, axis) for i, j in state.relation)
         new_blocks = tuple(Block(new_shape, d) for d in out)
-    side_small = state.side_small * 2 if stage == 1 else state.side_small
-    return DChainState(state.dimension, level, stage, side_small, new_blocks, None)
+    return DChainState(state.dimension, level, stage, new_blocks, None)
+
+
+def chain_report(
+    start: DChainState,
+    cubes: CubeSet,
+    target: tuple[int, int],
+    caps: Caps = DEFAULT_CAPS,
+    build_target: bool = True,
+) -> tuple[DChainState, ...]:
+    """Walk the chain from `start` towards stage `target` = (level, stage)
+    and return the stages walked.
+
+    The walk ends at the target, or at the first empty full-cube stage (an
+    empty intermediate stage is walked through, so a walk that finds
+    nothing ends on the empty cubes that certify it). With `build_target`
+    off, it ends one stage short of the target with the relation computed,
+    whose size is the target's block count. A relation is refused by its
+    n^2 pair checks before the stage it would pair is built, unless that
+    stage is the target. A budget stop raises with the stages certified
+    before it as the BudgetError's `partial`; when the last of them has its
+    relation computed, that relation's size certifies the next stage's
+    block count.
+    """
+    stages = [start]
+    state = start
+    try:
+        while (state.level, state.stage) < target and (state.blocks or state.stage != state.dimension):
+            state = stages[-1] = chain_relation(state, cubes, caps)
+            if state.next_stage() == target:
+                if not build_target:
+                    break
+            else:
+                _check_pairs(len(state.relation), caps)
+            state = d_chain_step(state, cubes, caps)
+            stages.append(state)
+    except BudgetError as e:
+        e.partial = tuple(stages)
+        raise
+    return tuple(stages)
 
 
 def run_chain(
@@ -104,60 +148,5 @@ def run_chain(
     caps: Caps = DEFAULT_CAPS,
 ) -> list[DChainState]:
     """Run `cycles` full doubling cycles; returns every stage state."""
-    states: list[DChainState] = []
-    _run_into(states, allowed_cubes, cubes, cycles, caps)
-    return states
-
-
-def _run_into(states: list[DChainState], allowed_cubes, cubes, cycles, caps) -> None:
-    # fills `states` as the run goes, so a budget stop leaves every stage
-    # certified before it in place
-    state = chain_start(allowed_cubes, cubes)
-    states.append(state)
-    for _ in range(cycles * state.dimension):
-        if not state.blocks:
-            break
-        state = chain_relation(state, cubes, caps)
-        states[-1] = state
-        state = d_chain_step(state, cubes, caps)
-        states.append(state)
-
-
-def chain_report(
-    spec: SftSpec,
-    cubes: CubeSet,
-    index: Sequence[Block],
-    norm,
-    levels: int,
-    caps: Caps,
-) -> AnalysisResult:
-    """Analysis wrapper used for d != 2 problems."""
-    rows: list[LevelRow] = []
-    reason = None
-    verdict = None
-    states: list[DChainState] = []
-    try:
-        _run_into(states, index, cubes, levels, caps)
-    except BudgetError as e:
-        verdict = "inconclusive"
-        reason = str(e)
-    for st in states:
-        label = "cubes" if st.stage == st.dimension else f"dir{st.stage}"
-        rows.append(
-            LevelRow(
-                st.level,
-                label,
-                len(st.blocks),
-                None if st.relation is None else len(st.relation),
-            )
-        )
-    if any(not st.blocks for st in states):
-        verdict = "empty"
-        reason = None
-    elif verdict is None:
-        reached = states[-1].level if states and states[-1].stage == states[-1].dimension else 0
-        verdict = f"nonempty-to-level-{reached}"
-    report = LevelReport(
-        "chain", norm.side, norm.cube_count, norm.allowed_count, tuple(rows), verdict, reason
-    )
-    return AnalysisResult(spec, cubes, tuple(index), (), report)
+    start = chain_start(allowed_cubes, cubes)
+    return list(chain_report(start, cubes, (cycles, start.dimension), caps))

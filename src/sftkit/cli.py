@@ -11,8 +11,8 @@ import random
 import sys
 
 from .caps import Caps, DEFAULT_CAPS
-from .chain import DChainState, chain_relation, chain_start, d_chain_step
-from .core import CubeSet, SftSpec
+from .chain import chain_report, chain_start
+from .core import SftSpec
 from .errors import (
     ArchiveError,
     BudgetError,
@@ -137,22 +137,11 @@ def _chain_stage(shape: tuple[int, ...], side: int) -> tuple[int, int]:
     return level, stage
 
 
-def _walk(spec: SftSpec, cubes: CubeSet, target: tuple[int, int], caps: Caps) -> DChainState:
-    """Walk the chain stages towards stage `target` = (level, stage).
-    Returns the stage just below it with its relation computed, or the
-    target itself when it is the base, or the first empty stage."""
-    st = chain_start(enumerate_allowed_cubes(spec, cubes, caps), cubes)
-    while st.blocks and (st.level, st.stage) < target:
-        st = chain_relation(st, cubes, caps)
-        if st.next_stage() == target:
-            break
-        st = d_chain_step(st, cubes, caps)
-    return st
-
-
 def _matrix_count(spec: SftSpec, shape: tuple[int, ...], caps: Caps) -> int:
     cubes = normalize_to_cubes(spec, MODE_ALL, caps)
-    st = _walk(spec, cubes, _chain_stage(shape, cubes.side), caps)
+    target = _chain_stage(shape, cubes.side)
+    start = chain_start(enumerate_allowed_cubes(spec, cubes, caps), cubes)
+    st = chain_report(start, cubes, target, caps, build_target=False)[-1]
     # a next-stage count is the size of the relation: that stage is never built
     return len(st.blocks if st.relation is None else st.relation)
 
@@ -184,9 +173,8 @@ def _cmd_sample(args) -> int:
     if args.level < 0:
         raise SpecError("level must be >= 0")
     cubes = normalize_to_cubes(spec, MODE_ALL, caps)
-    st = _walk(spec, cubes, (args.level, spec.dimension), caps)
-    if st.relation is not None:
-        st = d_chain_step(st, cubes, caps)
+    start = chain_start(enumerate_allowed_cubes(spec, cubes, caps), cubes)
+    st = chain_report(start, cubes, (args.level, spec.dimension), caps)[-1]
     if not st.blocks:
         raise EmptyStateError(f"no allowed blocks at level {args.level}")
     rng = random.Random(args.seed)
@@ -201,7 +189,7 @@ def _cmd_witness(args) -> int:
     if res.block is not None:
         print(render_block(res.block, spec.alphabet))
         return 0
-    if res.reason and "empty" in res.reason:
+    if res.empty:
         print(f"absent: {res.reason}", file=sys.stderr)
         return 2
     print(f"absent: {res.reason} (not an emptiness proof)", file=sys.stderr)
@@ -238,9 +226,9 @@ def _cmd_compare(args) -> int:
 
 def _cmd_export(args) -> int:
     spec = load_spec_file(args.spec)
-    result = analyze(spec, args.levels, mode="reduced", caps=_caps_of(args))
     if spec.dimension != 2:
         raise SpecError("state archives cover the 2-dimensional pipeline only")
+    result = analyze(spec, args.levels, mode="reduced", caps=_caps_of(args))
     save_state(result, args.out)
     _emit_report(result.report, args.format, sys.stdout)
     return result.report.exit_code()

@@ -1,9 +1,11 @@
-"""Reduced doubling pipeline over allowed squares, plus analysis/report glue.
+"""Doubling levels of a 2-dimensional spec, and the analysis report.
 
 A level holds the set of allowed squares of side 2^n*l (sorted canonically),
 the vertical relation (pairs whose 2:1 stack is allowed), and the horizontal
-relation (pairs of stacks whose side-by-side square is allowed). Both
-relations come from `relation.pair_relation`, and are built only when the
+relation (pairs of stacks whose side-by-side square is allowed). It is a view
+over the stages of `chain.py` with axis order (0, 1): squares and vrel are
+stage (n, 2); hrel is the relation of the stacks, stage (n+1, 1), whose x-th
+block is the x-th sorted vrel pair. Relations are built only when the
 next level is asked for. Level 0 uses exhaustive window scans; from level 1
 on, everything reduces to set lookups:
 
@@ -14,7 +16,8 @@ on, everything reduces to set lookups:
 
 Both reductions are exact because a forbidden cube spans at most half of a
 level-(n>=1) side, so every cube window lies inside one of the aligned
-half-step windows those lookups certify.
+half-step windows those lookups certify. `analyze` reports one chain walk
+in every dimension, or the literal matrices of `matrices.py`.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .caps import DEFAULT_CAPS, Caps
+from .chain import DChainState, chain_relation, chain_report, chain_start, d_chain_step
 from .core import Block, CubeSet, SftSpec, assemble, block_allowed
 from .errors import BudgetError, EmptyStateError, SpecError
 from .matrices import LiteralLevel, check_index, level0_matrices, step_literal
@@ -33,7 +37,6 @@ from .normalize import (
     enumerate_allowed_cubes,
     normalize_to_cubes,
 )
-from .relation import join, pair_relation
 
 
 @dataclass(frozen=True)
@@ -56,78 +59,49 @@ class LevelState:
     cubes: CubeSet | None = field(default=None, compare=False, repr=False)
 
 
+def _square_stage(state: LevelState) -> DChainState:
+    return DChainState(2, state.level, 2, state.squares, state.vrel)
+
+
+def _hrel(vrel, stack_relation) -> frozenset[tuple[int, int, int, int]]:
+    pairs = sorted(vrel)
+    return frozenset(pairs[x] + pairs[y] for x, y in stack_relation)
+
+
 def level0_state(allowed_cubes: Sequence[Block], cubes: CubeSet, caps: Caps = DEFAULT_CAPS) -> LevelState:
     """Base level: allowed cubes with full-scan relations."""
     return with_relations(LevelState(0, cubes.side, tuple(allowed_cubes), None, None, cubes), caps)
 
 
-def _check_work(what: str, work: int, state: LevelState, caps: Caps) -> None:
-    # the refused state goes along as `partial`: what it holds is complete
-    if work > caps.max_work:
-        unit = "scans" if state.level == 0 else "pair checks"
-        base = "base " if state.level == 0 else ""
-        raise BudgetError(
-            f"{base}{what} relation needs {work} {unit} (cap {caps.max_work})",
-            required=work,
-            partial=state,
-        )
-
-
 def with_relations(
     state: LevelState, caps: Caps = DEFAULT_CAPS, need_hrel: bool = True
 ) -> LevelState:
-    """Fill vrel (and, unless `need_hrel` is off, hrel) of a state.
-
-    The vertical relation pairs squares along axis 0; the horizontal one
-    pairs the resulting stacks along axis 1. Both come from `pair_relation`:
-    window scans at level 0, middle-block lookups from level 1 on. A
-    budget stop carries the state as far as it got (its vrel, when only
-    hrel was refused) as the BudgetError's `partial`.
-    """
+    """Fill vrel (and, unless `need_hrel` is off, hrel) of a state. hrel is
+    the relation of the level's stacks, chain stage (n+1, 1), whose pair
+    checks are held against `max_work` before the stacks are built."""
     if state.vrel is not None and (state.hrel is not None or not need_hrel):
         return state
     if state.cubes is None:
         raise SpecError("relations need the state's forbidden cube set")
-    side = state.side
-    square = (side, side)
-    datas = [b.data for b in state.squares]
-    vrel = state.vrel
-    if vrel is None:
-        _check_work("vertical", len(datas) ** 2, state, caps)
-        vrel = pair_relation(datas, square, 0, state.cubes)
-    state = replace(state, vrel=vrel)
+    squares = chain_relation(_square_stage(state), state.cubes, caps)
+    state = replace(state, vrel=squares.relation)
     if not need_hrel:
         return state
-    _check_work("horizontal", len(vrel) ** 2, state, caps)
-    pairs = sorted(vrel)
-    stacks = [join(datas[a], datas[b], square, 0) for a, b in pairs]
-    hrel = pair_relation(stacks, (2 * side, side), 1, state.cubes)
-    return replace(state, hrel=frozenset(pairs[x] + pairs[y] for x, y in hrel))
+    stages = chain_report(squares, state.cubes, (state.level + 1, 2), caps, build_target=False)
+    # an empty level ends the walk on its own (empty) relation
+    return replace(state, hrel=_hrel(state.vrel, stages[-1].relation))
 
 
 def reduced_step(state: LevelState, caps: Caps = DEFAULT_CAPS) -> LevelState:
-    """Assemble the next level's squares from the horizontal relation.
-
-    Each horizontal one (a, b, c, d) contributes exactly the square with
-    quadrants a c / b d; distinct ones give distinct squares. The result
-    carries no relations yet (they are only needed to step again).
-    """
+    """The next level's squares: chain stage (n+1, 2), stepped from the
+    stacks with the horizontal relation as their relation. The result
+    carries no relations yet (they are only needed to step again)."""
     state = with_relations(state, caps)
-    if len(state.hrel) > caps.max_blocks:
-        raise BudgetError(
-            f"next level would hold {len(state.hrel)} squares (cap {caps.max_blocks})",
-            required=len(state.hrel),
-            partial=len(state.hrel),
-        )
-    sq = [b.data for b in state.squares]
-    side = state.side
-    square, stack = (side, side), (2 * side, side)
-    datas = sorted(
-        join(join(sq[a], sq[b], square, 0), join(sq[c], sq[d], square, 0), stack, 1)
-        for a, b, c, d in state.hrel
-    )
-    shape = (2 * side, 2 * side)
-    return LevelState(state.level + 1, 2 * side, tuple(Block(shape, d) for d in datas), None, None, state.cubes)
+    stacks = d_chain_step(_square_stage(state), state.cubes, caps)
+    at = {pair: x for x, pair in enumerate(sorted(state.vrel))}
+    stacks = replace(stacks, relation=frozenset((at[h[:2]], at[h[2:]]) for h in state.hrel))
+    nxt = d_chain_step(stacks, state.cubes, caps)
+    return LevelState(nxt.level, 2 * state.side, nxt.blocks, None, None, state.cubes)
 
 
 def nine_window_admissible(q: Block, prev: LevelState) -> bool:
@@ -190,17 +164,32 @@ class AnalysisResult:
     report: LevelReport
 
 
-def _verdict_rows_reduced(levels: Sequence[LevelState]) -> list[LevelRow]:
+def _label(dimension: int, level: int, stage: int) -> tuple[int, str]:
+    # d=2 names a level's squares and its vertical stacks, stage (n+1, 1)
+    if dimension == 2:
+        return (level, "squares") if stage == 2 else (level - 1, "rects")
+    return level, "cubes" if stage == dimension else f"dir{stage}"
+
+
+def _rows(stages: Sequence[DChainState]) -> list[LevelRow]:
     rows = []
-    for st in levels:
-        rows.append(
-            LevelRow(st.level, "squares", len(st.squares), None if st.vrel is None else len(st.vrel))
-        )
-        if st.vrel is not None:
-            rows.append(
-                LevelRow(st.level, "rects", len(st.vrel), None if st.hrel is None else len(st.hrel))
-            )
+    for st in stages:
+        rel = None if st.relation is None else len(st.relation)
+        rows.append(LevelRow(*_label(st.dimension, st.level, st.stage), len(st.blocks), rel))
+    if rel is not None:
+        # a next stage left unbuilt still has its block count certified
+        rows.append(LevelRow(*_label(st.dimension, *st.next_stage()), rel, None))
     return rows
+
+
+def _level_states(stages: Sequence[DChainState], cubes: CubeSet) -> tuple[LevelState, ...]:
+    levels: list[LevelState] = []
+    for st in stages:
+        if st.stage == 2:
+            levels.append(LevelState(st.level, cubes.side << st.level, st.blocks, st.relation, None, cubes))
+        elif st.relation is not None:
+            levels[-1] = replace(levels[-1], hrel=_hrel(levels[-1].vrel, st.relation))
+    return tuple(levels)
 
 
 def analyze(
@@ -211,7 +200,7 @@ def analyze(
 ) -> AnalysisResult:
     """Run normalization and the doubling pipeline up to the level budget.
 
-    The verdict is "empty" as soon as some computed square set is empty
+    The verdict is "empty" as soon as some computed block set is empty
     (sound: every configuration contains allowed squares of every side),
     "nonempty-to-level-N" when squares of side 2^N*l exist, and
     "inconclusive" when a budget stop intervened. No finite level ever
@@ -226,43 +215,22 @@ def analyze(
     cubes = normalize_to_cubes(spec, MODE_ALL, caps)
     index = enumerate_allowed_cubes(spec, cubes, caps)
     norm = build_report(spec, cubes, len(index))
-    if spec.dimension != 2:
-        from .chain import chain_report  # local import to avoid a cycle
-
-        return chain_report(spec, cubes, index, norm, levels, caps)
     if mode == "literal":
         return _analyze_literal(spec, cubes, index, norm, levels, caps)
-    return _analyze_reduced(spec, cubes, index, norm, levels, caps)
-
-
-def _analyze_reduced(spec, cubes, index, norm, levels, caps) -> AnalysisResult:
-    # relations are built only to step up a level, so a budget stop keeps
-    # every level counted before it, and a horizontal stop keeps the
-    # vertical relation built before it
-    st = LevelState(0, cubes.side, tuple(index), None, None, cubes)
-    states = [st]
-    reason = None
     try:
-        while st.level < levels and st.squares:
-            st = level0_state(index, cubes, caps) if st.level == 0 else with_relations(st, caps)
-            states[-1] = st
-            st = reduced_step(st, caps)
-            states.append(st)
+        stages, reason = chain_report(chain_start(index, cubes), cubes, (levels, spec.dimension), caps), None
     except BudgetError as e:
-        if isinstance(e.partial, LevelState):
-            states[-1] = e.partial
-        reason = str(e)
-    if any(not s.squares for s in states):
+        stages, reason = e.partial, str(e)
+    if any(not st.blocks for st in stages):
         verdict, reason = "empty", None
-    elif reason is not None:
-        verdict = "inconclusive"
     else:
-        verdict = f"nonempty-to-level-{states[-1].level}"
-    rows = _verdict_rows_reduced(states)
+        verdict = f"nonempty-to-level-{levels}" if reason is None else "inconclusive"
+    d2 = spec.dimension == 2
     report = LevelReport(
-        "reduced", norm.side, norm.cube_count, norm.allowed_count, tuple(rows), verdict, reason
+        "reduced" if d2 else "chain",
+        norm.side, norm.cube_count, norm.allowed_count, tuple(_rows(stages)), verdict, reason,
     )
-    return AnalysisResult(spec, cubes, index, tuple(states), report)
+    return AnalysisResult(spec, cubes, index, _level_states(stages, cubes) if d2 else (), report)
 
 
 def _analyze_literal(spec, cubes, index, norm, levels, caps) -> AnalysisResult:
@@ -317,6 +285,8 @@ class WitnessResult:
     block: Block | None
     nodes: int
     reason: str | None
+    # no allowed cubes at all: the absence certifies an empty space
+    empty: bool = False
 
 
 def witness_search(
@@ -333,7 +303,7 @@ def witness_search(
     cubes = normalize_to_cubes(spec, MODE_ALL, caps)
     base = enumerate_allowed_cubes(spec, cubes, caps)
     if not base:
-        return WitnessResult(None, 0, "no allowed cubes: the space is empty")
+        return WitnessResult(None, 0, "no allowed cubes: the space is empty", empty=True)
     budget = caps.witness_nodes
     spent = 0
 

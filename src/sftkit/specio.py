@@ -19,11 +19,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from typing import Sequence
 
+from .caps import DEFAULT_CAPS
 from .core import Block, CubeSet, Pattern, SftSpec, make_spec
-from .errors import ArchiveError, FormatError, SpecError
+from .errors import ArchiveError, FormatError, ShapeError, SpecError
 from .levels import AnalysisResult, LevelReport, LevelRow, LevelState
+from .normalize import forbidden_side, iter_cubes
 
 FILL = "*"
 ARCHIVE_FORMAT = "sft-state"
@@ -182,12 +185,15 @@ def _block_to_str(b: Block, alphabet: Sequence[str], sep: str) -> str:
 
 
 def _block_from_str(text: str, shape, alphabet_index: dict[str, int], sep: str) -> Block:
+    if not isinstance(text, str):
+        raise ArchiveError(f"archive block {text!r} is not a string")
     parts = list(text) if sep == "" else text.split(sep)
     try:
-        data = tuple(alphabet_index[p] for p in parts)
+        return Block(tuple(shape), tuple(alphabet_index[p] for p in parts))
     except KeyError as e:
         raise ArchiveError(f"archive block uses unknown symbol {e.args[0]!r}") from None
-    return Block(tuple(shape), data)
+    except ShapeError as e:
+        raise ArchiveError(f"archive block {text!r}: {e}") from None
 
 
 def _payload_checksum(payload: dict) -> str:
@@ -247,7 +253,34 @@ def load_state(path: str) -> AnalysisResult:
         raise ArchiveError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
         raise ArchiveError(f"corrupt archive: {e.msg} at line {e.lineno}") from None
+    except ValueError as e:  # e.g. an integer past the interpreter's digit limit
+        raise ArchiveError(f"corrupt archive: {e}") from None
     return _restore(payload)
+
+
+_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _field(obj: dict, key: str, kind: type, where: str = "", nullable: bool = False):
+    """obj[key], which must be present and of JSON type `kind` (or null)."""
+    if key not in obj:
+        raise ArchiveError(f"archive field {where}{key} is missing")
+    val = obj[key]
+    if (val is None and nullable) or (isinstance(val, kind) and not isinstance(val, bool)):
+        return val
+    raise ArchiveError(f"archive field {where}{key} is not {_KINDS[kind]}{' or null' if nullable else ''}")
+
+
+def _is_int(val) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _index_tuples(items: list, n: int, bound: int, where: str) -> frozenset:
+    if not all(isinstance(t, list) and len(t) == n and all(_is_int(i) for i in t) for t in items):
+        raise ArchiveError(f"archive field {where} must hold lists of {n} integers")
+    if any(not 0 <= i < bound for t in items for i in t):
+        raise ArchiveError(f"archive field {where} indexes past the level's {bound} squares")
+    return frozenset(map(tuple, items))
 
 
 def _restore(payload: dict) -> AnalysisResult:
@@ -262,43 +295,68 @@ def _restore(payload: dict) -> AnalysisResult:
     body = {k: v for k, v in payload.items() if k != "checksum"}
     if claimed != _payload_checksum(body):
         raise ArchiveError("integrity check failed: archive was modified")
-    spec = parse_spec(payload["spec"])
-    sep = payload["separator"]
+    # the checksum can be recomputed by anyone: every field is checked too
+    spec = parse_spec(_field(payload, "spec", dict))
+    sep = _field(payload, "separator", str)
     idx = {s: i for i, s in enumerate(spec.alphabet)}
-    norm = payload["normalization"]
-    side = norm["side"]
+    norm = _field(payload, "normalization", dict)
+    side, width = _field(norm, "side", int, "normalization."), forbidden_side(spec)
+    if side != width:
+        raise ArchiveError(f"archive cube side {side} is not the spec's pattern width {width}")
+    cube_count = _field(norm, "cube_count", int, "normalization.")
+    allowed_count = _field(norm, "allowed_count", int, "normalization.")
+    # k^(side^d) candidates, refused without building the powers: for k >= 2
+    # they pass the cap once side^d passes the cap's bit length
+    k, cap = spec.alphabet_size, DEFAULT_CAPS.max_cubes
+    past_bits = spec.dimension * math.log2(side) > math.log2(cap.bit_length())
+    if k > 1 and (past_bits or k ** side**spec.dimension > cap):
+        raise ArchiveError(f"rebuilding the archive's cubes needs more than {cap} candidates (max_cubes)")
     cube_shape = (side,) * spec.dimension
-
-    index = tuple(
-        _block_from_str(s, cube_shape, idx, sep) for s in payload["index"]
-    )
+    index = tuple(_block_from_str(s, cube_shape, idx, sep) for s in _field(payload, "index", list))
     # the forbidden cube set is reconstructible as the complement of the index
-    from .normalize import iter_cubes
-
     index_data = {b.data for b in index}
     cubes = CubeSet(
         side,
         frozenset(c for c in iter_cubes(spec, side) if c.data not in index_data),
         spec.alphabet_size,
-        norm["mode"],
+        _field(norm, "mode", str, "normalization."),
     )
-    if len(cubes.cubes) != norm["cube_count"] or len(index) != norm["allowed_count"]:
+    if len(cubes.cubes) != cube_count or len(index) != allowed_count:
         raise ArchiveError("integrity check failed: counts disagree with content")
     levels = []
-    for lv in payload["levels"]:
-        shape = (lv["side"],) * spec.dimension
-        squares = tuple(_block_from_str(s, shape, idx, sep) for s in lv["squares"])
-        vrel = None if lv["vrel"] is None else frozenset(tuple(p) for p in lv["vrel"])
-        hrel = None if lv["hrel"] is None else frozenset(tuple(p) for p in lv["hrel"])
-        levels.append(LevelState(lv["level"], lv["side"], squares, vrel, hrel, cubes))
-    rows = tuple(LevelRow(*row) for row in payload["report_rows"])
+    for i, lv in enumerate(_field(payload, "levels", list)):
+        where = f"levels[{i}]."
+        if not isinstance(lv, dict):
+            raise ArchiveError(f"archive field levels[{i}] is not an object")
+        lside = _field(lv, "side", int, where)
+        if lside < 1:
+            raise ArchiveError(f"archive field {where}side must be positive")
+        shape = (lside,) * spec.dimension
+        squares = tuple(_block_from_str(s, shape, idx, sep) for s in _field(lv, "squares", list, where))
+        vrel = _field(lv, "vrel", list, where, nullable=True)
+        hrel = _field(lv, "hrel", list, where, nullable=True)
+        if vrel is not None:
+            vrel = _index_tuples(vrel, 2, len(squares), where + "vrel")
+        if hrel is not None:
+            hrel = _index_tuples(hrel, 4, len(squares), where + "hrel")
+            if vrel is None or any(h[:2] not in vrel or h[2:] not in vrel for h in hrel):
+                raise ArchiveError(f"archive field {where}hrel pairs stacks that are not in vrel")
+        levels.append(LevelState(_field(lv, "level", int, where), lside, squares, vrel, hrel, cubes))
+    rows = []
+    for i, row in enumerate(_field(payload, "report_rows", list)):
+        if not (
+            isinstance(row, list) and len(row) == 4 and _is_int(row[0]) and isinstance(row[1], str)
+            and _is_int(row[2]) and (row[3] is None or _is_int(row[3]))
+        ):
+            raise ArchiveError(f"archive field report_rows[{i}] is not [level, stage, blocks, relations]")
+        rows.append(LevelRow(*row))
     report = LevelReport(
         "reduced",
         side,
-        norm["cube_count"],
-        norm["allowed_count"],
-        rows,
-        payload["verdict"],
-        payload["reason"],
+        cube_count,
+        allowed_count,
+        tuple(rows),
+        _field(payload, "verdict", str),
+        _field(payload, "reason", str, nullable=True),
     )
     return AnalysisResult(spec, cubes, index, tuple(levels), report)

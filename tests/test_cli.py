@@ -243,3 +243,49 @@ def test_analyze_chain_keeps_stages_on_budget_stop(tmp_path, capsys):
     assert main(args) == 3
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[1:] == ["0,cubes,19,281,inconclusive", "1,dir1,281,,inconclusive"]
+
+
+def test_export_state_refuses_other_dimensions_before_analyzing(tmp_path, monkeypatch, capsys):
+    import sftkit.cli
+
+    calls = []
+    monkeypatch.setattr(sftkit.cli, "analyze", lambda *a, **k: calls.append(a))
+    for doc in (
+        {"dimension": 1, "symbols": ["0", "1"], "forbidden": [["1", "1"]]},
+        {"dimension": 3, "symbols": ["0", "1"], "forbidden": [[[[0, 0, 0], "1"], [[0, 0, 1], "1"]]]},
+    ):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(doc))
+        out = tmp_path / "state.json"
+        assert main(["export-state", str(p), "--levels", "1", "--out", str(out)]) == 4
+        assert "2-dimensional" in capsys.readouterr().err
+        assert not out.exists()
+    assert calls == []
+
+
+def test_witness_exit_code_comes_from_the_typed_status(hs_file, kill_file, monkeypatch, capsys):
+    import sftkit.cli
+    from sftkit import WitnessResult
+
+    # a search that found nothing, whatever its reason says, is no proof
+    found_nothing = WitnessResult(None, 12, "every branch came back empty")
+    monkeypatch.setattr(sftkit.cli, "witness_search", lambda *a, **k: found_nothing)
+    assert main(["witness", hs_file, "--level", "2"]) == 3
+    assert "not an emptiness proof" in capsys.readouterr().err
+    monkeypatch.undo()
+    assert main(["witness", kill_file, "--level", "1"]) == 2
+
+
+def test_import_state_rejects_a_resigned_archive_missing_a_field(tmp_path, hs_file, capsys):
+    import hashlib
+
+    out_file = tmp_path / "state.json"
+    assert main(["export-state", hs_file, "--levels", "0", "--out", str(out_file)]) == 0
+    payload = json.loads(out_file.read_text())
+    del payload["separator"], payload["checksum"]
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    payload["checksum"] = hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    out_file.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["import-state", str(out_file)]) == 4
+    assert "archive: archive field separator is missing" in capsys.readouterr().err

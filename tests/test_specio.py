@@ -168,3 +168,86 @@ def test_archive_empty_space_preserves_verdict(tmp_path, kill_all):
     assert loaded.report.verdict == "empty"
     assert loaded.report.allowed_count == 0
     assert loaded.levels[0].squares == ()
+
+
+def _resigned(tmp_path, res, edit):
+    """Save `res`, apply `edit` to the payload, recompute the checksum the
+    way the archive format defines it, and return the file's path."""
+    import hashlib
+
+    path = tmp_path / "state.json"
+    save_state(res, str(path))
+    payload = json.loads(path.read_text())
+    del payload["checksum"]
+    edit(payload)
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    payload["checksum"] = hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def _load_error(path) -> str:
+    with pytest.raises(ArchiveError) as exc:
+        load_state(path)
+    return str(exc.value)
+
+
+def test_archive_missing_or_ill_typed_fields(tmp_path, hard_squares):
+    res = analyze(hard_squares, 1)
+    assert "separator is missing" in _load_error(_resigned(tmp_path, res, lambda p: p.pop("separator")))
+    assert "levels is missing" in _load_error(_resigned(tmp_path, res, lambda p: p.pop("levels")))
+    assert "levels is not a list" in _load_error(_resigned(tmp_path, res, lambda p: p.update(levels=7)))
+
+    def side_as_text(p):
+        p["normalization"]["side"] = "2"
+
+    assert "normalization.side is not an integer" in _load_error(_resigned(tmp_path, res, side_as_text))
+
+    def side_off_the_spec(p):
+        p["normalization"]["side"] = 3
+
+    assert "pattern width 2" in _load_error(_resigned(tmp_path, res, side_off_the_spec))
+
+    def level_without_squares(p):
+        del p["levels"][1]["squares"]
+
+    assert "levels[1].squares is missing" in _load_error(_resigned(tmp_path, res, level_without_squares))
+
+    def row_of_wrong_shape(p):
+        p["report_rows"][0] = [0, "squares"]
+
+    assert "report_rows[0]" in _load_error(_resigned(tmp_path, res, row_of_wrong_shape))
+
+
+def test_archive_relation_indices_are_checked(tmp_path, hard_squares):
+    res = analyze(hard_squares, 1)
+
+    def vrel_past_the_squares(p):
+        p["levels"][0]["vrel"].append([0, len(p["levels"][0]["squares"])])
+
+    path = _resigned(tmp_path, res, vrel_past_the_squares)
+    assert "indexes past the level's 7 squares" in _load_error(path)
+    vrel = res.levels[0].vrel
+    a, b = next((a, b) for a in range(7) for b in range(7) if (a, b) not in vrel)
+
+    def hrel_off_vrel(p):
+        p["levels"][0]["hrel"].append([a, b, a, b])
+
+    assert "not in vrel" in _load_error(_resigned(tmp_path, res, hrel_off_vrel))
+
+
+def test_archive_cube_rebuild_is_capped_before_it_runs(tmp_path, hard_squares, monkeypatch):
+    import sftkit.specio
+
+    def wide_spec(p):
+        # one more forbidden pattern 5 cells wide: 2^25 candidate 5x5 cubes
+        p["spec"]["forbidden"].append([[[0, 0], "1"], [[4, 4], "1"]])
+        p["normalization"]["side"] = 5
+
+    path = _resigned(tmp_path, analyze(hard_squares, 0), wide_spec)
+
+    def no_rebuild(*a, **k):
+        raise AssertionError("iter_cubes ran")
+
+    monkeypatch.setattr(sftkit.specio, "iter_cubes", no_rebuild)
+    assert "max_cubes" in _load_error(path)
