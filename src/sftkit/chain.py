@@ -10,10 +10,11 @@ stage (n+1, 1) their vertical stacks (see `levels.LevelState`).
 
 Admission of a concatenated pair is `relation.pair_relation` along the
 pairing axis: during the first cycle the pairing extent equals l, so the
-half-overlap covering argument does not apply and each candidate is fully
-window-scanned; from the second cycle on a pair is kept iff the
-half-overlapping middle block along the pairing axis belongs to the current
-stage set.
+half-overlap covering argument does not apply; each block is window-scanned
+once and each distinct pair of seam slabs (the l-1 cells on either side of
+the seam) once, a seam-slab join. From the second cycle on a pair is kept
+iff the half-overlapping middle block along the pairing axis belongs to the
+current stage set.
 """
 from __future__ import annotations
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache, reduce
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ShapeError, SpecError, WindowRangeError
@@ -350,11 +351,15 @@ class ScanResult:
 
 
 @lru_cache(maxsize=None)
-def _window_bases(src_shape: Coord, side: int) -> tuple[int, ...]:
+def _window_getters(src_shape: Coord, side: int) -> tuple[itemgetter, ...]:
+    """One getter per l-window of `src_shape` (side >= 2), reading the
+    window's cells as a row-major tuple."""
     st = strides(src_shape)
+    table = _gather_table(src_shape, (side,) * len(src_shape))
     ranges = [range(s - side + 1) for s in src_shape]
     return tuple(
-        sum(o * s for o, s in zip(off, st)) for off in itertools.product(*ranges)
+        itemgetter(*(sum(o * s for o, s in zip(off, st)) + t for t in table))
+        for off in itertools.product(*ranges)
     )
 
 
@@ -366,11 +371,10 @@ def allowed_data(data: Sequence[int], shape: Coord, cubes: CubeSet) -> bool:
     bad = cubes.data_set()
     if not bad:
         return True
-    side = cubes.side
-    win = (side,) * len(shape)
-    table = _gather_table(shape, win)
-    for base in _window_bases(shape, side):
-        if tuple(data[base + o] for o in table) in bad:
+    if cubes.side == 1:
+        return not any((v,) in bad for v in data)
+    for window_of in _window_getters(shape, cubes.side):
+        if window_of(data) in bad:
             return False
     return True
 

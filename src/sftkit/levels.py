@@ -6,8 +6,9 @@ relation (pairs of stacks whose side-by-side square is allowed). It is a view
 over the stages of `chain.py` with axis order (0, 1): squares and vrel are
 stage (n, 2); hrel is the relation of the stacks, stage (n+1, 1), whose x-th
 block is the x-th sorted vrel pair. Relations are built only when the
-next level is asked for. Level 0 uses exhaustive window scans; from level 1
-on, everything reduces to set lookups:
+next level is asked for. Level 0 uses the seam-slab join of
+`relation.pair_relation` (one window scan per cube and per distinct pair of
+seam slabs); from level 1 on, everything reduces to set lookups:
 
 * a stack A-over-B is allowed iff A, B and the half-overlapping middle
   square (bottom half of A on top half of B) are allowed;
@@ -69,7 +70,7 @@ def _hrel(vrel, stack_relation) -> frozenset[tuple[int, int, int, int]]:
 
 
 def level0_state(allowed_cubes: Sequence[Block], cubes: CubeSet, caps: Caps = DEFAULT_CAPS) -> LevelState:
-    """Base level: allowed cubes with full-scan relations."""
+    """Base level: allowed cubes with seam-slab join relations."""
     return with_relations(LevelState(0, cubes.side, tuple(allowed_cubes), None, None, cubes), caps)
 
 

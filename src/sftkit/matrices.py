@@ -19,8 +19,9 @@ therefore pure index arithmetic: a horizontal one (i*k + r, j*k + s) is
 the allowed square at column-wise position (i*k + r)*k^2 + j*k + s, and
 index blocks are only built when they are read (`Pairs`).
 
-Entries are exact: the level-0 matrices are `relation.pair_relation` window
-scans, and a doubled block is allowed iff its two halves and the
+Entries are exact: the level-0 matrices are `relation.pair_relation`
+seam-slab joins (each block and each distinct seam slab pair window-scanned
+once), and a doubled block is allowed iff its two halves and the
 half-overlapping middle block are, because a forbidden cube spans at most
 half of a doubled side.
 """
@@ -252,11 +253,12 @@ class LiteralLevel:
 def level0_matrices(
     index_blocks: Sequence[Block], cubes: CubeSet, caps: Caps = DEFAULT_CAPS
 ) -> LiteralLevel:
-    """Exhaustive-scan base matrices over the given cube index.
+    """Base matrices over the given cube index, by seam-slab joins.
 
     The index may include forbidden cubes (their rows come out zero) or be
-    restricted to allowed cubes; either way each entry is decided by a full
-    window scan of the assembled block, so a 1 always means "allowed".
+    restricted to allowed cubes; either way every window of the assembled
+    block is scanned, once per block and once per distinct seam slab pair,
+    so a 1 always means "allowed".
     """
     letters = tuple(index_blocks)
     k = len(letters)

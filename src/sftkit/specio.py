@@ -23,7 +23,7 @@ import math
 from typing import Sequence
 
 from .caps import DEFAULT_CAPS
-from .core import Block, CubeSet, Pattern, SftSpec, make_spec
+from .core import Block, CubeSet, Pattern, SftSpec, allowed_data, make_spec
 from .errors import ArchiveError, FormatError, ShapeError, SpecError
 from .levels import AnalysisResult, LevelReport, LevelRow, LevelState
 from .normalize import forbidden_side, iter_cubes
@@ -283,6 +283,20 @@ def _index_tuples(items: list, n: int, bound: int, where: str) -> frozenset:
     return frozenset(map(tuple, items))
 
 
+def _level_rows(levels: Sequence[LevelState]) -> list[LevelRow]:
+    """The report rows the archived levels certify: each level's squares
+    and, once its vertical relation is known, its stacks; a horizontal
+    relation past the last level certifies the next level's square count."""
+    rows = []
+    for st in levels:
+        rows.append(LevelRow(st.level, "squares", len(st.squares), None if st.vrel is None else len(st.vrel)))
+        if st.vrel is not None:
+            rows.append(LevelRow(st.level, "rects", len(st.vrel), None if st.hrel is None else len(st.hrel)))
+    if levels and levels[-1].hrel is not None:
+        rows.append(LevelRow(levels[-1].level + 1, "squares", len(levels[-1].hrel), None))
+    return rows
+
+
 def _restore(payload: dict) -> AnalysisResult:
     if not isinstance(payload, dict) or payload.get("format") != ARCHIVE_FORMAT:
         raise ArchiveError("not a state archive")
@@ -328,11 +342,17 @@ def _restore(payload: dict) -> AnalysisResult:
         where = f"levels[{i}]."
         if not isinstance(lv, dict):
             raise ArchiveError(f"archive field levels[{i}] is not an object")
+        if _field(lv, "level", int, where) != i:
+            raise ArchiveError(f"archive field {where}level is not {i}")
         lside = _field(lv, "side", int, where)
-        if lside < 1:
-            raise ArchiveError(f"archive field {where}side must be positive")
+        if lside != side << i:
+            raise ArchiveError(f"archive field {where}side is not {side << i}")
         shape = (lside,) * spec.dimension
         squares = tuple(_block_from_str(s, shape, idx, sep) for s in _field(lv, "squares", list, where))
+        # anyone can re-sign a forged square, so every square is rescanned
+        for s in squares:
+            if not allowed_data(s.data, shape, cubes):
+                raise ArchiveError(f"archive field {where}squares holds a forbidden square")
         vrel = _field(lv, "vrel", list, where, nullable=True)
         hrel = _field(lv, "hrel", list, where, nullable=True)
         if vrel is not None:
@@ -341,7 +361,7 @@ def _restore(payload: dict) -> AnalysisResult:
             hrel = _index_tuples(hrel, 4, len(squares), where + "hrel")
             if vrel is None or any(h[:2] not in vrel or h[2:] not in vrel for h in hrel):
                 raise ArchiveError(f"archive field {where}hrel pairs stacks that are not in vrel")
-        levels.append(LevelState(_field(lv, "level", int, where), lside, squares, vrel, hrel, cubes))
+        levels.append(LevelState(i, lside, squares, vrel, hrel, cubes))
     rows = []
     for i, row in enumerate(_field(payload, "report_rows", list)):
         if not (
@@ -350,6 +370,8 @@ def _restore(payload: dict) -> AnalysisResult:
         ):
             raise ArchiveError(f"archive field report_rows[{i}] is not [level, stage, blocks, relations]")
         rows.append(LevelRow(*row))
+    if rows != _level_rows(levels):
+        raise ArchiveError("integrity check failed: report rows disagree with the levels")
     report = LevelReport(
         "reduced",
         side,

@@ -289,3 +289,53 @@ def test_import_state_rejects_a_resigned_archive_missing_a_field(tmp_path, hs_fi
     capsys.readouterr()
     assert main(["import-state", str(out_file)]) == 4
     assert "archive: archive field separator is missing" in capsys.readouterr().err
+
+
+def _resign(path, edit):
+    import hashlib
+
+    payload = json.loads(path.read_text())
+    del payload["checksum"]
+    edit(payload)
+    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    payload["checksum"] = hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    path.write_text(json.dumps(payload))
+
+
+def test_import_state_rescans_a_forged_square(tmp_path, hs_file, capsys):
+    out_file = tmp_path / "state.json"
+    assert main(["export-state", hs_file, "--levels", "1", "--out", str(out_file)]) == 0
+
+    def two_adjacent_ones(p):
+        p["levels"][1]["squares"][0] = "1100000000000000"
+
+    _resign(out_file, two_adjacent_ones)
+    capsys.readouterr()
+    assert main(["import-state", str(out_file)]) == 4
+    assert "archive: archive field levels[1].squares holds a forbidden square" in capsys.readouterr().err
+
+
+def _one_more_square(p):
+    p["report_rows"][-1][2] += 1
+
+
+def _one_pair_fewer(p):
+    p["report_rows"][0][3] -= 1
+
+
+def _last_row_dropped(p):
+    p["report_rows"].pop()
+
+
+def _level_renumbered(p):
+    p["levels"][1]["level"] = 2
+
+
+@pytest.mark.parametrize("edit", [_one_more_square, _one_pair_fewer, _last_row_dropped, _level_renumbered])
+def test_import_state_checks_report_rows_against_the_levels(tmp_path, hs_file, capsys, edit):
+    out_file = tmp_path / "state.json"
+    assert main(["export-state", hs_file, "--levels", "1", "--out", str(out_file)]) == 0
+    _resign(out_file, edit)
+    capsys.readouterr()
+    assert main(["import-state", str(out_file)]) == 4
+    assert "archive: " in capsys.readouterr().err
