@@ -2,7 +2,8 @@
 
 Block counts in the doubling construction grow doubly exponentially with the
 level, so every enumerating operation takes a `Caps` and refuses loudly
-rather than grinding. All values are counts of candidates, not bytes.
+rather than grinding. All values are counts of candidates or cells, not
+bytes.
 """
 from __future__ import annotations
 
@@ -17,6 +18,8 @@ class Caps:
     max_index: int = 10**4
     # largest allowed-square set a reduced step may emit
     max_blocks: int = 10**7
+    # most cells (blocks times cells per block) a built chain stage may hold
+    max_cells: int = 10**8
     # largest candidate-pair loop a relation builder may run
     max_work: int = 10**7
     # candidate assignments the brute-force oracle may enumerate

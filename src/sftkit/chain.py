@@ -15,16 +15,23 @@ once and each distinct pair of seam slabs (the l-1 cells on either side of
 the seam) once, a seam-slab join. From the second cycle on a pair is kept
 iff the half-overlapping middle block along the pairing axis belongs to the
 current stage set.
+
+Relations are `relation.Relation` key groups, so a stage's block count is
+the size of the relation below it, read without listing a pair. A stage is
+built only when something reads its blocks: the walk behind `analyze` and
+`count --engine matrix` stops one stage short of its target and counts the
+target from the last relation. Every stage that is built is first held to
+`max_blocks` and `max_cells`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import AbstractSet, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
-from .core import Block, CubeSet
+from .core import Block, CubeSet, prod
 from .errors import BudgetError
-from .relation import join, pair_relation
+from .relation import Relation, join, pair_relation
 
 
 @dataclass(frozen=True)
@@ -33,15 +40,16 @@ class DChainState:
 
     `level` (n) and `stage` (i) follow the shape law above, with the base
     encoded as (0, d): cubes of side l, nothing doubled yet. `relation`
-    holds the admitted pairs along the next axis once computed; it is what
-    the next step materializes.
+    holds the admitted pairs along the next axis once computed; its size is
+    the next stage's block count, and it is what the next step
+    materializes.
     """
 
     dimension: int
     level: int
     stage: int
     blocks: tuple[Block, ...]
-    relation: frozenset[tuple[int, int]] | None
+    relation: AbstractSet[tuple[int, int]] | None
 
     def next_axis(self) -> int:
         return 0 if self.stage == self.dimension else self.stage
@@ -73,10 +81,29 @@ def chain_relation(state: DChainState, cubes: CubeSet, caps: Caps = DEFAULT_CAPS
         return state
     _check_pairs(len(state.blocks), caps)
     if not state.blocks:
-        return replace(state, relation=frozenset())
+        return replace(state, relation=Relation())
     datas = [b.data for b in state.blocks]
     rel = pair_relation(datas, state.blocks[0].shape, state.next_axis(), cubes)
     return replace(state, relation=rel)
+
+
+def check_next_stage(state: DChainState, caps: Caps = DEFAULT_CAPS) -> None:
+    """Refuse the stage that `state`'s relation would build, by its block
+    count and by its cell count (blocks times cells per block)."""
+    n = len(state.relation)
+    if n > caps.max_blocks:
+        raise BudgetError(
+            f"next stage would hold {n} blocks (cap {caps.max_blocks})",
+            required=n,
+            partial=n,
+        )
+    cells = 2 * n * prod(state.blocks[0].shape) if state.blocks else 0
+    if cells > caps.max_cells:
+        raise BudgetError(
+            f"next stage needs {cells} cells (cap {caps.max_cells})",
+            required=cells,
+            partial=n,
+        )
 
 
 def d_chain_step(state: DChainState, cubes: CubeSet, caps: Caps = DEFAULT_CAPS) -> DChainState:
@@ -85,12 +112,7 @@ def d_chain_step(state: DChainState, cubes: CubeSet, caps: Caps = DEFAULT_CAPS) 
     relation pairs."""
     state = chain_relation(state, cubes, caps)
     assert state.relation is not None
-    if len(state.relation) > caps.max_blocks:
-        raise BudgetError(
-            f"next stage would hold {len(state.relation)} blocks (cap {caps.max_blocks})",
-            required=len(state.relation),
-            partial=len(state.relation),
-        )
+    check_next_stage(state, caps)
     axis = state.next_axis()
     level, stage = state.next_stage()
     new_blocks: tuple[Block, ...] = ()

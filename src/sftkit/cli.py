@@ -235,7 +235,7 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_import(args) -> int:
-    result = load_state(args.archive)
+    result = load_state(args.archive, _caps_of(args))
     _emit_report(result.report, args.format, sys.stdout)
     return 0
 

@@ -6,7 +6,9 @@ relation (pairs of stacks whose side-by-side square is allowed). It is a view
 over the stages of `chain.py` with axis order (0, 1): squares and vrel are
 stage (n, 2); hrel is the relation of the stacks, stage (n+1, 1), whose x-th
 block is the x-th sorted vrel pair. Relations are built only when the
-next level is asked for. Level 0 uses the seam-slab join of
+next level is asked for, as `relation.Relation` key groups whose sizes give
+the block counts of the stages above them; `analyze` never builds the level
+it only counts (see `AnalysisResult`). Level 0 uses the seam-slab join of
 `relation.pair_relation` (one window scan per cube and per distinct pair of
 seam slabs); from level 1 on, everything reduces to set lookups:
 
@@ -25,10 +27,18 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from functools import partial
+from typing import AbstractSet, Callable, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
-from .chain import DChainState, chain_relation, chain_report, chain_start, d_chain_step
+from .chain import (
+    DChainState,
+    chain_relation,
+    chain_report,
+    chain_start,
+    check_next_stage,
+    d_chain_step,
+)
 from .core import Block, CubeSet, SftSpec, assemble, block_allowed
 from .errors import BudgetError, EmptyStateError, SpecError
 from .matrices import LiteralLevel, check_index, level0_matrices, step_literal
@@ -45,7 +55,8 @@ class LevelState:
     """Allowed squares of one level and their compatibility relations.
 
     Relations are stored positionally against the sorted `squares` tuple:
-    `vrel` holds (upper, lower) index pairs; `hrel` holds (a, b, c, d)
+    `vrel` holds (upper, lower) index pairs (a `relation.Relation` when the
+    kernel built it, a frozenset when loaded); `hrel` holds (a, b, c, d)
     meaning stack a-over-b is horizontally compatible with stack c-over-d.
     Either may be None when a level was built only far enough to count its
     squares. `cubes` is the forbidden set the relations are decided
@@ -55,7 +66,7 @@ class LevelState:
     level: int
     side: int
     squares: tuple[Block, ...]
-    vrel: frozenset[tuple[int, int]] | None
+    vrel: AbstractSet[tuple[int, int]] | None
     hrel: frozenset[tuple[int, int, int, int]] | None
     cubes: CubeSet | None = field(default=None, compare=False, repr=False)
 
@@ -158,11 +169,25 @@ class LevelReport:
 
 @dataclass(frozen=True)
 class AnalysisResult:
+    """What `analyze` found. The report's counts come from relation sizes:
+    the walk stops one stage short of the target and counts the target's
+    blocks from the last relation without building them. For d=2 reduced
+    runs, `levels` are read from the walked stages when first accessed,
+    and only then is the target level's squares stage built (as
+    `export-state` and library callers need it); other runs have no
+    levels. Construct it with the levels, or a callable returning them."""
+
     spec: SftSpec
     cubes: CubeSet
     index: tuple[Block, ...]
-    levels: tuple[LevelState, ...]
+    _levels: tuple[LevelState, ...] | Callable[[], tuple[LevelState, ...]]
     report: LevelReport
+
+    @property
+    def levels(self) -> tuple[LevelState, ...]:
+        if callable(self._levels):
+            object.__setattr__(self, "_levels", self._levels())
+        return self._levels
 
 
 def _label(dimension: int, level: int, stage: int) -> tuple[int, str]:
@@ -183,7 +208,10 @@ def _rows(stages: Sequence[DChainState]) -> list[LevelRow]:
     return rows
 
 
-def _level_states(stages: Sequence[DChainState], cubes: CubeSet) -> tuple[LevelState, ...]:
+def level_states(stages: Sequence[DChainState], cubes: CubeSet) -> tuple[LevelState, ...]:
+    """The d=2 level states a walk's stages hold: each squares stage with
+    its vertical relation, and the relation of the stacks above it as the
+    level's hrel."""
     levels: list[LevelState] = []
     for st in stages:
         if st.stage == 2:
@@ -191,6 +219,18 @@ def _level_states(stages: Sequence[DChainState], cubes: CubeSet) -> tuple[LevelS
         elif st.relation is not None:
             levels[-1] = replace(levels[-1], hrel=_hrel(levels[-1].vrel, st.relation))
     return tuple(levels)
+
+
+def verdict_of(rows: Sequence[LevelRow], reason: str | None) -> tuple[str, str | None]:
+    """The verdict of a chain report's rows and budget stop reason, and the
+    reason it keeps: "empty" when some row counts no block (sound at any
+    depth, so a stop is dropped), "inconclusive" after a stop, and
+    otherwise nonempty to the level of the last row, the walk's target."""
+    if any(r.block_count == 0 for r in rows):
+        return "empty", None
+    if reason is not None:
+        return "inconclusive", reason
+    return f"nonempty-to-level-{rows[-1].level}", None
 
 
 def analyze(
@@ -218,20 +258,36 @@ def analyze(
     norm = build_report(spec, cubes, len(index))
     if mode == "literal":
         return _analyze_literal(spec, cubes, index, norm, levels, caps)
+    target = (levels, spec.dimension)
+    reason = None
     try:
-        stages, reason = chain_report(chain_start(index, cubes), cubes, (levels, spec.dimension), caps), None
+        stages = chain_report(chain_start(index, cubes), cubes, target, caps, build_target=False)
     except BudgetError as e:
         stages, reason = e.partial, str(e)
-    if any(not st.blocks for st in stages):
-        verdict, reason = "empty", None
     else:
-        verdict = f"nonempty-to-level-{levels}" if reason is None else "inconclusive"
+        # the target is counted from the last relation, not built, but it is
+        # held to the caps it meets when `levels` is read and it is built
+        if stages[-1].relation is not None:
+            try:
+                check_next_stage(stages[-1], caps)
+            except BudgetError as e:
+                reason = str(e)
+    # a walk that reached its target steps into it when `levels` is read
+    step = reason is None and stages[-1].relation is not None
+    rows = tuple(_rows(stages))
+    verdict, reason = verdict_of(rows, reason)
     d2 = spec.dimension == 2
     report = LevelReport(
-        "reduced" if d2 else "chain",
-        norm.side, norm.cube_count, norm.allowed_count, tuple(_rows(stages)), verdict, reason,
+        "reduced" if d2 else "chain", norm.side, norm.cube_count, norm.allowed_count, rows, verdict, reason
     )
-    return AnalysisResult(spec, cubes, index, _level_states(stages, cubes) if d2 else (), report)
+    levels_of = partial(_read_levels, tuple(stages), cubes, caps if step else None)
+    return AnalysisResult(spec, cubes, index, levels_of if d2 else (), report)
+
+
+def _read_levels(stages, cubes: CubeSet, step_caps: Caps | None) -> tuple[LevelState, ...]:
+    if step_caps is not None:
+        stages = (*stages, d_chain_step(stages[-1], cubes, step_caps))
+    return level_states(stages, cubes)
 
 
 def _analyze_literal(spec, cubes, index, norm, levels, caps) -> AnalysisResult:

@@ -270,7 +270,7 @@ def level0_matrices(
     side = cubes.side
     square = (side, side)
     datas = [b.data for b in letters]
-    vones = pair_relation(datas, square, 0, cubes)
+    vones = frozenset(pair_relation(datas, square, 0, cubes))
     tag = OrderTag.rowwise(2)
     vert = CompatMatrix(letters, letters, tag, tag, vones)
 

@@ -22,11 +22,12 @@ import json
 import math
 from typing import Sequence
 
-from .caps import DEFAULT_CAPS
+from .caps import DEFAULT_CAPS, Caps
+from .chain import chain_report, chain_start
 from .core import Block, CubeSet, Pattern, SftSpec, allowed_data, make_spec
 from .errors import ArchiveError, FormatError, ShapeError, SpecError
-from .levels import AnalysisResult, LevelReport, LevelRow, LevelState
-from .normalize import forbidden_side, iter_cubes
+from .levels import AnalysisResult, LevelReport, LevelRow, LevelState, level_states, verdict_of
+from .normalize import MODE_ALL, forbidden_side, iter_cubes, normalize_to_cubes
 
 FILL = "*"
 ARCHIVE_FORMAT = "sft-state"
@@ -181,15 +182,15 @@ def render_block(b: Block, alphabet: Sequence[str]) -> str:
 
 
 def _block_to_str(b: Block, alphabet: Sequence[str], sep: str) -> str:
-    return sep.join(alphabet[c] for c in b.data)
+    return sep.join(map(alphabet.__getitem__, b.data))
 
 
 def _block_from_str(text: str, shape, alphabet_index: dict[str, int], sep: str) -> Block:
     if not isinstance(text, str):
         raise ArchiveError(f"archive block {text!r} is not a string")
-    parts = list(text) if sep == "" else text.split(sep)
+    parts = text if sep == "" else text.split(sep)
     try:
-        return Block(tuple(shape), tuple(alphabet_index[p] for p in parts))
+        return Block(tuple(shape), tuple(map(alphabet_index.__getitem__, parts)))
     except KeyError as e:
         raise ArchiveError(f"archive block uses unknown symbol {e.args[0]!r}") from None
     except ShapeError as e:
@@ -239,13 +240,17 @@ def archive_dict(result: AnalysisResult) -> dict:
 
 
 def save_state(result: AnalysisResult, path: str) -> None:
+    # json.dumps runs the C encoder; json.dump streams through the Python one
+    text = json.dumps(archive_dict(result), sort_keys=True, separators=(",", ":"))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(archive_dict(result), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
-def load_state(path: str) -> AnalysisResult:
-    """Load an archive, verifying version and integrity."""
+def load_state(path: str, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
+    """Load an archive, verifying version and integrity. The index, the
+    relations and every level past the first are re-derived from the spec
+    under `caps` (a `BudgetError` when they do not fit), and the archive
+    must hold exactly what that derivation gives."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -255,7 +260,7 @@ def load_state(path: str) -> AnalysisResult:
         raise ArchiveError(f"corrupt archive: {e.msg} at line {e.lineno}") from None
     except ValueError as e:  # e.g. an integer past the interpreter's digit limit
         raise ArchiveError(f"corrupt archive: {e}") from None
-    return _restore(payload)
+    return _restore(payload, caps)
 
 
 _KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
@@ -276,9 +281,12 @@ def _is_int(val) -> bool:
 
 
 def _index_tuples(items: list, n: int, bound: int, where: str) -> frozenset:
-    if not all(isinstance(t, list) and len(t) == n and all(_is_int(i) for i in t) for t in items):
+    # JSON decodes to exact types, and `type(i) is int` leaves out booleans
+    if not all(type(t) is list and len(t) == n for t in items) or not all(
+        type(i) is int for t in items for i in t
+    ):
         raise ArchiveError(f"archive field {where} must hold lists of {n} integers")
-    if any(not 0 <= i < bound for t in items for i in t):
+    if items and (min(map(min, items)) < 0 or max(map(max, items)) >= bound):
         raise ArchiveError(f"archive field {where} indexes past the level's {bound} squares")
     return frozenset(map(tuple, items))
 
@@ -297,7 +305,22 @@ def _level_rows(levels: Sequence[LevelState]) -> list[LevelRow]:
     return rows
 
 
-def _restore(payload: dict) -> AnalysisResult:
+def _derived_levels(levels: Sequence[LevelState], index, cubes: CubeSet, caps: Caps) -> tuple[LevelState, ...]:
+    """The level states the chain walk from `index` builds down to the
+    archive's deepest relation: the stacks' relation (hrel) of the last
+    level, its vertical relation, or else its squares."""
+    last = levels[-1]
+    if last.hrel is not None:
+        target, build = (last.level + 1, 2), False
+    elif last.vrel is not None:
+        target, build = (last.level + 1, 1), False
+    else:
+        target, build = (last.level, 2), True
+    stages = chain_report(chain_start(index, cubes), cubes, target, caps, build_target=build)
+    return level_states(stages, cubes)
+
+
+def _restore(payload: dict, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
     if not isinstance(payload, dict) or payload.get("format") != ARCHIVE_FORMAT:
         raise ArchiveError("not a state archive")
     version = payload.get("version")
@@ -321,7 +344,7 @@ def _restore(payload: dict) -> AnalysisResult:
     allowed_count = _field(norm, "allowed_count", int, "normalization.")
     # k^(side^d) candidates, refused without building the powers: for k >= 2
     # they pass the cap once side^d passes the cap's bit length
-    k, cap = spec.alphabet_size, DEFAULT_CAPS.max_cubes
+    k, cap = spec.alphabet_size, caps.max_cubes
     past_bits = spec.dimension * math.log2(side) > math.log2(cap.bit_length())
     if k > 1 and (past_bits or k ** side**spec.dimension > cap):
         raise ArchiveError(f"rebuilding the archive's cubes needs more than {cap} candidates (max_cubes)")
@@ -337,6 +360,8 @@ def _restore(payload: dict) -> AnalysisResult:
     )
     if len(cubes.cubes) != cube_count or len(index) != allowed_count:
         raise ArchiveError("integrity check failed: counts disagree with content")
+    if len(index_data) != len(index) or cubes.cubes != normalize_to_cubes(spec, MODE_ALL, caps).cubes:
+        raise ArchiveError("archive index is not the spec's set of allowed cubes")
     levels = []
     for i, lv in enumerate(_field(payload, "levels", list)):
         where = f"levels[{i}]."
@@ -370,15 +395,18 @@ def _restore(payload: dict) -> AnalysisResult:
         ):
             raise ArchiveError(f"archive field report_rows[{i}] is not [level, stage, blocks, relations]")
         rows.append(LevelRow(*row))
+    if not levels:
+        raise ArchiveError("archive holds no levels")
     if rows != _level_rows(levels):
         raise ArchiveError("integrity check failed: report rows disagree with the levels")
-    report = LevelReport(
-        "reduced",
-        side,
-        cube_count,
-        allowed_count,
-        tuple(rows),
-        _field(payload, "verdict", str),
-        _field(payload, "reason", str, nullable=True),
-    )
+    verdict, reason = _field(payload, "verdict", str), _field(payload, "reason", str, nullable=True)
+    if (verdict, reason) != verdict_of(rows, reason):
+        raise ArchiveError(f"archive verdict {verdict!r} is not the one its levels and reason give")
+    # the relations and every level past the first are rebuilt by the kernel
+    derived = _derived_levels(levels, index, cubes, caps)
+    if len(derived) != len(levels) or any(
+        (a.squares, a.vrel, a.hrel) != (b.squares, b.vrel, b.hrel) for a, b in zip(levels, derived)
+    ):
+        raise ArchiveError("integrity check failed: the levels are not the ones the spec gives")
+    report = LevelReport("reduced", side, cube_count, allowed_count, tuple(rows), verdict, reason)
     return AnalysisResult(spec, cubes, index, tuple(levels), report)

@@ -203,3 +203,66 @@ def test_first_cycle_scans_follow_distinct_seam_slabs(tmp_path, monkeypatch, cap
         assert scans <= n + his * los
     # an all-pairs scan makes 7^2 + 41^2 = 1730 of them
     assert len(calls) < 200
+
+
+# ---------------------------------------------------------------------------
+# relations held as key groups
+
+
+def _assert_groups_count_pairs(rel, naive):
+    pairs = list(rel)
+    # every pair has one key, so the groups' sizes add up to distinct pairs
+    assert len(rel) == len(set(pairs)) == len(pairs) == len(naive)
+    assert len(rel) == sum(len(lows) * len(highs) for lows, highs in rel.groups)
+    assert set(pairs) == naive
+
+
+@settings(max_examples=100, deadline=None)
+@given(seam_cases())
+def test_grouped_relation_size_on_the_seam_branch(case):
+    spec, shape, axis, datas = case
+    rel = pair_relation(datas, shape, axis, normalize_to_cubes(spec))
+    _assert_groups_count_pairs(rel, _naive_relation(datas, shape, axis, spec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.integers(1, 2), st.data())
+def test_grouped_relation_size_on_the_join_branch(seed, dimension, data):
+    spec = _random_spec(seed, dimension)
+    cubes = normalize_to_cubes(spec)
+    axis = data.draw(st.integers(0, dimension - 1))
+    shape = tuple(
+        data.draw(st.integers(2 * cubes.side, 5)) if a == axis else cubes.side
+        for a in range(dimension)
+    )
+    datas = sorted(naive_allowed_set(spec, shape))
+    rel = pair_relation(datas, shape, axis, cubes)
+    _assert_groups_count_pairs(rel, _naive_relation(datas, shape, axis, spec))
+
+
+def test_grouped_relation_has_set_semantics(hard_squares):
+    datas = sorted(naive_allowed_set(hard_squares, (2, 2)))
+    rel = pair_relation(datas, (2, 2), 0, normalize_to_cubes(hard_squares))
+    naive = frozenset(_naive_relation(datas, (2, 2), 0, hard_squares))
+    assert rel == naive and naive == rel and rel == set(naive)
+    assert hash(rel) == hash(naive)
+    assert all(p in rel for p in naive) and (0, len(datas)) not in rel
+    one = next(iter(naive))
+    assert rel != naive - {one} and rel - {one} == naive - {one}
+    assert isinstance(rel | naive, frozenset)
+    assert pair_relation([], (2, 2), 0, normalize_to_cubes(hard_squares)) == frozenset()
+
+
+def test_join_of_wide_blocks_past_the_gather_bound():
+    # blocks past the cached gather's cell bound are joined chunk by chunk
+    for shape, axis in (((3, 1500), 1), ((2, 40, 60), 1), ((2, 40, 60), 2)):
+        n = math.prod(shape)
+        assert n > sftkit.relation._GATHER_CELLS
+        rng = random.Random(n + axis)
+        p = tuple(rng.randrange(3) for _ in range(n))
+        q = tuple(rng.randrange(3) for _ in range(n))
+        doubled = tuple(2 * s if a == axis else s for a, s in enumerate(shape))
+        joined = Block(doubled, join(p, q, shape, axis))
+        high = tuple(shape[axis] if a == axis else 0 for a in range(len(shape)))
+        assert window(joined, (0,) * len(shape), shape).data == p
+        assert window(joined, high, shape).data == q

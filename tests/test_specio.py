@@ -251,3 +251,78 @@ def test_archive_cube_rebuild_is_capped_before_it_runs(tmp_path, hard_squares, m
 
     monkeypatch.setattr(sftkit.specio, "iter_cubes", no_rebuild)
     assert "max_cubes" in _load_error(path)
+
+
+# ---------------------------------------------------------------------------
+# forgeries that keep the archive's own counts consistent
+
+
+def _drop_a_vrel_pair(p):
+    # one vertical pair and every horizontal entry that uses it are dropped,
+    # and the report rows are rewritten to the smaller counts
+    lv = p["levels"][0]
+    pair = lv["vrel"].pop()
+    lv["hrel"] = [h for h in lv["hrel"] if pair not in (h[:2], h[2:])]
+    p["report_rows"][0][3] = len(lv["vrel"])
+    p["report_rows"][1][2:] = [len(lv["vrel"]), len(lv["hrel"])]
+
+
+def test_archive_relations_are_rederived(tmp_path, hard_squares):
+    res = analyze(hard_squares, 1)
+    assert "are not the ones the spec gives" in _load_error(_resigned(tmp_path, res, _drop_a_vrel_pair))
+
+
+def test_archive_next_level_is_rederived(tmp_path, hard_squares):
+    # a level-1 square and the horizontal entry that makes it are dropped
+    from sftkit import assemble
+
+    res = analyze(hard_squares, 1)
+    sq = res.levels[0].squares
+    first = res.levels[1].squares[0]
+    a, b, c, d = next(
+        h for h in res.levels[0].hrel if assemble([[sq[h[0]], sq[h[2]]], [sq[h[1]], sq[h[3]]]]) == first
+    )
+
+    def drop(p):
+        p["levels"][0]["hrel"].remove([a, b, c, d])
+        p["levels"][1]["squares"].pop(0)
+        p["report_rows"][1][3] -= 1
+        p["report_rows"][2][2] -= 1
+
+    assert "are not the ones the spec gives" in _load_error(_resigned(tmp_path, res, drop))
+
+
+def test_archive_verdict_is_rederived(tmp_path, hard_squares, kill_all):
+    res = analyze(hard_squares, 1)
+    assert "verdict" in _load_error(_resigned(tmp_path, res, lambda p: p.update(verdict="nonempty-to-level-5")))
+    assert "verdict" in _load_error(_resigned(tmp_path, res, lambda p: p.update(verdict="empty")))
+    empty = analyze(kill_all, 0)
+    assert "verdict" in _load_error(_resigned(tmp_path, empty, lambda p: p.update(reason="budget")))
+    # a stop reason makes a complete run inconclusive, which it may claim
+    stopped = _resigned(tmp_path, res, lambda p: p.update(verdict="inconclusive", reason="budget"))
+    assert load_state(stopped).report.verdict == "inconclusive"
+
+
+def test_archive_index_must_be_the_specs_allowed_cubes(tmp_path, hard_squares):
+    res = analyze(hard_squares, 0)
+
+    def drop_a_cube(p):
+        # the cube set rebuilt as the index's complement gains one cube
+        p["index"].pop()
+        p["levels"][0]["squares"].pop()
+        p["normalization"]["cube_count"] += 1
+        p["normalization"]["allowed_count"] -= 1
+        p["report_rows"][0][2] -= 1
+
+    assert "allowed cubes" in _load_error(_resigned(tmp_path, res, drop_a_cube))
+
+
+def test_import_state_refuses_a_forged_relation(tmp_path, hard_squares, capsys):
+    from sftkit.cli import main
+
+    path = _resigned(tmp_path, analyze(hard_squares, 1), _drop_a_vrel_pair)
+    capsys.readouterr()
+    assert main(["import-state", path, "--format", "csv"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "archive: integrity check failed" in captured.err
