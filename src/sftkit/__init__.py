@@ -8,6 +8,7 @@ from .chain import DChainState, chain_relation, chain_report, chain_start, d_cha
 from .core import (
     Block,
     CubeSet,
+    MAX_DIMENSION,
     Pattern,
     ScanResult,
     SftSpec,
@@ -54,6 +55,7 @@ from .matrices import (
     literal_vert_pairs,
     order_key,
     otimes,
+    step_horizontal,
     step_literal,
 )
 from .normalize import (

@@ -267,11 +267,17 @@ class SftSpec:
             raise SpecError(f"unknown symbol {symbol!r}") from None
 
 
+# the widest spec accepted, so no shape of more axes is ever built
+MAX_DIMENSION = 64
+
+
 def make_spec(
     dimension: int, alphabet: Sequence[str], forbidden: Iterable[Pattern]
 ) -> SftSpec:
     if dimension < 1:
         raise SpecError(f"dimension must be >= 1, got {dimension}")
+    if dimension > MAX_DIMENSION:
+        raise SpecError(f"dimension must be <= {MAX_DIMENSION}, got {dimension}")
     symbols = tuple(str(s) for s in alphabet)
     if not symbols:
         raise SpecError("alphabet must be nonempty")

@@ -41,7 +41,7 @@ from .chain import (
 )
 from .core import Block, CubeSet, SftSpec, assemble, block_allowed
 from .errors import BudgetError, EmptyStateError, SpecError
-from .matrices import LiteralLevel, check_index, level0_matrices, step_literal
+from .matrices import LiteralLevel, level0_matrices, step_horizontal, step_literal
 from .normalize import (
     MODE_ALL,
     build_report,
@@ -292,8 +292,7 @@ def _read_levels(stages, cubes: CubeSet, step_caps: Caps | None) -> tuple[LevelS
 
 def _analyze_literal(spec, cubes, index, norm, levels, caps) -> AnalysisResult:
     rows: list[LevelRow] = []
-    reason = None
-    verdict = None
+    verdict = reason = None
     lits: list[LiteralLevel] = []
 
     def add(lit: LiteralLevel) -> None:
@@ -307,15 +306,12 @@ def _analyze_literal(spec, cubes, index, norm, levels, caps) -> AnalysisResult:
             lit = level0_matrices(index, cubes, caps)
             add(lit)
             while lit.level + 2 <= levels and not lit.zero():
-                # the horizontal index length is known before any work: when
-                # only the vertical matrix fits, build and report it, then stop
-                hcount = len(lit.letters) ** 8
-                lit = step_literal(lit, caps, compute_h=hcount <= caps.max_index)
+                # the vertical step returns before the horizontal pass may
+                # stop: perfbench/tracer.py reads a step's counts from it
+                lit = step_horizontal(lit, step_literal(lit, caps, compute_h=False), caps)
                 add(lit)
-                if lit.horiz is None and not lit.zero():
-                    check_index("horizontal", hcount, caps)
     except BudgetError as e:
-        # a horizontal work stop keeps the vertical matrix built before it
+        # a horizontal stop keeps the vertical matrix built before it
         if isinstance(e.partial, LiteralLevel):
             add(e.partial)
         verdict = "inconclusive"

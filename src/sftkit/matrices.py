@@ -14,29 +14,34 @@ letters (i j / r s): its row-wise reading is (i,j,r,s) and its column-wise
 reading (i,r,j,s); tuples compare lexicographically over letter positions,
 so a position is the reading's base-k number. The vertical matrix is
 indexed column-wise, the horizontal matrix row-wise by stacks, whose order
-is exactly the pair order (top letter, bottom letter). Every step is
-therefore pure index arithmetic: a horizontal one (i*k + r, j*k + s) is
-the allowed square at column-wise position (i*k + r)*k^2 + j*k + s, and
-index blocks are only built when they are read (`Pairs`).
+is exactly the pair order (top letter, bottom letter). A horizontal one
+(i*k + r, j*k + s) is the allowed square at column-wise position
+(i*k + r)*k^2 + j*k + s, and index blocks are only built when they are
+read (`Pairs`).
 
 Entries are exact: the level-0 matrices are `relation.pair_relation`
 seam-slab joins (each block and each distinct seam slab pair window-scanned
 once), and a doubled block is allowed iff its two halves and the
 half-overlapping middle block are, because a forbidden cube spans at most
-half of a doubled side.
+half of a doubled side. So each later step is two `relation.middle_join`
+calls, the chain's own join, over letter positions (see `step_literal`).
+
+Budgets: `level0_matrices` checks its horizontal index (k^2) and
+`step_literal` its vertical index (k^4) before any work. Every horizontal
+pass stops after its vertical matrix, on its index past `max_index` or
+|vertical ones|^2 past `max_work`, with that level as `partial`.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, replace
 
 from .caps import DEFAULT_CAPS, Caps
 from .core import Block, CubeSet, permute_axes
 from .errors import BudgetError, ShapeError
-from .relation import join, pair_relation
+from .relation import join, middle_join, pair_relation
 
 
 @dataclass(frozen=True)
@@ -176,8 +181,9 @@ class CompatMatrix:
     """Sparse boolean matrix over ordered block indices.
 
     The constructor checks that each index holds distinct blocks and that
-    every one lies inside the shape. `check=False` skips those O(n) scans
-    for a matrix that is valid by construction, as the pipeline's own are.
+    every one lies inside the shape. It skips those O(n) scans when both
+    indices are `Pairs`, which are duplicate-free by construction and hold
+    the pipeline's own matrices.
     """
 
     row_blocks: Sequence[Block]
@@ -185,10 +191,9 @@ class CompatMatrix:
     row_order: OrderTag
     col_order: OrderTag
     ones: frozenset[tuple[int, int]]
-    check: InitVar[bool] = True
 
-    def __post_init__(self, check: bool):
-        if not check:
+    def __post_init__(self):
+        if isinstance(self.row_blocks, Pairs) and isinstance(self.col_blocks, Pairs):
             return
         nr, nc = len(self.row_blocks), len(self.col_blocks)
         indices = [self.row_blocks]
@@ -270,19 +275,15 @@ def level0_matrices(
     side = cubes.side
     square = (side, side)
     datas = [b.data for b in letters]
-    vones = frozenset(pair_relation(datas, square, 0, cubes))
+    pairs = list(pair_relation(datas, square, 0, cubes))
     tag = OrderTag.rowwise(2)
-    vert = CompatMatrix(letters, letters, tag, tag, vones)
+    vert = CompatMatrix(letters, letters, tag, tag, frozenset(pairs))
+    part = LiteralLevel(0, side, letters, vert, None, frozenset())
+    _check_horizontal(part, caps)
 
     # horizontal entries need both column stacks allowed, so only scan those
-    pairs = sorted(vones)
     stacks = [join(datas[i], datas[j], square, 0) for i, j in pairs]
-    hpairs = pair_relation(stacks, (2 * side, side), 1, cubes)
-    pair_ones = frozenset((pairs[x], pairs[y]) for x, y in hpairs)
-    hones = frozenset((a * k + b, c * k + d) for (a, b), (c, d) in pair_ones)
-    rects = Pairs(letters)
-    horiz = CompatMatrix(rects, rects, tag, tag, hones, check=False)
-    return LiteralLevel(0, side, letters, vert, horiz, pair_ones)
+    return _with_horizontal(part, pairs, pair_relation(stacks, (2 * side, side), 1, cubes))
 
 
 def _rowwise_pos(k: int, q: tuple[int, int, int, int]) -> int:
@@ -295,117 +296,97 @@ def _colwise_pos(k: int, q: tuple[int, int, int, int]) -> int:
     return ((i * k + r) * k + j) * k + s
 
 
-def _colwise_to_rowwise(k: int, x: int) -> int:
-    # base-k digits (i, r, j, s) of a column-wise position, read row-wise
-    x, s = divmod(x, k)
-    x, j = divmod(x, k)
-    i, r = divmod(x, k)
-    return _rowwise_pos(k, (i, j, r, s))
-
-
-def check_index(what: str, count: int, caps: Caps) -> None:
+def check_index(what: str, count: int, caps: Caps, partial=None) -> None:
     """Refuse a next-level index longer than `caps.max_index`."""
     if count > caps.max_index:
         raise BudgetError(
             f"next {what} index would have {count} entries "
             f"(cap {caps.max_index}); use the reduced pipeline",
             required=count,
+            partial=partial,
         )
+
+
+def _check_horizontal(part: LiteralLevel, caps: Caps) -> None:
+    """Refuse the horizontal pass over `part`, a level built up to its
+    vertical matrix, by its index length or its stack pairs."""
+    check_index("horizontal", len(part.letters) ** 2, caps, part)
+    work = part.vert.ones_count() ** 2
+    if work > caps.max_work:
+        raise BudgetError(
+            f"horizontal step would examine {work} stack pairs (cap {caps.max_work})",
+            required=work,
+            partial=part,
+        )
+
+
+def _with_horizontal(part: LiteralLevel, stacks: Sequence[tuple[int, int]], hpairs) -> LiteralLevel:
+    # stacks[x] is stack x's (top, bottom) letters; hpairs its (left, right) pairs
+    n = len(part.letters)
+    pair_ones = frozenset((stacks[x], stacks[y]) for x, y in hpairs)
+    hones = frozenset((a * n + b, c * n + d) for (a, b), (c, d) in pair_ones)
+    rects = Pairs(part.letters)
+    tag = OrderTag.rowwise(2)
+    horiz = CompatMatrix(rects, rects, tag, tag, hones)
+    return replace(part, horiz=horiz, pair_ones=pair_ones)
+
+
+def _letter_squares(lvl: LiteralLevel):
+    # the next level's squares (i j / r s) from the horizontal ones
+    # ((i, r), (j, s)), and the next vertical ones among them
+    squares = [(i, j, r, s) for (i, r), (j, s) in lvl.pair_ones]
+    return squares, middle_join(squares, (2, 2), 0)
 
 
 def step_literal(
     lvl: LiteralLevel, caps: Caps = DEFAULT_CAPS, compute_h: bool = True
 ) -> LiteralLevel:
-    """One doubling step of the literal pipeline.
+    """One doubling step of the literal pipeline, over letter positions.
 
-    The next vertical matrix is indexed by all 2x2 arrangements of the
-    current letters; rows of forbidden arrangements are zero, rows of
-    allowed ones are the designated block of the horizontal matrix expanded
-    against the whole matrix (the sparse equivalent of the `otimes` row).
-    With `compute_h` the next horizontal matrix is also materialized, which
-    squares the index length again; pass False to stop at the vertical
-    matrix when only it is needed.
-
-    Every index-length budget is checked before any work. A `max_work` stop
-    of the horizontal pass comes after the vertical matrix is built; the
-    BudgetError then carries that vertical-only level as `partial`.
+    The next level's allowed squares are the current horizontal ones. As
+    2x2 letter blocks (i, j, r, s), their pairs whose middle square is
+    allowed are the next vertical ones (the sparse `otimes` rows). The
+    vertical index is checked before any work. With `compute_h` the step
+    goes on with `step_horizontal`.
     """
     if lvl.horiz is None:
         raise BudgetError("horizontal matrix missing; recompute the level with compute_h")
     k = len(lvl.letters)
-    kk = k * k
-    vcount = kk * kk
-    check_index("vertical", vcount, caps)
-    if compute_h:
-        check_index("horizontal", vcount * vcount, caps)
-
-    # square (i j / r s) is allowed iff the horizontal matrix has a one at
-    # (column stack i-over-r, column stack j-over-s), and its column-wise
-    # position is that one's row times kk plus its column. Group the allowed
-    # squares by their top row pair (i, j), keyed i*k + j.
-    by_top: list[list[int]] = [[] for _ in range(kk)]
-    for a, b in lvl.horiz.ones:
-        by_top[a // k * k + b // k].append(a * kk + b)
-
-    def bottom(x: int) -> int:
-        # key of the bottom row pair (r, s) of the square at position x
-        a, b = divmod(x, kk)
-        return a % k * k + b % k
-
-    # p may sit under q iff the middle square, q's bottom row pair over p's
-    # top row pair, is allowed; so the squares under q depend only on q's
-    # bottom pair, and each row of ones is one list
-    below = [[p for m in group for p in by_top[bottom(m)]] for group in by_top]
+    check_index("vertical", k**4, caps)
+    squares, vrel = _letter_squares(lvl)
+    colwise = [_colwise_pos(k, q) for q in squares]
     vones = frozenset(
         itertools.chain.from_iterable(
-            itertools.product((q,), below[bottom(q)]) for group in by_top for q in group
+            itertools.product(map(colwise.__getitem__, lows), map(colwise.__getitem__, highs))
+            for lows, highs in vrel.groups
         )
     )
 
-    new_side = 2 * lvl.side
     # the next letters are the row pairs stacked, in arrangement-row-wise
     # order; the vertical index reads the same squares column-wise
-    square = (lvl.side, lvl.side)
+    side = lvl.side
     rows = tuple(
-        Block((lvl.side, new_side), join(a.data, b.data, square, 1))
+        Block((side, 2 * side), join(a.data, b.data, (side, side), 1))
         for a, b in itertools.product(lvl.letters, repeat=2)
     )
-    next_letters = Pairs(rows)
-    index = Pairs(rows, colwise=True)
-    ctag = OrderTag.colwise()
-    vert = CompatMatrix(index, index, ctag, ctag, vones, check=False)
-    level = lvl.level + 1
-    if not compute_h:
-        return LiteralLevel(level, new_side, next_letters, vert, None, frozenset())
+    index, ctag = Pairs(rows, colwise=True), OrderTag.colwise()
+    vert = CompatMatrix(index, index, ctag, ctag, vones)
+    part = LiteralLevel(lvl.level + 1, 2 * side, Pairs(rows), vert, None, frozenset())
+    return step_horizontal(lvl, part, caps) if compute_h else part
 
-    work = len(vones) ** 2
-    if work > caps.max_work:
-        raise BudgetError(
-            f"horizontal step would examine {work} stack pairs (cap {caps.max_work})",
-            required=work,
-            partial=LiteralLevel(level, new_side, next_letters, vert, None, frozenset()),
-        )
-    # a stack x-over-y has left column pair (x // kk, y // kk) and right
-    # column pair (x % kk, y % kk). Stacks L and R sit side by side iff the
-    # seam stack (L's right columns, R's left columns) is a vertical one:
-    # join on the seam's two column pairs
-    by_left: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
-    by_right: dict[tuple[int, int], list[tuple[int, int]]] = defaultdict(list)
-    for x, y in vones:
-        by_left[x // kk, y // kk].append((x, y))
-        by_right[x % kk, y % kk].append((x, y))
-    to_row = [_colwise_to_rowwise(k, x) for x in range(vcount)]
-    next_pair_ones = frozenset(
-        ((to_row[lx], to_row[ly]), (to_row[rx], to_row[ry]))
-        for x, y in vones
-        for lx, ly in by_right.get((x // kk, y // kk), ())
-        for rx, ry in by_left.get((x % kk, y % kk), ())
-    )
-    hones = frozenset((a * vcount + b, c * vcount + d) for (a, b), (c, d) in next_pair_ones)
-    rects = Pairs(next_letters)
-    rtag = OrderTag.rowwise(2)
-    horiz = CompatMatrix(rects, rects, rtag, rtag, hones, check=False)
-    return LiteralLevel(level, new_side, next_letters, vert, horiz, next_pair_ones)
+
+def step_horizontal(lvl: LiteralLevel, part: LiteralLevel, caps: Caps = DEFAULT_CAPS) -> LiteralLevel:
+    """`part`, the vertical-only step of `lvl`, with its horizontal matrix.
+    Stacks, upper square over lower square, are 4x2 letter blocks; L and R
+    sit side by side iff their middle stack (L's right column, R's left
+    column) is a vertical one. The stops come first and carry `part`."""
+    _check_horizontal(part, caps)
+    k = len(lvl.letters)
+    squares, vrel = _letter_squares(lvl)
+    pairs = list(vrel)
+    rowwise = [_rowwise_pos(k, q) for q in squares]
+    hrel = middle_join([squares[a] + squares[b] for a, b in pairs], (4, 2), 1)
+    return _with_horizontal(part, [(rowwise[a], rowwise[b]) for a, b in pairs], hrel)
 
 
 def literal_vert_pairs(lvl: LiteralLevel) -> set[tuple[Block, Block]]:

@@ -9,7 +9,8 @@ When the pairing extent is at least 2l, a forbidden cube spans at most half
 of it, so every cube window of a joined block lies inside the low block,
 the high block, or the middle block made of the low block's high part and
 the high block's low part. The pair is then allowed iff that middle block is
-a member of the set, and the relation is a hash join on the halves.
+a member of the set: `middle_join`, a hash join on the halves. It needs no
+cube set, so the literal step of `matrices.py` runs it over letter positions.
 
 Below that extent (the first doubling cycle) the middle block need not be a
 member of any known set, but the same three-way split still holds with a
@@ -173,13 +174,16 @@ def pair_relation(
     be any blocks (a forbidden one pairs with nothing), and the work is one
     scan per block plus one per distinct seam slab pair.
     """
-    extent = shape[axis]
-    if extent < 2 * cubes.side:
+    if shape[axis] < 2 * cubes.side:
         return _seam_relation(datas, shape, axis, cubes)
-    # the middle block starts `cut` cells into the low block: its low part
-    # is a high part of length extent - cut, its high part a low part of
-    # length cut; cut = extent // 2 keeps every cube window inside one of
-    # the three blocks
+    return middle_join(datas, shape, axis)
+
+
+def middle_join(datas: Sequence[Data], shape: Coord, axis: int) -> Relation:
+    """Index pairs (i, j) such that the middle block of `datas[i]` joined to
+    `datas[j]` along `axis`, the block of `shape` that starts extent // 2
+    cells into `datas[i]`, is one of `datas`: a hash join on the halves."""
+    extent = shape[axis]
     cut = extent // 2
     by_hi: dict[Data, list[int]] = defaultdict(list)
     by_lo: dict[Data, list[int]] = defaultdict(list)

@@ -24,7 +24,7 @@ from typing import Sequence
 
 from .caps import DEFAULT_CAPS, Caps
 from .chain import chain_report, chain_start
-from .core import Block, CubeSet, Pattern, SftSpec, allowed_data, make_spec
+from .core import MAX_DIMENSION, Block, CubeSet, Pattern, SftSpec, allowed_data, make_spec
 from .errors import ArchiveError, FormatError, ShapeError, SpecError
 from .levels import AnalysisResult, LevelReport, LevelRow, LevelState, level_states, verdict_of
 from .normalize import MODE_ALL, forbidden_side, iter_cubes, normalize_to_cubes
@@ -92,6 +92,8 @@ def parse_spec(doc) -> SftSpec:
             doc = json.loads(doc)
         except json.JSONDecodeError as e:
             raise FormatError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+        except RecursionError:
+            raise FormatError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):
         raise FormatError("document root must be an object")
     unknown = set(doc) - {"dimension", "symbols", "forbidden"}
@@ -112,6 +114,8 @@ def parse_spec(doc) -> SftSpec:
         raise FormatError("forbidden: expected a list of patterns")
     if dimension < 1:
         raise SpecError("dimension: must be >= 1")
+    if dimension > MAX_DIMENSION:
+        raise SpecError(f"dimension: must be <= {MAX_DIMENSION}")
     if not syms:
         raise SpecError("symbols: alphabet must be nonempty")
     if len(set(syms)) != len(syms):
@@ -260,7 +264,13 @@ def load_state(path: str, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
         raise ArchiveError(f"corrupt archive: {e.msg} at line {e.lineno}") from None
     except ValueError as e:  # e.g. an integer past the interpreter's digit limit
         raise ArchiveError(f"corrupt archive: {e}") from None
-    return _restore(payload, caps)
+    except RecursionError:
+        raise ArchiveError("corrupt archive: nested too deeply") from None
+    try:
+        return _restore(payload, caps)
+    except RecursionError:
+        # nesting just under the decoder's limit fails in the checksum's encoder
+        raise ArchiveError("corrupt archive: nested too deeply") from None
 
 
 _KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}

@@ -330,3 +330,26 @@ def test_step_literal_horizontal_work_stop_keeps_vertical(full_shift):
     part = exc.value.partial
     assert exc.value.required == 256**2
     assert part.horiz is None and part.vert.ones_count() == 256
+
+
+def test_compat_matrix_scans_every_index_but_pairs(hard_squares):
+    import dataclasses
+
+    from sftkit import CompatMatrix
+    from sftkit.matrices import Pairs
+
+    assert [f.name for f in dataclasses.fields(CompatMatrix)] == [
+        "row_blocks", "col_blocks", "row_order", "col_order", "ones",
+    ]
+    index, _ = _index_and_cubes(hard_squares)
+    tag = OrderTag.rowwise(2)
+    with pytest.raises(ShapeError, match="duplicate"):
+        CompatMatrix(index + index[:1], index, tag, tag, frozenset())
+    with pytest.raises(ShapeError, match="outside"):
+        CompatMatrix(index, index, tag, tag, frozenset({(0, len(index))}))
+    # a Pairs index is duplicate-free by construction and is not scanned:
+    # 10^4 parts stand for 10^8 blocks, built only when read
+    parts = tuple(Block((1, 1), (i,)) for i in range(10**4))
+    rects = Pairs(parts)
+    m = CompatMatrix(rects, rects, tag, tag, frozenset({(0, 1)}))
+    assert m.shape == (10**8, 10**8) and m.ones_count() == 1

@@ -266,3 +266,37 @@ def test_join_of_wide_blocks_past_the_gather_bound():
         high = tuple(shape[axis] if a == axis else 0 for a in range(len(shape)))
         assert window(joined, (0,) * len(shape), shape).data == p
         assert window(joined, high, shape).data == q
+
+
+# ---------------------------------------------------------------------------
+# the middle join over letter positions (the literal step's two joins)
+
+from sftkit.relation import middle_join  # noqa: E402
+
+
+def _naive_middle_pairs(datas, shape, axis):
+    members = set(datas)
+    cut = shape[axis] // 2
+    offset = tuple(cut if a == axis else 0 for a in range(len(shape)))
+    return {
+        (i, j)
+        for i, p in enumerate(datas)
+        for j, q in enumerate(datas)
+        if window(concat(Block(shape, p), Block(shape, q), axis), offset, shape).data in members
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([((2, 2), 0), ((4, 2), 1)]),
+    st.integers(2, 4),
+    st.data(),
+)
+def test_middle_join_equals_naive_membership(case, letters, data):
+    shape, axis = case
+    cells = shape[0] * shape[1]
+    datas = sorted(
+        data.draw(st.sets(st.tuples(*[st.integers(0, letters - 1)] * cells), max_size=40))
+    )
+    rel = middle_join(datas, shape, axis)
+    _assert_groups_count_pairs(rel, _naive_middle_pairs(datas, shape, axis))

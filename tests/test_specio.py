@@ -326,3 +326,65 @@ def test_import_state_refuses_a_forged_relation(tmp_path, hard_squares, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "archive: integrity check failed" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# documents too wide or nested too deeply to build
+
+
+def test_dimension_past_the_widest_spec_is_refused(tmp_path, hard_squares, monkeypatch):
+    import sftkit.specio
+    from sftkit import MAX_DIMENSION, make_spec
+    from sftkit.cli import main
+
+    assert MAX_DIMENSION == 64
+    assert make_spec(MAX_DIMENSION, ["0"], []).dimension == 64
+    with pytest.raises(SpecError, match="<= 64"):
+        make_spec(MAX_DIMENSION + 1, ["0"], [])
+    # parse_spec refuses before any pattern is parsed
+    monkeypatch.setattr(sftkit.specio, "_parse_pattern", None)
+    for dimension in (65, 10**7, 10**9):
+        with pytest.raises(SpecError, match="dimension: must be <= 64"):
+            parse_spec({"dimension": dimension, "symbols": ["0"], "forbidden": [[["0"]]]})
+    monkeypatch.undo()
+    wide = tmp_path / "wide.json"
+    wide.write_text(json.dumps({"dimension": 10**7, "symbols": ["0"], "forbidden": []}))
+    for level in ("0", "1"):
+        assert main(["analyze", str(wide), "--levels", level]) == 4
+    # the archive loader parses its spec the same way
+    path = _resigned(tmp_path, analyze(hard_squares, 0), lambda p: p["spec"].update(dimension=10**7))
+    with pytest.raises(SpecError, match="dimension: must be <= 64"):
+        load_state(path)
+
+
+def _nested(depth: int, inner: str = "") -> str:
+    return "[" * depth + inner + "]" * depth
+
+
+def test_deeply_nested_spec_is_a_format_error(tmp_path, capsys):
+    from sftkit.cli import main
+
+    for depth in (1000, 100_000):
+        text = '{"dimension": 2, "symbols": ["0", "1"], "forbidden": ' + _nested(depth) + "}"
+        with pytest.raises(FormatError, match="nested too deeply"):
+            parse_spec(text)
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        capsys.readouterr()
+        assert main(["validate", str(path)]) == 4
+        assert "nested too deeply" in capsys.readouterr().err
+
+
+def test_deeply_nested_archive_is_an_archive_error(tmp_path, capsys):
+    from sftkit.cli import main
+
+    path = tmp_path / "deep_state.json"
+    # every depth around the decoder's limit, where a document the decoder
+    # still takes can fail in the checksum's encoder, and one far past it
+    for depth in (*range(900, 1001), 100_000):
+        path.write_text('{"format": "sft-state", "version": 1, "x": ' + _nested(depth) + "}")
+        with pytest.raises(ArchiveError):
+            load_state(str(path))
+        capsys.readouterr()
+        assert main(["import-state", str(path)]) == 4
+        assert capsys.readouterr().err.startswith("archive: ")
