@@ -7,7 +7,10 @@ bytes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
+
+from .errors import BudgetError
 
 
 @dataclass(frozen=True)
@@ -36,3 +39,26 @@ class Caps:
 
 
 DEFAULT_CAPS = Caps()
+
+
+# a count of more bits than this is shown as "k^n", not built and printed:
+# its decimal form nears the interpreter's 4300-digit limit on int printing
+_SHOWN_BITS = 14_000
+
+
+def check_power(k: int, n: int, cap: int, message: str) -> None:
+    """Refuse the k**n candidates of an enumeration when they exceed `cap`,
+    deciding by bit length before a power larger than the cap is built.
+    The BudgetError's text is `message` formatted with `count` and `cap`;
+    a count of more than `_SHOWN_BITS` bits is shown as "k^n" and has no
+    `required`."""
+    limit = max(cap.bit_length(), _SHOWN_BITS) + 1
+    if k < 2 or n <= limit / math.log2(k):
+        count = k**n
+        if count <= cap:
+            return
+        if count.bit_length() <= _SHOWN_BITS:
+            raise BudgetError(message.format(count=count, cap=cap), required=count)
+    # past `limit` bits, so past the cap
+    shown = n if n.bit_length() <= _SHOWN_BITS else f"(a {n.bit_length()}-bit number)"
+    raise BudgetError(message.format(count=f"{k}^{shown}", cap=cap))

@@ -114,28 +114,6 @@ class Block:
                 f"data length {len(self.data)} does not match shape {self.shape}"
             )
 
-    @staticmethod
-    def from_nested(nested) -> "Block":
-        """Build a block from nested sequences (depth = dimension)."""
-        shape = []
-        probe = nested
-        while isinstance(probe, (list, tuple)):
-            shape.append(len(probe))
-            probe = probe[0]
-        flat: list[int] = []
-
-        def walk(node, depth):
-            if depth == len(shape):
-                flat.append(int(node))
-                return
-            if len(node) != shape[depth]:
-                raise ShapeError("ragged nested data")
-            for child in node:
-                walk(child, depth + 1)
-
-        walk(nested, 0)
-        return Block(tuple(shape), tuple(flat))
-
     @property
     def dimension(self) -> int:
         return len(self.shape)
@@ -259,12 +237,6 @@ class SftSpec:
     @property
     def alphabet_size(self) -> int:
         return len(self.alphabet)
-
-    def symbol_index(self, symbol: str) -> int:
-        try:
-            return self.alphabet.index(symbol)
-        except ValueError:
-            raise SpecError(f"unknown symbol {symbol!r}") from None
 
 
 # the widest spec accepted, so no shape of more axes is ever built

@@ -39,7 +39,7 @@ from .chain import (
     check_next_stage,
     d_chain_step,
 )
-from .core import Block, CubeSet, SftSpec, assemble, block_allowed
+from .core import Block, CubeSet, SftSpec, allowed_data
 from .errors import BudgetError, EmptyStateError, SpecError
 from .matrices import LiteralLevel, level0_matrices, step_horizontal, step_literal
 from .normalize import (
@@ -48,6 +48,7 @@ from .normalize import (
     enumerate_allowed_cubes,
     normalize_to_cubes,
 )
+from .relation import join
 
 
 @dataclass(frozen=True)
@@ -197,7 +198,9 @@ def _label(dimension: int, level: int, stage: int) -> tuple[int, str]:
     return level, "cubes" if stage == dimension else f"dir{stage}"
 
 
-def _rows(stages: Sequence[DChainState]) -> list[LevelRow]:
+def report_rows(stages: Sequence[DChainState]) -> list[LevelRow]:
+    """The report rows a walk's stages certify, one a stage, plus the
+    block count of the next stage when the last relation is known."""
     rows = []
     for st in stages:
         rel = None if st.relation is None else len(st.relation)
@@ -274,7 +277,7 @@ def analyze(
                 reason = str(e)
     # a walk that reached its target steps into it when `levels` is read
     step = reason is None and stages[-1].relation is not None
-    rows = tuple(_rows(stages))
+    rows = tuple(report_rows(stages))
     verdict, reason = verdict_of(rows, reason)
     d2 = spec.dimension == 2
     report = LevelReport(
@@ -348,10 +351,12 @@ def witness_search(
     caps: Caps = DEFAULT_CAPS,
 ) -> WitnessResult:
     """Try to build one allowed square of side 2^level * l by recursive
-    2x2 assembly with backtracking over allowed sub-squares.
+    2^d-corner assembly with backtracking over allowed sub-squares.
 
-    Absence is not an emptiness proof: the search is budgeted and
-    incomplete. Any returned block has passed a full window rescan.
+    Corners are data tuples glued by `relation.join`, the last axis first.
+    Each candidate and each pair of last-axis neighbours costs one node;
+    candidates are window-scanned, and so are pairs for d <= 2. Absence is
+    not an emptiness proof: the search is budgeted and incomplete.
     """
     cubes = normalize_to_cubes(spec, MODE_ALL, caps)
     base = enumerate_allowed_cubes(spec, cubes, caps)
@@ -359,6 +364,7 @@ def witness_search(
         return WitnessResult(None, 0, "no allowed cubes: the space is empty", empty=True)
     budget = caps.witness_nodes
     spent = 0
+    d = spec.dimension
 
     class _Out(Exception):
         pass
@@ -369,52 +375,43 @@ def witness_search(
         if spent > budget:
             raise _Out()
 
-    grid_shape = (2,) * spec.dimension
-    corners = 2**spec.dimension
-
-    def pair_ok(left: Block, cand: Block) -> bool:
-        # last-axis neighbours share a seam worth checking before recursing
-        spend()
-        if spec.dimension == 1:
-            return block_allowed(assemble([left, cand]), cubes)
-        if spec.dimension == 2:
-            return block_allowed(assemble([[left, cand]]), cubes)
-        return True  # higher dimensions rely on the final full check
-
     def candidates(lv: int):
+        # data tuples of the allowed cubes of side 2^lv * l found so far
         if lv == 0:
-            yield from base
+            yield from (b.data for b in base)
             return
+        shape = (cubes.side << (lv - 1),) * d
+        pair = shape[:-1] + (2 * shape[-1],)
 
-        def place(i: int, chosen: list[Block]):
-            if i == corners:
-                q = assemble(_nest(chosen, grid_shape))
+        def place(chosen: list):
+            if len(chosen) == 2**d:
+                datas, sub = chosen, shape
+                for axis in reversed(range(d)):
+                    datas = [join(datas[i], datas[i + 1], sub, axis) for i in range(0, len(datas), 2)]
+                    sub = sub[:axis] + (2 * sub[axis],) + sub[axis + 1 :]
                 spend()
-                if block_allowed(q, cubes):
-                    yield q
+                if allowed_data(datas[0], sub, cubes):
+                    yield datas[0]
                 return
             for cand in candidates(lv - 1):
-                if i % 2 == 1 and not pair_ok(chosen[i - 1], cand):
-                    continue
+                if len(chosen) % 2 == 1:
+                    # last-axis neighbours share a seam worth checking before
+                    # recursing; higher dimensions rely on the final full check
+                    spend()
+                    if d <= 2 and not allowed_data(join(chosen[-1], cand, shape, d - 1), pair, cubes):
+                        continue
                 chosen.append(cand)
-                yield from place(i + 1, chosen)
+                yield from place(chosen)
                 chosen.pop()
 
-        yield from place(0, [])
+        yield from place([])
 
     try:
-        for blk in candidates(level):
-            return WitnessResult(blk, spent, None)
+        for data in candidates(level):
+            return WitnessResult(Block((cubes.side << level,) * d, data), spent, None)
     except _Out:
         return WitnessResult(None, spent, f"node budget {budget} exhausted")
     return WitnessResult(None, spent, "search space exhausted without a witness")
-
-
-def _nest(flat: Sequence[Block], gshape: tuple[int, ...]):
-    if len(gshape) == 1:
-        return list(flat)
-    sub = len(flat) // gshape[0]
-    return [_nest(flat[i * sub : (i + 1) * sub], gshape[1:]) for i in range(gshape[0])]
 
 
 def sample_patch(state: LevelState, seed: int) -> Block:

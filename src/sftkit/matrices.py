@@ -16,8 +16,11 @@ so a position is the reading's base-k number. The vertical matrix is
 indexed column-wise, the horizontal matrix row-wise by stacks, whose order
 is exactly the pair order (top letter, bottom letter). A horizontal one
 (i*k + r, j*k + s) is the allowed square at column-wise position
-(i*k + r)*k^2 + j*k + s, and index blocks are only built when they are
-read (`Pairs`).
+(i*k + r)*k^2 + j*k + s. Every index is a `Pairs`, whose blocks are only
+built when read: the stacks pair letters along axis 0, the next letters
+pair row pairs along axis 0 (`Pairs(Pairs(letters, 1), 0)`, row-wise),
+and the vertical index pairs stacks along axis 1
+(`Pairs(Pairs(letters, 0), 1)`, column-wise).
 
 Entries are exact: the level-0 matrices are `relation.pair_relation`
 seam-slab joins (each block and each distinct seam slab pair window-scanned
@@ -34,12 +37,11 @@ pass stops after its vertical matrix, on its index past `max_index` or
 from __future__ import annotations
 
 import itertools
-import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from .caps import DEFAULT_CAPS, Caps
-from .core import Block, CubeSet, permute_axes
+from .core import Block, CubeSet, concat, permute_axes
 from .errors import BudgetError, ShapeError
 from .relation import join, middle_join, pair_relation
 
@@ -110,21 +112,24 @@ def otimes(p: Sequence[Sequence[int]], m: Sequence[Sequence[int]]) -> tuple[int,
 
 
 class Pairs(Sequence[Block]):
-    """Every part stacked on every part, each block built on access.
+    """Every part joined to every part along `axis`, each block built on
+    access.
 
-    Position a*n + b holds parts[a] on top of parts[b], so the index is free
-    of duplicates whenever the parts are. The literal pipeline's indices all
-    have this form: a level's stacks pair its letters, and the next level's
-    squares pair its row pairs (i j) of letters, at position i*k + j. Those
-    squares (i j / r s) count row-wise, ((i*k + j)*k + r)*k + s, or with
-    `colwise` column-wise, ((i*k + r)*k + j)*k + s.
+    Position a*n + b holds parts[a] joined to parts[b], parts[a] on the low
+    side, so the index is free of duplicates whenever the parts are. The
+    literal pipeline's indices all have this form: a level's stacks are
+    `Pairs(letters, 0)`; the next level's squares (i j / r s) are row pairs
+    stacked, `Pairs(Pairs(letters, 1), 0)`, at row-wise position
+    ((i*k + j)*k + r)*k + s, or stacks side by side,
+    `Pairs(Pairs(letters, 0), 1)`, at column-wise position
+    ((i*k + r)*k + j)*k + s.
     """
 
-    __slots__ = ("parts", "colwise")
+    __slots__ = ("parts", "axis")
 
-    def __init__(self, parts: Sequence[Block], colwise: bool = False):
+    def __init__(self, parts: Sequence[Block], axis: int = 0):
         self.parts = parts
-        self.colwise = colwise
+        self.axis = axis
 
     def __len__(self) -> int:
         return len(self.parts) ** 2
@@ -138,35 +143,16 @@ class Pairs(Sequence[Block]):
         if not 0 <= x < n * n:
             raise IndexError(f"position {x} outside an index of {n * n}")
         a, b = divmod(x, n)
-        if self.colwise:
-            # a = i*k + r and b = j*k + s name the top pair i*k + j and the
-            # bottom pair r*k + s
-            k = math.isqrt(n)
-            a, b = a // k * k + b // k, a % k * k + b % k
-        s = self.parts[0].shape
-        return Block((2 * s[0],) + s[1:], self.parts[a].data + self.parts[b].data)
+        return concat(self.parts[a], self.parts[b], self.axis)
 
     def __iter__(self):
-        if not self.parts:
-            return
-        datas = [p.data for p in self.parts]
-        s = self.parts[0].shape
-        shape = (2 * s[0],) + s[1:]
-        if not self.colwise:
-            for top in datas:
-                for bottom in datas:
-                    yield Block(shape, top + bottom)
-            return
-        k = math.isqrt(len(datas))
-        for i in range(0, k * k, k):
-            for r in range(0, k * k, k):
-                # squares (i j / r s) for every j, s: column-wise order
-                for top in datas[i : i + k]:
-                    for bottom in datas[r : r + k]:
-                        yield Block(shape, top + bottom)
+        parts = list(self.parts)
+        for low in parts:
+            for high in parts:
+                yield concat(low, high, self.axis)
 
     def __eq__(self, other):
-        if isinstance(other, Pairs) and self.colwise == other.colwise and self.parts == other.parts:
+        if isinstance(other, Pairs) and self.axis == other.axis and self.parts == other.parts:
             return True
         if isinstance(other, Sequence):
             return len(self) == len(other) and all(a == b for a, b in zip(self, other))
@@ -364,14 +350,10 @@ def step_literal(
 
     # the next letters are the row pairs stacked, in arrangement-row-wise
     # order; the vertical index reads the same squares column-wise
-    side = lvl.side
-    rows = tuple(
-        Block((side, 2 * side), join(a.data, b.data, (side, side), 1))
-        for a, b in itertools.product(lvl.letters, repeat=2)
-    )
-    index, ctag = Pairs(rows, colwise=True), OrderTag.colwise()
+    letters = Pairs(Pairs(lvl.letters, 1), 0)
+    index, ctag = Pairs(Pairs(lvl.letters, 0), 1), OrderTag.colwise()
     vert = CompatMatrix(index, index, ctag, ctag, vones)
-    part = LiteralLevel(lvl.level + 1, 2 * side, Pairs(rows), vert, None, frozenset())
+    part = LiteralLevel(lvl.level + 1, 2 * lvl.side, letters, vert, None, frozenset())
     return step_horizontal(lvl, part, caps) if compute_h else part
 
 

@@ -18,9 +18,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .caps import DEFAULT_CAPS, Caps
+from .caps import DEFAULT_CAPS, Caps, check_power
 from .core import Block, CubeSet, Pattern, SftSpec, pattern_width, strides
-from .errors import BudgetError, SpecError
+from .errors import SpecError
 
 MODE_ALL = "all-extensions"
 MODE_NON_PROPER = "non-proper-only"
@@ -69,13 +69,12 @@ def normalize_to_cubes(
     if mode not in (MODE_ALL, MODE_NON_PROPER):
         raise SpecError(f"unknown normalization mode {mode!r}")
     side = forbidden_side(spec)
-    candidates = spec.alphabet_size ** (side**spec.dimension)
-    if candidates > caps.max_cubes:
-        raise BudgetError(
-            f"normalization needs {candidates} candidate cubes; "
-            f"raise max_cubes to at least {candidates}",
-            required=candidates,
-        )
+    check_power(
+        spec.alphabet_size,
+        side**spec.dimension,
+        caps.max_cubes,
+        "normalization needs {count} candidate cubes; raise max_cubes to at least {count}",
+    )
     shape = (side,) * spec.dimension
     st = strides(shape)
     # pre-resolve each pattern's cell offsets per placement
@@ -102,13 +101,12 @@ def enumerate_allowed_cubes(
     """The canonical block index: all l-cubes not in the forbidden set,
     sorted by row-major dictionary order. May be empty (which certifies an
     empty shift space)."""
-    candidates = spec.alphabet_size ** (cubes.side**spec.dimension)
-    if candidates > caps.max_cubes:
-        raise BudgetError(
-            f"enumeration needs {candidates} candidate cubes; "
-            f"raise max_cubes to at least {candidates}",
-            required=candidates,
-        )
+    check_power(
+        spec.alphabet_size,
+        cubes.side**spec.dimension,
+        caps.max_cubes,
+        "enumeration needs {count} candidate cubes; raise max_cubes to at least {count}",
+    )
     bad = cubes.data_set()
     return tuple(c for c in iter_cubes(spec, cubes.side) if c.data not in bad)
 

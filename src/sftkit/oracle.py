@@ -11,9 +11,9 @@ import multiprocessing
 import os
 from dataclasses import dataclass
 
-from .caps import DEFAULT_CAPS, Caps
+from .caps import DEFAULT_CAPS, Caps, check_power
 from .core import Block, CubeSet, SftSpec, allowed_data, occurs_in, prod
-from .errors import BudgetError, SpecError
+from .errors import SpecError
 from .normalize import MODE_ALL, normalize_to_cubes
 
 RETAIN_CAP = 2**16
@@ -33,23 +33,17 @@ def _scan_range(args) -> tuple[int, list | None]:
     count = 0
     kept: list | None = []
     undersized = any(s < side for s in shape)
-    for idx in range(lo, hi):
-        # decode the candidate index as base-ka digits, row-major
-        data = [0] * cells
-        v = idx
-        for pos in range(cells - 1, -1, -1):
-            data[pos] = v % ka
-            v //= ka
-        data_t = tuple(data)
+    # candidates lo..hi-1 in enumeration order: base-ka digits, row-major
+    for data in itertools.islice(itertools.product(range(ka), repeat=cells), lo, hi):
         if raw_patterns is not None:
-            blk = Block(shape, data_t)
+            blk = Block(shape, data)
             ok = not any(occurs_in(blk, p) for p in raw_patterns)
         else:
-            ok = undersized or allowed_data(data_t, shape, cubes)
+            ok = undersized or allowed_data(data, shape, cubes)
         if ok:
             count += 1
             if kept is not None:
-                kept.append(data_t)
+                kept.append(data)
                 if len(kept) > RETAIN_CAP:
                     kept = None
     return count, kept
@@ -70,13 +64,13 @@ def brute_force_allowed(
     """
     if len(shape) != spec.dimension:
         raise SpecError(f"shape {shape} does not match dimension {spec.dimension}")
+    check_power(
+        spec.alphabet_size,
+        prod(shape),
+        caps.oracle_candidates,
+        "brute force would enumerate {count} candidates (cap {cap}); try profile_count",
+    )
     total = spec.alphabet_size ** prod(shape)
-    if total > caps.oracle_candidates:
-        raise BudgetError(
-            f"brute force would enumerate {total} candidates "
-            f"(cap {caps.oracle_candidates}); try profile_count",
-            required=total,
-        )
     if mode not in ("cubes", "patterns"):
         raise SpecError(f"unknown oracle mode {mode!r}")
     raw = spec.forbidden if mode == "patterns" else None
@@ -133,12 +127,7 @@ def profile_count(
     ka = spec.alphabet_size
     if r < side or s < side:
         return ka ** (r * s)
-    states = ka ** (s * (side - 1))
-    if states > caps.profile_states:
-        raise BudgetError(
-            f"profile DP needs {states} states (cap {caps.profile_states})",
-            required=states,
-        )
+    check_power(ka, s * (side - 1), caps.profile_states, "profile DP needs {count} states (cap {cap})")
     bad = cubes.data_set()
     rows = list(itertools.product(range(ka), repeat=s))
 

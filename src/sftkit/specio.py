@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from typing import Sequence
 
-from .caps import DEFAULT_CAPS, Caps
+from .caps import DEFAULT_CAPS, Caps, check_power
 from .chain import chain_report, chain_start
 from .core import MAX_DIMENSION, Block, CubeSet, Pattern, SftSpec, allowed_data, make_spec
-from .errors import ArchiveError, FormatError, ShapeError, SpecError
-from .levels import AnalysisResult, LevelReport, LevelRow, LevelState, level_states, verdict_of
+from .errors import ArchiveError, BudgetError, FormatError, ShapeError, SpecError
+from .levels import AnalysisResult, LevelReport, LevelRow, LevelState, level_states, report_rows, verdict_of
 from .normalize import MODE_ALL, forbidden_side, iter_cubes, normalize_to_cubes
 
 FILL = "*"
@@ -301,24 +300,10 @@ def _index_tuples(items: list, n: int, bound: int, where: str) -> frozenset:
     return frozenset(map(tuple, items))
 
 
-def _level_rows(levels: Sequence[LevelState]) -> list[LevelRow]:
-    """The report rows the archived levels certify: each level's squares
-    and, once its vertical relation is known, its stacks; a horizontal
-    relation past the last level certifies the next level's square count."""
-    rows = []
-    for st in levels:
-        rows.append(LevelRow(st.level, "squares", len(st.squares), None if st.vrel is None else len(st.vrel)))
-        if st.vrel is not None:
-            rows.append(LevelRow(st.level, "rects", len(st.vrel), None if st.hrel is None else len(st.hrel)))
-    if levels and levels[-1].hrel is not None:
-        rows.append(LevelRow(levels[-1].level + 1, "squares", len(levels[-1].hrel), None))
-    return rows
-
-
-def _derived_levels(levels: Sequence[LevelState], index, cubes: CubeSet, caps: Caps) -> tuple[LevelState, ...]:
-    """The level states the chain walk from `index` builds down to the
-    archive's deepest relation: the stacks' relation (hrel) of the last
-    level, its vertical relation, or else its squares."""
+def _derived_stages(levels: Sequence[LevelState], index, cubes: CubeSet, caps: Caps):
+    """The stages the chain walk from `index` builds down to the archive's
+    deepest relation: the stacks' relation (hrel) of the last level, its
+    vertical relation, or else its squares."""
     last = levels[-1]
     if last.hrel is not None:
         target, build = (last.level + 1, 2), False
@@ -326,8 +311,7 @@ def _derived_levels(levels: Sequence[LevelState], index, cubes: CubeSet, caps: C
         target, build = (last.level + 1, 1), False
     else:
         target, build = (last.level, 2), True
-    stages = chain_report(chain_start(index, cubes), cubes, target, caps, build_target=build)
-    return level_states(stages, cubes)
+    return chain_report(chain_start(index, cubes), cubes, target, caps, build_target=build)
 
 
 def _restore(payload: dict, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
@@ -352,12 +336,15 @@ def _restore(payload: dict, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
         raise ArchiveError(f"archive cube side {side} is not the spec's pattern width {width}")
     cube_count = _field(norm, "cube_count", int, "normalization.")
     allowed_count = _field(norm, "allowed_count", int, "normalization.")
-    # k^(side^d) candidates, refused without building the powers: for k >= 2
-    # they pass the cap once side^d passes the cap's bit length
-    k, cap = spec.alphabet_size, caps.max_cubes
-    past_bits = spec.dimension * math.log2(side) > math.log2(cap.bit_length())
-    if k > 1 and (past_bits or k ** side**spec.dimension > cap):
-        raise ArchiveError(f"rebuilding the archive's cubes needs more than {cap} candidates (max_cubes)")
+    mode = _field(norm, "mode", str, "normalization.")
+    if mode != MODE_ALL:
+        raise ArchiveError(f"archive normalization mode {mode!r} is not {MODE_ALL!r}")
+    try:
+        check_power(spec.alphabet_size, side**spec.dimension, caps.max_cubes, "")
+    except BudgetError:
+        raise ArchiveError(
+            f"rebuilding the archive's cubes needs more than {caps.max_cubes} candidates (max_cubes)"
+        ) from None
     cube_shape = (side,) * spec.dimension
     index = tuple(_block_from_str(s, cube_shape, idx, sep) for s in _field(payload, "index", list))
     # the forbidden cube set is reconstructible as the complement of the index
@@ -366,7 +353,7 @@ def _restore(payload: dict, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
         side,
         frozenset(c for c in iter_cubes(spec, side) if c.data not in index_data),
         spec.alphabet_size,
-        _field(norm, "mode", str, "normalization."),
+        mode,
     )
     if len(cubes.cubes) != cube_count or len(index) != allowed_count:
         raise ArchiveError("integrity check failed: counts disagree with content")
@@ -407,16 +394,17 @@ def _restore(payload: dict, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
         rows.append(LevelRow(*row))
     if not levels:
         raise ArchiveError("archive holds no levels")
-    if rows != _level_rows(levels):
-        raise ArchiveError("integrity check failed: report rows disagree with the levels")
-    verdict, reason = _field(payload, "verdict", str), _field(payload, "reason", str, nullable=True)
-    if (verdict, reason) != verdict_of(rows, reason):
-        raise ArchiveError(f"archive verdict {verdict!r} is not the one its levels and reason give")
     # the relations and every level past the first are rebuilt by the kernel
-    derived = _derived_levels(levels, index, cubes, caps)
+    stages = _derived_stages(levels, index, cubes, caps)
+    derived = level_states(stages, cubes)
     if len(derived) != len(levels) or any(
         (a.squares, a.vrel, a.hrel) != (b.squares, b.vrel, b.hrel) for a, b in zip(levels, derived)
     ):
         raise ArchiveError("integrity check failed: the levels are not the ones the spec gives")
+    if rows != report_rows(stages):
+        raise ArchiveError("integrity check failed: report rows disagree with the levels")
+    verdict, reason = _field(payload, "verdict", str), _field(payload, "reason", str, nullable=True)
+    if (verdict, reason) != verdict_of(rows, reason):
+        raise ArchiveError(f"archive verdict {verdict!r} is not the one its levels and reason give")
     report = LevelReport("reduced", side, cube_count, allowed_count, tuple(rows), verdict, reason)
     return AnalysisResult(spec, cubes, index, tuple(levels), report)

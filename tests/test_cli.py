@@ -339,3 +339,23 @@ def test_import_state_checks_report_rows_against_the_levels(tmp_path, hs_file, c
     capsys.readouterr()
     assert main(["import-state", str(out_file)]) == 4
     assert "archive: " in capsys.readouterr().err
+
+
+def test_candidate_counts_too_long_to_print_are_budget_stops(tmp_path, hs_file, capsys):
+    # 2^40000 and 2^20000 candidates pass the interpreter's limit on
+    # printing ints: they are refused as k^n, without being built
+    wide = tmp_path / "wide.json"
+    pattern = [[[0, 0], "1"], [[199, 0], "1"]]
+    wide.write_text(json.dumps({"dimension": 2, "symbols": ["0", "1"], "forbidden": [pattern]}))
+    cases = [
+        (["analyze", str(wide), "--levels", "0"],
+         "normalization needs 2^40000 candidate cubes; raise max_cubes to at least 2^40000"),
+        (["count", hs_file, "--shape", "200x200"],
+         "brute force would enumerate 2^40000 candidates (cap 16777216); try profile_count"),
+        (["count", hs_file, "--engine", "dp", "--shape", "4x20000"],
+         "profile DP needs 2^20000 states (cap 1048576)"),
+    ]
+    for argv, message in cases:
+        capsys.readouterr()
+        assert main(argv) == 3
+        assert capsys.readouterr().err == f"budget: {message}\n"

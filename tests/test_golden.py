@@ -61,6 +61,9 @@ def _commands() -> list[tuple[str, list[str], bool]]:
             ["export-state", spec, "--levels", str(level), "--out", "{out}", "--format", "csv"],
             keep,
         )
+    for spec in tops:
+        for level in range(4):
+            add(f"witness-{spec}-{level}", ["witness", spec, "--level", str(level)])
     return out
 
 

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sftkit import (
     DEFAULT_CAPS,
@@ -19,7 +21,7 @@ from sftkit import (
     witness_search,
 )
 
-from conftest import naive_count, random_square_spec
+from conftest import naive_allowed, naive_count, random_square_spec
 
 
 def _base(spec, caps=DEFAULT_CAPS):
@@ -245,3 +247,29 @@ def test_analyze_reduced_base_horizontal_stop_keeps_vrel(hard_squares):
     rows = [(r.level, r.stage, r.block_count, r.relation_count) for r in res.report.rows]
     assert rows == [(0, "squares", 7, 41), (0, "rects", 41, None)]
     assert res.report.verdict == "inconclusive"
+
+
+@settings(max_examples=6, deadline=None)
+@given(st.integers(0, 2**32), st.integers(0, 3))
+@example(11, 1)
+@example(0, 1)
+def test_witness_is_an_allowed_square_of_its_level(seed, level):
+    # at level 1 the default budget covers every 2x2 arrangement of the
+    # allowed 2x2 cubes, so the search gives up exactly when none exists
+    spec = random_square_spec(random.Random(seed), 4, 12)
+    res = witness_search(spec, level)
+    if res.block is not None:
+        assert res.block.shape == (2 << level, 2 << level)
+        assert naive_allowed(res.block, spec.forbidden)
+    if level == 1:
+        exhausted = res.reason == "search space exhausted without a witness"
+        assert exhausted == (naive_count(spec, (4, 4)) == 0)
+
+
+@settings(max_examples=4, deadline=None)
+@given(st.integers(0, 3))
+def test_witness_in_one_and_three_dimensions(d1_no_adjacent_ones, d3_hard_cubes, level):
+    for spec in (d1_no_adjacent_ones, d3_hard_cubes):
+        res = witness_search(spec, level)
+        assert res.block.shape == (2 << level,) * spec.dimension
+        assert naive_allowed(res.block, spec.forbidden)

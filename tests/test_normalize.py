@@ -154,3 +154,19 @@ def test_cube_count_bound():
         spec = random_square_spec(rng)
         cubes = normalize_to_cubes(spec)
         assert len(cubes.cubes) <= 2 ** (2 * 2)
+
+
+def test_check_power_decides_before_building_the_power():
+    from sftkit.caps import check_power
+
+    check_power(2, 20, 2**20, "{count}")
+    check_power(1, 10**30, 1, "{count}")
+    with pytest.raises(BudgetError) as exc:
+        check_power(2, 21, 2**20, "{count} past {cap}")
+    assert (str(exc.value), exc.value.required) == (f"{2**21} past {2**20}", 2**21)
+    # 2^(10^18) is never built: it is refused by its bit length alone
+    with pytest.raises(BudgetError) as exc:
+        check_power(2, 10**18, 10**6, "{count}")
+    assert (str(exc.value), exc.value.required) == (f"2^{10**18}", None)
+    with pytest.raises(BudgetError, match=r"^3\^\(a 16610-bit number\)$"):
+        check_power(3, 10**5000, 10**6, "{count}")

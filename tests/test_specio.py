@@ -253,6 +253,19 @@ def test_archive_cube_rebuild_is_capped_before_it_runs(tmp_path, hard_squares, m
     assert "max_cubes" in _load_error(path)
 
 
+def test_archive_normalization_mode_must_be_all_extensions(tmp_path, hard_squares, capsys):
+    from sftkit.cli import main
+
+    def banana(p):
+        p["normalization"]["mode"] = "banana"
+
+    path = _resigned(tmp_path, analyze(hard_squares, 1), banana)
+    assert "normalization mode 'banana'" in _load_error(path)
+    capsys.readouterr()
+    assert main(["import-state", path]) == 4
+    assert capsys.readouterr().err.startswith("archive: ")
+
+
 # ---------------------------------------------------------------------------
 # forgeries that keep the archive's own counts consistent
 
