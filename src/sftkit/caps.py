@@ -27,7 +27,7 @@ class Caps:
     max_work: int = 10**7
     # candidate assignments the brute-force oracle may enumerate
     oracle_candidates: int = 2**24
-    # profile states the row-sweep DP may hold
+    # row profiles, k_A^(s(l-1)), the cell-by-cell profile DP may refine
     profile_states: int = 2**20
     # assemblies the witness search may try before giving up
     witness_nodes: int = 200_000
@@ -44,6 +44,9 @@ DEFAULT_CAPS = Caps()
 # a count of more bits than this is shown as "k^n", not built and printed:
 # its decimal form nears the interpreter's 4300-digit limit on int printing
 _SHOWN_BITS = 14_000
+# the largest count printed in full: a cap that refuses only what would be
+# shown as "k^n"
+PRINTED_MAX = 1 << _SHOWN_BITS
 
 
 def check_power(k: int, n: int, cap: int, message: str) -> None:

@@ -36,14 +36,13 @@ pass stops after its vertical matrix, on its index past `max_index` or
 """
 from __future__ import annotations
 
-import itertools
-from collections.abc import Sequence
+from collections.abc import Sequence, Set
 from dataclasses import dataclass, replace
 
 from .caps import DEFAULT_CAPS, Caps
 from .core import Block, CubeSet, concat, permute_axes
 from .errors import BudgetError, ShapeError
-from .relation import join, middle_join, pair_relation
+from .relation import Relation, join, middle_join, pair_relation
 
 
 @dataclass(frozen=True)
@@ -166,6 +165,11 @@ class Pairs(Sequence[Block]):
 class CompatMatrix:
     """Sparse boolean matrix over ordered block indices.
 
+    `ones` is the set of (row, col) positions holding a 1. `step_literal`
+    keeps its vertical ones as a `relation.Relation`, one (rows, cols)
+    key group per middle-join key, so `ones_count` lists no pair; the other
+    matrices hold a frozenset. Both iterate, compare and combine as sets.
+
     The constructor checks that each index holds distinct blocks and that
     every one lies inside the shape. It skips those O(n) scans when both
     indices are `Pairs`, which are duplicate-free by construction and hold
@@ -176,7 +180,7 @@ class CompatMatrix:
     col_blocks: Sequence[Block]
     row_order: OrderTag
     col_order: OrderTag
-    ones: frozenset[tuple[int, int]]
+    ones: Set[tuple[int, int]]
 
     def __post_init__(self):
         if isinstance(self.row_blocks, Pairs) and isinstance(self.col_blocks, Pairs):
@@ -331,7 +335,8 @@ def step_literal(
 
     The next level's allowed squares are the current horizontal ones. As
     2x2 letter blocks (i, j, r, s), their pairs whose middle square is
-    allowed are the next vertical ones (the sparse `otimes` rows). The
+    allowed are the next vertical ones (the sparse `otimes` rows), kept as
+    the join's key groups over column-wise positions. The
     vertical index is checked before any work. With `compute_h` the step
     goes on with `step_horizontal`.
     """
@@ -340,13 +345,10 @@ def step_literal(
     k = len(lvl.letters)
     check_index("vertical", k**4, caps)
     squares, vrel = _letter_squares(lvl)
-    colwise = [_colwise_pos(k, q) for q in squares]
-    vones = frozenset(
-        itertools.chain.from_iterable(
-            itertools.product(map(colwise.__getitem__, lows), map(colwise.__getitem__, highs))
-            for lows, highs in vrel.groups
-        )
-    )
+    # each key group maps one-to-one onto column-wise positions, so the
+    # groups stay disjoint and the ones are counted without being listed
+    at = [_colwise_pos(k, q) for q in squares].__getitem__
+    vones = Relation(([*map(at, lows)], [*map(at, highs)]) for lows, highs in vrel.groups)
 
     # the next letters are the row pairs stacked, in arrangement-row-wise
     # order; the vertical index reads the same squares column-wise

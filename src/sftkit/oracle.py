@@ -1,8 +1,9 @@
 """Ground-truth counters the engine is validated against.
 
 `brute_force_allowed` enumerates every symbol assignment of a shape and
-filters; `profile_count` is a row-sweep DP that scales to shapes the brute
-force cannot reach. They cross-check each other wherever both run.
+filters; `profile_count` is a cell-by-cell broken-profile DP that scales to
+shapes the brute force cannot reach. They cross-check each other wherever
+both run.
 """
 from __future__ import annotations
 
@@ -10,8 +11,9 @@ import itertools
 import multiprocessing
 import os
 from dataclasses import dataclass
+from operator import itemgetter
 
-from .caps import DEFAULT_CAPS, Caps, check_power
+from .caps import DEFAULT_CAPS, PRINTED_MAX, Caps, check_power
 from .core import Block, CubeSet, SftSpec, allowed_data, occurs_in, prod
 from .errors import SpecError
 from .normalize import MODE_ALL, normalize_to_cubes
@@ -112,11 +114,14 @@ def profile_count(
     cubes: CubeSet | None = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> int:
-    """Row-sweep DP count of allowed r x s arrays (2-d only).
+    """Broken-profile DP count of allowed r x s arrays (2-d only).
 
-    The state is the last l-1 rows; appending a row checks every newly
-    completed l x l window. Must agree with brute force wherever both run.
-    Undersized shapes hold no cube and count k_A^(r*s).
+    The transfer-matrix method of Calkin and Wilf, one cell at a time: the
+    state is the last (l-1)(s+1) cells in row-major order, and each of the
+    k_A symbols for the next cell is checked against the one l x l window
+    that cell completes. `caps.profile_states` bounds k_A^(s(l-1)), the
+    row profiles the states refine. Must agree with brute force wherever
+    both run. Undersized shapes hold no cube and count k_A^(r*s).
     """
     if spec.dimension != 2:
         raise SpecError("profile counting is 2-dimensional only")
@@ -126,38 +131,32 @@ def profile_count(
     side = cubes.side
     ka = spec.alphabet_size
     if r < side or s < side:
+        check_power(ka, r * s, PRINTED_MAX, "profile DP count {count} is too long to print")
         return ka ** (r * s)
     check_power(ka, s * (side - 1), caps.profile_states, "profile DP needs {count} states (cap {cap})")
     bad = cubes.data_set()
-    rows = list(itertools.product(range(ka), repeat=s))
-
-    def windows_ok(stack_rows) -> bool:
-        # stack_rows has exactly `side` rows; slide the cube horizontally
-        for c in range(s - side + 1):
-            win = tuple(
-                itertools.chain.from_iterable(row[c : c + side] for row in stack_rows)
-            )
-            if win in bad:
-                return False
-        return True
-
-    # grow row by row; profiles shorter than side-1 cannot complete a window
-    succ: dict[tuple, list] = {}
-
-    def successors(profile):
-        got = succ.get(profile)
-        if got is None:
-            got = [row for row in rows if windows_ok(profile + (row,))]
-            succ[profile] = got
-        return got
-
+    keep = (side - 1) * (s + 1)
+    # the l x l window ending at the newest of keep + 1 cells, read
+    # row-major; one cell is taken as a slice, a 1-tuple like its cube
+    if side == 1:
+        window = itemgetter(slice(0, 1))
+    else:
+        window = itemgetter(*(i * s + j for i in range(side) for j in range(side)))
+    symbols = [(a,) for a in range(ka)]
     counts: dict[tuple, int] = {(): 1}
-    for _ in range(r):
+    for cell in range(r * s):
+        i, j = divmod(cell, s)
+        check = i >= side - 1 and j >= side - 1
+        # once the state holds `keep` cells, the oldest one leaves it
+        drop = 1 if cell >= keep else 0
         nxt: dict[tuple, int] = {}
-        for profile, cnt in counts.items():
-            nextrows = successors(profile) if len(profile) == side - 1 else rows
-            for row in nextrows:
-                new_profile = (profile + (row,))[-(side - 1) :] if side > 1 else ()
-                nxt[new_profile] = nxt.get(new_profile, 0) + cnt
+        get = nxt.get
+        for state, cnt in counts.items():
+            for a in symbols:
+                cells = state + a
+                if check and window(cells) in bad:
+                    continue
+                key = cells[drop:]
+                nxt[key] = get(key, 0) + cnt
         counts = nxt
     return sum(counts.values())

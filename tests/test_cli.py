@@ -359,3 +359,12 @@ def test_candidate_counts_too_long_to_print_are_budget_stops(tmp_path, hs_file, 
         capsys.readouterr()
         assert main(argv) == 3
         assert capsys.readouterr().err == f"budget: {message}\n"
+
+
+def test_undersized_counts_too_long_to_print_are_budget_stops(hs_file, capsys):
+    # a 1-row shape holds no 2x2 cube, so every one of its 2^n fillings
+    # counts; 2^100 is printed, 2^20000 is refused as k^n without being built
+    assert main(["count", hs_file, "--engine", "dp", "--shape", "1x100"]) == 0
+    assert capsys.readouterr().out.strip() == str(2**100)
+    assert main(["count", hs_file, "--engine", "dp", "--shape", "1x20000"]) == 3
+    assert capsys.readouterr().err == "budget: profile DP count 2^20000 is too long to print\n"

@@ -2,17 +2,32 @@
 built, relations stay key groups, and the cell cap bounds every stage that
 is built."""
 import json
+import random
 import tracemalloc
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sftkit.chain
 import sftkit.levels
-from sftkit import DEFAULT_CAPS, BudgetError, DChainState, analyze, make_spec
+from sftkit import (
+    DEFAULT_CAPS,
+    BudgetError,
+    DChainState,
+    analyze,
+    enumerate_allowed_cubes,
+    level0_matrices,
+    make_spec,
+    normalize_to_cubes,
+    step_literal,
+)
 from sftkit.chain import check_next_stage
 from sftkit.cli import main
 from sftkit.relation import Relation
+
+from conftest import random_square_spec
 
 HS = {"dimension": 2, "symbols": ["0", "1"], "forbidden": [[["1", "1"]], [["1"], ["1"]]]}
 FULL = {"dimension": 2, "symbols": ["0", "1"], "forbidden": []}
@@ -36,6 +51,38 @@ def test_matrix_count_stays_small_in_memory(tmp_path, capsys):
         tracemalloc.stop()
     assert capsys.readouterr().out.strip() == "1095851"
     assert peak < 8 * 2**20
+
+
+def test_literal_analyze_stays_small_in_memory(tmp_path, capsys):
+    # the level-1 vertical matrix has 1,095,851 ones; kept as key groups
+    # over column-wise positions, they are counted without being listed
+    path = _file(tmp_path, HS, "hs.json")
+    tracemalloc.start()
+    try:
+        code = main(["analyze", path, "--mode", "literal", "--levels", "2", "--format", "csv"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().out.splitlines() == [
+        "level,stage,block_count,relation_count,verdict",
+        "0,vert,7,41,inconclusive",
+        "0,horiz,49,1234,inconclusive",
+        "1,vert,2401,1095851,inconclusive",
+    ]
+    assert peak < 8 * 2**20
+
+
+@given(st.integers(0, 2**32), st.integers(6, 12))
+@settings(max_examples=25, deadline=None)
+def test_literal_vertical_count_is_its_listed_ones(seed, patterns):
+    # at most 10 allowed cubes: the listed ones stay in the millions at most
+    spec = random_square_spec(random.Random(seed), patterns, patterns)
+    caps = DEFAULT_CAPS.but(max_index=10**6, max_work=10**8)
+    cubes = normalize_to_cubes(spec, caps=caps)
+    lvl = level0_matrices(enumerate_allowed_cubes(spec, cubes, caps), cubes, caps)
+    vert = step_literal(lvl, caps, compute_h=False).vert
+    assert vert.ones_count() == len(frozenset(vert.ones))
 
 
 def _stepped_stages(monkeypatch):

@@ -1,15 +1,22 @@
 import random
+import time
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import sftkit.oracle as oracle_mod
 from sftkit import (
     BudgetError,
     DEFAULT_CAPS,
+    Pattern,
     SpecError,
     brute_force_allowed,
+    make_spec,
     profile_count,
 )
+from sftkit.cli import main
 
 from conftest import naive_count, random_square_spec
 
@@ -132,3 +139,57 @@ def test_threads_clamped_to_cpu_count(monkeypatch, hard_squares):
     monkeypatch.setattr(oracle_mod.os, "cpu_count", lambda: None)
     assert brute_force_allowed(hard_squares, (4, 4), caps=DEFAULT_CAPS.but(threads=8)).count == 1234
     assert sizes == [2]  # an unknown core count runs in-process
+
+
+# a side-1 spec: every cell avoids the symbol 1
+NO_ONES = make_spec(2, ["0", "1"], [Pattern.from_cells([((0, 0), 1)])])
+
+
+@st.composite
+def _spec_and_shape(draw):
+    # up to four patterns in a side x side box, each cell a symbol or the
+    # fill marker (None); the shape has at most 2^16 candidates
+    k = draw(st.sampled_from([2, 3]))
+    side = draw(st.integers(1, 3))
+    cell = st.one_of(st.none(), st.integers(0, k - 1))
+    patterns = []
+    for _ in range(draw(st.integers(1, 4))):
+        box = draw(st.lists(cell, min_size=side * side, max_size=side * side))
+        cells = [((i // side, i % side), a) for i, a in enumerate(box) if a is not None]
+        if cells:
+            patterns.append(Pattern.from_cells(cells))
+    spec = make_spec(2, [str(a) for a in range(k)], patterns)
+    most = 16 if k == 2 else 10
+    r = draw(st.integers(1, most))
+    s = draw(st.integers(1, most // r))
+    return spec, (r, s)
+
+
+@given(_spec_and_shape())
+@example((NO_ONES, (2, 3)))
+@settings(max_examples=40, deadline=None)
+def test_profile_sweep_matches_brute_force(case):
+    spec, shape = case
+    assert profile_count(spec, shape) == brute_force_allowed(spec, shape).count
+
+
+def test_side_one_sweep_builds_no_row_list():
+    # one profile state, but a row-at-a-time sweep would list all 2^18 rows
+    # of width 18 (about 50 MB); the cell sweep holds only the empty state
+    tracemalloc.start()
+    try:
+        count = profile_count(NO_ONES, (2, 18), caps=DEFAULT_CAPS.but(profile_states=10))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 1
+    assert peak < 2**20
+
+
+def test_profile_reaches_hard_squares_16x16(tmp_path, capsys):
+    path = tmp_path / "hs.json"
+    path.write_text('{"dimension": 2, "symbols": ["0", "1"], "forbidden": [[["1", "1"]], [["1"], ["1"]]]}')
+    start = time.perf_counter()
+    assert main(["count", str(path), "--engine", "dp", "--shape", "16x16"]) == 0
+    assert time.perf_counter() - start < 30
+    assert capsys.readouterr().out.strip() == "18396766424410124752958806046933947217821482942"
