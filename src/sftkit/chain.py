@@ -29,9 +29,9 @@ from dataclasses import dataclass, replace
 from typing import AbstractSet, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
-from .core import Block, CubeSet, prod
+from .core import Block, Blocks, Coord, CubeSet, block_datas, data_type, prod
 from .errors import BudgetError
-from .relation import Relation, join, pair_relation
+from .relation import Relation, join_pairs, pair_relation
 
 
 @dataclass(frozen=True)
@@ -39,17 +39,25 @@ class DChainState:
     """One stage of the chain.
 
     `level` (n) and `stage` (i) follow the shape law above, with the base
-    encoded as (0, d): cubes of side l, nothing doubled yet. `relation`
-    holds the admitted pairs along the next axis once computed; its size is
-    the next stage's block count, and it is what the next step
-    materializes.
+    encoded as (0, d): cubes of side l, nothing doubled yet. `blocks` is
+    sorted by data; the walk holds it as a `core.Blocks` view, so a `Block`
+    is only built where one is read. `relation` holds the admitted pairs
+    along the next axis once computed; its size is the next stage's block
+    count, and it is what the next step materializes.
     """
 
     dimension: int
     level: int
     stage: int
-    blocks: tuple[Block, ...]
+    blocks: Sequence[Block]
     relation: AbstractSet[tuple[int, int]] | None
+
+    @property
+    def shape(self) -> Coord | None:
+        """The blocks' shape (None for an empty stage given as a tuple)."""
+        if isinstance(self.blocks, Blocks):
+            return self.blocks.shape
+        return self.blocks[0].shape if self.blocks else None
 
     def next_axis(self) -> int:
         return 0 if self.stage == self.dimension else self.stage
@@ -61,8 +69,11 @@ class DChainState:
 
 
 def chain_start(allowed_cubes: Sequence[Block], cubes: CubeSet) -> DChainState:
-    blocks = tuple(sorted(allowed_cubes, key=lambda b: b.data))
-    d = cubes.dimension if cubes.dimension else (blocks[0].dimension if blocks else 1)
+    """The base stage. Its data type, `bytes` unless the alphabet has more
+    than 256 symbols, is kept by every stage the walk joins from it."""
+    d = cubes.dimension if cubes.dimension else (allowed_cubes[0].dimension if allowed_cubes else 1)
+    kind = data_type(cubes.alphabet_size)
+    blocks = Blocks((cubes.side,) * d, sorted(kind(b.data) for b in allowed_cubes))
     return DChainState(d, 0, d, blocks, None)
 
 
@@ -82,8 +93,7 @@ def chain_relation(state: DChainState, cubes: CubeSet, caps: Caps = DEFAULT_CAPS
     _check_pairs(len(state.blocks), caps)
     if not state.blocks:
         return replace(state, relation=Relation())
-    datas = [b.data for b in state.blocks]
-    rel = pair_relation(datas, state.blocks[0].shape, state.next_axis(), cubes)
+    rel = pair_relation(block_datas(state.blocks), state.shape, state.next_axis(), cubes)
     return replace(state, relation=rel)
 
 
@@ -97,7 +107,7 @@ def check_next_stage(state: DChainState, caps: Caps = DEFAULT_CAPS) -> None:
             required=n,
             partial=n,
         )
-    cells = 2 * n * prod(state.blocks[0].shape) if state.blocks else 0
+    cells = 2 * n * prod(state.shape) if state.blocks else 0
     if cells > caps.max_cells:
         raise BudgetError(
             f"next stage needs {cells} cells (cap {caps.max_cells})",
@@ -115,14 +125,11 @@ def d_chain_step(state: DChainState, cubes: CubeSet, caps: Caps = DEFAULT_CAPS) 
     check_next_stage(state, caps)
     axis = state.next_axis()
     level, stage = state.next_stage()
-    new_blocks: tuple[Block, ...] = ()
-    if state.blocks:
-        shape = state.blocks[0].shape
-        new_shape = shape[:axis] + (2 * shape[axis],) + shape[axis + 1 :]
-        datas = [b.data for b in state.blocks]
-        out = sorted(join(datas[i], datas[j], shape, axis) for i, j in state.relation)
-        new_blocks = tuple(Block(new_shape, d) for d in out)
-    return DChainState(state.dimension, level, stage, new_blocks, None)
+    shape = state.shape
+    new_shape = None if shape is None else shape[:axis] + (2 * shape[axis],) + shape[axis + 1 :]
+    out = join_pairs(block_datas(state.blocks), state.relation, shape, axis)
+    out.sort()
+    return DChainState(state.dimension, level, stage, Blocks(new_shape, out), None)
 
 
 def chain_report(

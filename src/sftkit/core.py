@@ -5,17 +5,19 @@ Conventions used everywhere:
 * symbols are interned as integers 0..k_A-1 in declared alphabet order;
 * block data is a flat row-major tuple (axis 0 varies slowest, the last
   axis fastest); for d=2 axis 0 is the row (top to bottom) and axis 1 the
-  column (left to right);
+  column (left to right); the stages of a walk hold the same data as
+  `bytes` (see `data_type` and `Blocks`);
 * patterns are translation-anchored: the minimum coordinate in every axis
   is zero, which makes equality and hashing canonical.
 """
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import itemgetter
-from typing import Iterable, Iterator, Sequence
 
 from .errors import ShapeError, SpecError, WindowRangeError
 
@@ -120,6 +122,58 @@ class Block:
 
     def cell(self, coord: Coord) -> int:
         return self.data[flat_index(coord, self.shape)]
+
+
+def data_type(alphabet_size: int) -> type:
+    """How a walk holds block data: `bytes`, one byte a cell, for alphabets
+    of up to 256 symbols, else tuples. Both slice, concatenate, compare and
+    read through `itemgetter` like tuples of the same symbols, so the
+    kernel runs unchanged on either."""
+    return bytes if alphabet_size <= 256 else tuple
+
+
+class Blocks(Sequence[Block]):
+    """Equal-shape blocks held as their flat data (`bytes` or tuples, see
+    `data_type`) with the shape stored once. A `Block`, with tuple data, is
+    built only when an item is read; slices stay views. It compares equal
+    to any sequence of the same blocks."""
+
+    __slots__ = ("shape", "datas")
+
+    def __init__(self, shape: Coord, datas: Iterable[Sequence[int]]):
+        self.shape = shape
+        self.datas = tuple(datas)
+
+    def __len__(self) -> int:
+        return len(self.datas)
+
+    def __getitem__(self, x):
+        if isinstance(x, slice):
+            return Blocks(self.shape, self.datas[x])
+        return Block(self.shape, tuple(self.datas[x]))
+
+    def __iter__(self) -> Iterator[Block]:
+        shape = self.shape
+        return (Block(shape, tuple(d)) for d in self.datas)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        if isinstance(other, Blocks) and self.shape == other.shape and self.datas == other.datas:
+            return True
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Blocks({self.shape}, {len(self.datas)} blocks)"
+
+
+def block_datas(blocks: Sequence[Block]) -> Sequence[Sequence[int]]:
+    """The flat data of `blocks`, read off a `Blocks` view without building
+    a `Block`."""
+    return blocks.datas if isinstance(blocks, Blocks) else [b.data for b in blocks]
 
 
 @lru_cache(maxsize=None)

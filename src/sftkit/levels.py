@@ -48,28 +48,33 @@ from .normalize import (
     enumerate_allowed_cubes,
     normalize_to_cubes,
 )
-from .relation import join
+from .relation import join, join_pairs
 
 
 @dataclass(frozen=True)
 class LevelState:
     """Allowed squares of one level and their compatibility relations.
 
-    Relations are stored positionally against the sorted `squares` tuple:
-    `vrel` holds (upper, lower) index pairs (a `relation.Relation` when the
-    kernel built it, a frozenset when loaded); `hrel` holds (a, b, c, d)
-    meaning stack a-over-b is horizontally compatible with stack c-over-d.
-    Either may be None when a level was built only far enough to count its
-    squares. `cubes` is the forbidden set the relations are decided
-    against; it is not part of a state's value.
+    `squares` is sorted by data; the kernel hands it out as a `core.Blocks`
+    view, which builds a `Block` only when one is read. Relations are
+    stored positionally against it: `vrel` holds (upper, lower) index pairs
+    (a `relation.Relation` when the kernel built it, a frozenset when
+    loaded); `hrel` holds (a, b, c, d) meaning stack a-over-b is
+    horizontally compatible with stack c-over-d. Either may be None when a
+    level was built only far enough to count its squares. `cubes` is the
+    forbidden set the relations are decided against, and `stacks` the
+    chain stage (n+1, 1) that hrel was read from, kept so that stepping
+    does not build it again (leave it None when setting hrel by hand);
+    neither is part of a state's value.
     """
 
     level: int
     side: int
-    squares: tuple[Block, ...]
+    squares: Sequence[Block]
     vrel: AbstractSet[tuple[int, int]] | None
     hrel: frozenset[tuple[int, int, int, int]] | None
     cubes: CubeSet | None = field(default=None, compare=False, repr=False)
+    stacks: DChainState | None = field(default=None, compare=False, repr=False)
 
 
 def _square_stage(state: LevelState) -> DChainState:
@@ -77,13 +82,15 @@ def _square_stage(state: LevelState) -> DChainState:
 
 
 def _hrel(vrel, stack_relation) -> frozenset[tuple[int, int, int, int]]:
-    pairs = sorted(vrel)
-    return frozenset(pairs[x] + pairs[y] for x, y in stack_relation)
+    # stack x is the x-th sorted vrel pair, and (x, y) reads as the two
+    # pairs end to end: a join along axis 0 of (top, bottom) index tuples
+    return frozenset(join_pairs(sorted(vrel), stack_relation, (2,), 0))
 
 
 def level0_state(allowed_cubes: Sequence[Block], cubes: CubeSet, caps: Caps = DEFAULT_CAPS) -> LevelState:
     """Base level: allowed cubes with seam-slab join relations."""
-    return with_relations(LevelState(0, cubes.side, tuple(allowed_cubes), None, None, cubes), caps)
+    squares = chain_start(allowed_cubes, cubes).blocks
+    return with_relations(LevelState(0, cubes.side, squares, None, None, cubes), caps)
 
 
 def with_relations(
@@ -102,7 +109,8 @@ def with_relations(
         return state
     stages = chain_report(squares, state.cubes, (state.level + 1, 2), caps, build_target=False)
     # an empty level ends the walk on its own (empty) relation
-    return replace(state, hrel=_hrel(state.vrel, stages[-1].relation))
+    stacks = stages[-1] if len(stages) > 1 else None
+    return replace(state, hrel=_hrel(state.vrel, stages[-1].relation), stacks=stacks)
 
 
 def reduced_step(state: LevelState, caps: Caps = DEFAULT_CAPS) -> LevelState:
@@ -110,9 +118,13 @@ def reduced_step(state: LevelState, caps: Caps = DEFAULT_CAPS) -> LevelState:
     stacks with the horizontal relation as their relation. The result
     carries no relations yet (they are only needed to step again)."""
     state = with_relations(state, caps)
-    stacks = d_chain_step(_square_stage(state), state.cubes, caps)
-    at = {pair: x for x, pair in enumerate(sorted(state.vrel))}
-    stacks = replace(stacks, relation=frozenset((at[h[:2]], at[h[2:]]) for h in state.hrel))
+    stacks = state.stacks
+    if stacks is None:
+        # relations given with the state: the x-th stack is the x-th sorted
+        # vrel pair
+        stacks = d_chain_step(_square_stage(state), state.cubes, caps)
+        at = {pair: x for x, pair in enumerate(sorted(state.vrel))}
+        stacks = replace(stacks, relation=frozenset((at[h[:2]], at[h[2:]]) for h in state.hrel))
     nxt = d_chain_step(stacks, state.cubes, caps)
     return LevelState(nxt.level, 2 * state.side, nxt.blocks, None, None, state.cubes)
 
@@ -220,7 +232,7 @@ def level_states(stages: Sequence[DChainState], cubes: CubeSet) -> tuple[LevelSt
         if st.stage == 2:
             levels.append(LevelState(st.level, cubes.side << st.level, st.blocks, st.relation, None, cubes))
         elif st.relation is not None:
-            levels[-1] = replace(levels[-1], hrel=_hrel(levels[-1].vrel, st.relation))
+            levels[-1] = replace(levels[-1], hrel=_hrel(levels[-1].vrel, st.relation), stacks=st)
     return tuple(levels)
 
 

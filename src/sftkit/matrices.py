@@ -37,7 +37,7 @@ pass stops after its vertical matrix, on its index past `max_index` or
 from __future__ import annotations
 
 from collections.abc import Sequence, Set
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .caps import DEFAULT_CAPS, Caps
 from .core import Block, CubeSet, concat, permute_axes
@@ -231,7 +231,9 @@ class LiteralLevel:
     `letters` are the level squares in arrangement-row-wise order; `pair_ones`
     mirrors the horizontal matrix as ((a,b),(c,d)) letter-position pairs.
     `horiz` is None (and `pair_ones` empty) when the step stopped at the
-    vertical matrix.
+    vertical matrix; such a level made by `step_literal` keeps in `vjoin`
+    its squares as 2x2 blocks of the previous level's letters and their
+    vertical key groups, which `step_horizontal` goes on from.
     """
 
     level: int
@@ -240,6 +242,7 @@ class LiteralLevel:
     vert: CompatMatrix
     horiz: CompatMatrix | None
     pair_ones: frozenset[tuple[tuple[int, int], tuple[int, int]]]
+    vjoin: tuple[list, Relation] | None = field(default=None, compare=False, repr=False)
 
     def zero(self) -> bool:
         return self.vert.is_zero() or (self.horiz is not None and self.horiz.is_zero())
@@ -318,7 +321,7 @@ def _with_horizontal(part: LiteralLevel, stacks: Sequence[tuple[int, int]], hpai
     rects = Pairs(part.letters)
     tag = OrderTag.rowwise(2)
     horiz = CompatMatrix(rects, rects, tag, tag, hones)
-    return replace(part, horiz=horiz, pair_ones=pair_ones)
+    return replace(part, horiz=horiz, pair_ones=pair_ones, vjoin=None)
 
 
 def _letter_squares(lvl: LiteralLevel):
@@ -355,7 +358,7 @@ def step_literal(
     letters = Pairs(Pairs(lvl.letters, 1), 0)
     index, ctag = Pairs(Pairs(lvl.letters, 0), 1), OrderTag.colwise()
     vert = CompatMatrix(index, index, ctag, ctag, vones)
-    part = LiteralLevel(lvl.level + 1, 2 * lvl.side, letters, vert, None, frozenset())
+    part = LiteralLevel(lvl.level + 1, 2 * lvl.side, letters, vert, None, frozenset(), (squares, vrel))
     return step_horizontal(lvl, part, caps) if compute_h else part
 
 
@@ -366,7 +369,7 @@ def step_horizontal(lvl: LiteralLevel, part: LiteralLevel, caps: Caps = DEFAULT_
     column) is a vertical one. The stops come first and carry `part`."""
     _check_horizontal(part, caps)
     k = len(lvl.letters)
-    squares, vrel = _letter_squares(lvl)
+    squares, vrel = part.vjoin or _letter_squares(lvl)
     pairs = list(vrel)
     rowwise = [_rowwise_pos(k, q) for q in squares]
     hrel = middle_join([squares[a] + squares[b] for a, b in pairs], (4, 2), 1)

@@ -3,7 +3,9 @@
 Each level of the doubling construction is built from the one below by one
 operation: join two blocks of a complete allowed set along one axis, and
 keep the pair if the joined block is allowed. `join` glues two flat
-row-major data tuples; `pair_relation` decides which pairs to keep.
+row-major data, `bytes` or tuples, into data of the same type (`join_pairs`
+glues every pair a relation keeps); `pair_relation` decides which pairs to
+keep.
 
 When the pairing extent is at least 2l, a forbidden cube spans at most half
 of it, so every cube window of a joined block lies inside the low block,
@@ -30,15 +32,18 @@ the group sizes.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import defaultdict
-from collections.abc import Iterable, Iterator, Set
+from collections.abc import Callable, Iterable, Iterator, Set
 from functools import lru_cache
 from operator import itemgetter
 from typing import Sequence
 
 from .core import Coord, CubeSet, allowed_data, prod
 
-Data = tuple[int, ...]
+# flat row-major block data: `bytes` in a walk (see `core.data_type`),
+# tuples past 256 symbols and for the literal step's letter positions
+Data = Sequence[int]
 
 
 class Relation(Set):
@@ -94,71 +99,113 @@ class Relation(Set):
         return frozenset(it)
 
 
-# blocks of up to this many cells are joined by one cached gather; its index
-# holds two ints a cell, so wider blocks are joined chunk by chunk instead
+# blocks of up to this many cells are joined and split by cached gathers;
+# their indices hold an int a cell, so wider blocks go chunk by chunk instead
 _GATHER_CELLS = 1 << 12
 
 
 @lru_cache(maxsize=None)
-def _gather(shape: Coord, axis: int) -> itemgetter:
-    # positions in p + q of the joined block's cells, in row-major order
+def _glue(shape: Coord, axis: int, kind: type) -> Callable[[Data, Data], Data]:
+    # the join of two data of type `kind` and shape `shape` along `axis`
+    if axis == 0:
+        return operator.add
     n, chunk = prod(shape), prod(shape[axis:])
-    return itemgetter(
+    if n > _GATHER_CELLS:
+        starts = range(0, n, chunk)
+        return lambda p, q: kind(
+            itertools.chain.from_iterable(p[i : i + chunk] + q[i : i + chunk] for i in starts)
+        )
+    # positions in p + q of the joined block's cells, in row-major order
+    gather = itemgetter(
         *(
             k
             for i in range(0, n, chunk)
             for k in itertools.chain(range(i, i + chunk), range(n + i, n + i + chunk))
         )
     )
+    return lambda p, q: kind(gather(p + q))
 
 
 def join(p: Data, q: Data, shape: Coord, axis: int) -> Data:
-    """Join two equal-shape flat row-major data tuples along `axis`, `p` on
-    the low side: `p + q` for axis 0, else a gather over `p + q` cached per
-    (shape, axis), or for wide blocks one slice pair per chunk."""
-    if axis == 0:
-        return p + q
-    if len(p) <= _GATHER_CELLS:
-        return _gather(shape, axis)(p + q)
-    chunk = prod(shape[axis:])
-    return tuple(
-        itertools.chain.from_iterable(
-            p[i : i + chunk] + q[i : i + chunk] for i in range(0, len(p), chunk)
-        )
+    """Join two equal-shape flat row-major data (`bytes` or tuples) along
+    `axis`, `p` on the low side, into data of the same type: `p + q` for
+    axis 0, else a gather over `p + q` cached per (shape, axis), or for
+    wide blocks one slice pair per chunk."""
+    return _glue(shape, axis, type(p))(p, q)
+
+
+def join_pairs(
+    datas: Sequence[Data], pairs: Iterable[tuple[int, int]], shape: Coord, axis: int
+) -> list[Data]:
+    """`join` of `datas[i]` and `datas[j]` for every pair (i, j), walking a
+    `Relation` group by group."""
+    if not datas:
+        return []
+    glue = _glue(shape, axis, type(datas[0]))
+    groups = pairs.groups if isinstance(pairs, Relation) else [((i,), (j,)) for i, j in pairs]
+    out: list[Data] = []
+    for lows, highs in groups:
+        his = [datas[j] for j in highs]
+        for i in lows:
+            p = datas[i]
+            out += [glue(p, q) for q in his]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _halves(shape: Coord, axis: int, cut: int) -> tuple[itemgetter, itemgetter]:
+    # the cells below and at-or-above `cut` along `axis`, for 0 < cut < extent
+    # and some axis before `axis` longer than 1, so each getter reads two or
+    # more cells and returns a tuple
+    n, chunk = prod(shape), prod(shape[axis:])
+    at = cut * chunk // shape[axis]
+    starts = range(0, n, chunk)
+    return (
+        itemgetter(*(k for i in starts for k in range(i, i + at))),
+        itemgetter(*(k for i in starts for k in range(i + at, i + chunk))),
     )
 
 
 def _split(data: Data, shape: Coord, axis: int, cut: int) -> tuple[Data, Data]:
-    # the cells below and at-or-above `cut` along `axis`
+    # the cells below and at-or-above `cut` along `axis`, as data of the same
+    # type: two slices when every axis before `axis` has length 1
     chunk = prod(shape[axis:])
     at = cut * chunk // shape[axis]
-    lo, hi = [], []
-    for i in range(0, len(data), chunk):
-        lo.extend(data[i : i + at])
-        hi.extend(data[i + at : i + chunk])
-    return tuple(lo), tuple(hi)
+    if chunk == len(data):
+        return data[:at], data[at:]
+    if len(data) <= _GATHER_CELLS:
+        lo, hi = _halves(shape, axis, cut)
+        return type(data)(lo(data)), type(data)(hi(data))
+    starts = range(0, len(data), chunk)
+    return (
+        type(data)(itertools.chain.from_iterable(data[i : i + at] for i in starts)),
+        type(data)(itertools.chain.from_iterable(data[i + at : i + chunk] for i in starts)),
+    )
 
 
 def _seam_relation(
     datas: Sequence[Data], shape: Coord, axis: int, cubes: CubeSet
 ) -> Relation:
     # the seam block is the low block's top t = l-1 slabs joined to the
-    # high block's bottom t slabs; for l = 1 no window crosses the seam
+    # high block's bottom t slabs
     t = cubes.side - 1
+    allowed = [i for i, data in enumerate(datas) if allowed_data(data, shape, cubes)]
+    if t == 0:
+        # for l = 1 no window crosses the seam
+        return Relation([(allowed, allowed)] if allowed else ())
     extent = shape[axis]
     by_hi: dict[Data, list[int]] = defaultdict(list)
     by_lo: dict[Data, list[int]] = defaultdict(list)
-    for i, data in enumerate(datas):
-        if allowed_data(data, shape, cubes):
-            by_lo[_split(data, shape, axis, t)[0]].append(i)
-            by_hi[_split(data, shape, axis, extent - t)[1]].append(i)
+    for i in allowed:
+        by_lo[_split(datas[i], shape, axis, t)[0]].append(i)
+        by_hi[_split(datas[i], shape, axis, extent - t)[1]].append(i)
     slab = shape[:axis] + (t,) + shape[axis + 1 :]
     seam = shape[:axis] + (2 * t,) + shape[axis + 1 :]
     return Relation(
         (lows, highs)
         for hi, lows in by_hi.items()
         for lo, highs in by_lo.items()
-        if t == 0 or allowed_data(join(hi, lo, slab, axis), seam, cubes)
+        if allowed_data(join(hi, lo, slab, axis), seam, cubes)
     )
 
 

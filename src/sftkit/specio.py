@@ -18,13 +18,27 @@ Unknown top-level fields are rejected.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .caps import DEFAULT_CAPS, Caps, check_power
 from .chain import chain_report, chain_start
-from .core import MAX_DIMENSION, Block, CubeSet, Pattern, SftSpec, allowed_data, make_spec
-from .errors import ArchiveError, BudgetError, FormatError, ShapeError, SpecError
+from .core import (
+    MAX_DIMENSION,
+    Block,
+    Blocks,
+    Coord,
+    CubeSet,
+    Pattern,
+    SftSpec,
+    allowed_data,
+    block_datas,
+    data_type,
+    make_spec,
+    prod,
+)
+from .errors import ArchiveError, BudgetError, FormatError, SpecError
 from .levels import AnalysisResult, LevelReport, LevelRow, LevelState, level_states, report_rows, verdict_of
 from .normalize import MODE_ALL, forbidden_side, iter_cubes, normalize_to_cubes
 
@@ -184,33 +198,65 @@ def render_block(b: Block, alphabet: Sequence[str]) -> str:
 # state archives
 
 
-def _block_to_str(b: Block, alphabet: Sequence[str], sep: str) -> str:
-    return sep.join(map(alphabet.__getitem__, b.data))
+def _block_writer(alphabet: Sequence[str], sep: str) -> Callable[[Sequence[int]], str]:
+    # a block's data as archive text: its symbol codes as one string, and
+    # one str.translate of that into the symbols, each followed by `sep`
+    # (the last one cut off)
+    table = {i: s + sep for i, s in enumerate(alphabet)}
+    cut = -len(sep) or None
+
+    def text(data: Sequence[int]) -> str:
+        codes = data.decode("latin-1") if isinstance(data, bytes) else "".join(map(chr, data))
+        return codes.translate(table)[:cut]
+
+    return text
 
 
-def _block_from_str(text: str, shape, alphabet_index: dict[str, int], sep: str) -> Block:
-    if not isinstance(text, str):
-        raise ArchiveError(f"archive block {text!r} is not a string")
-    parts = text if sep == "" else text.split(sep)
-    try:
-        return Block(tuple(shape), tuple(map(alphabet_index.__getitem__, parts)))
-    except KeyError as e:
-        raise ArchiveError(f"archive block uses unknown symbol {e.args[0]!r}") from None
-    except ShapeError as e:
-        raise ArchiveError(f"archive block {text!r}: {e}") from None
+def _read_blocks(texts: list, shape: Coord, alphabet: Sequence[str], sep: str) -> Blocks:
+    """Archive texts of blocks of `shape` as a `Blocks` view holding the
+    walk's data type (`core.data_type`). The texts are read as one string
+    of symbol codes, by one str.translate when there is no separator, and
+    one `max` over it finds any unknown symbol."""
+    n, k = prod(shape), len(alphabet)
+    for text in texts:
+        if type(text) is not str:
+            raise ArchiveError(f"archive block {text!r} is not a string")
+    if sep:
+        cells = [text.split(sep) for text in texts]
+        code = {s: chr(i) for i, s in enumerate(alphabet)}
+        codes = "".join(code.get(s, chr(k)) for cell in cells for s in cell)
+    else:
+        cells = texts
+        # a character below code k that is no symbol reads as code k
+        table = {c: k for c in range(k)} | {ord(s): i for i, s in enumerate(alphabet) if len(s) == 1}
+        codes = "".join(texts).translate(table)
+    if codes and ord(max(codes)) >= k:
+        known = set(alphabet)
+        sym = next(s for cell in cells for s in cell if s not in known)
+        raise ArchiveError(f"archive block uses unknown symbol {sym!r}")
+    if set(map(len, cells)) - {n}:
+        text, cell = next((t, c) for t, c in zip(texts, cells) if len(c) != n)
+        raise ArchiveError(f"archive block {text!r}: data length {len(cell)} does not match shape {shape}")
+    kind = data_type(k)
+    data = codes.encode("latin-1") if kind is bytes else kind(map(ord, codes))
+    return Blocks(shape, [data[i : i + n] for i in range(0, len(data), n)])
 
 
-def _payload_checksum(payload: dict) -> str:
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+def _canonical(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _checksum(canon: str) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def archive_dict(result: AnalysisResult) -> dict:
-    """Serializable archive of a reduced analysis run."""
+def _archive_payload(result: AnalysisResult) -> dict:
+    """Serializable archive of a reduced analysis run, without its checksum."""
     spec = result.spec
     sep = "" if all(len(s) == 1 for s in spec.alphabet) else ","
+    text = _block_writer(spec.alphabet, sep)
     rep = result.report
-    payload = {
+    return {
         "format": ARCHIVE_FORMAT,
         "version": ARCHIVE_VERSION,
         "spec": serialize_spec(spec),
@@ -221,12 +267,12 @@ def archive_dict(result: AnalysisResult) -> dict:
             "mode": result.cubes.mode,
             "allowed_count": rep.allowed_count,
         },
-        "index": [_block_to_str(b, spec.alphabet, sep) for b in result.index],
+        "index": list(map(text, block_datas(result.index))),
         "levels": [
             {
                 "level": st.level,
                 "side": st.side,
-                "squares": [_block_to_str(b, spec.alphabet, sep) for b in st.squares],
+                "squares": list(map(text, block_datas(st.squares))),
                 "vrel": sorted(map(list, st.vrel)) if st.vrel is not None else None,
                 "hrel": sorted(map(list, st.hrel)) if st.hrel is not None else None,
             }
@@ -238,15 +284,15 @@ def archive_dict(result: AnalysisResult) -> dict:
         "verdict": rep.verdict,
         "reason": rep.reason,
     }
-    payload["checksum"] = _payload_checksum({k: v for k, v in payload.items()})
-    return payload
 
 
 def save_state(result: AnalysisResult, path: str) -> None:
-    # json.dumps runs the C encoder; json.dump streams through the Python one
-    text = json.dumps(archive_dict(result), sort_keys=True, separators=(",", ":"))
+    # the checksum is that of the payload's canonical text, and it sorts
+    # first among the keys, so the file is that text with it put in front;
+    # json.dumps runs the C encoder, json.dump streams through the Python one
+    canon = _canonical(_archive_payload(result))
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+        fh.write(f'{{"checksum":"{_checksum(canon)}",{canon[1:]}\n')
 
 
 def load_state(path: str, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
@@ -291,11 +337,10 @@ def _is_int(val) -> bool:
 
 def _index_tuples(items: list, n: int, bound: int, where: str) -> frozenset:
     # JSON decodes to exact types, and `type(i) is int` leaves out booleans
-    if not all(type(t) is list and len(t) == n for t in items) or not all(
-        type(i) is int for t in items for i in t
-    ):
+    flat = list(itertools.chain.from_iterable(items)) if set(map(type, items)) <= {list} else None
+    if flat is None or set(map(len, items)) - {n} or set(map(type, flat)) - {int}:
         raise ArchiveError(f"archive field {where} must hold lists of {n} integers")
-    if items and (min(map(min, items)) < 0 or max(map(max, items)) >= bound):
+    if flat and (min(flat) < 0 or max(flat) >= bound):
         raise ArchiveError(f"archive field {where} indexes past the level's {bound} squares")
     return frozenset(map(tuple, items))
 
@@ -324,12 +369,11 @@ def _restore(payload: dict, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
         )
     claimed = payload.get("checksum")
     body = {k: v for k, v in payload.items() if k != "checksum"}
-    if claimed != _payload_checksum(body):
+    if claimed != _checksum(_canonical(body)):
         raise ArchiveError("integrity check failed: archive was modified")
     # the checksum can be recomputed by anyone: every field is checked too
     spec = parse_spec(_field(payload, "spec", dict))
     sep = _field(payload, "separator", str)
-    idx = {s: i for i, s in enumerate(spec.alphabet)}
     norm = _field(payload, "normalization", dict)
     side, width = _field(norm, "side", int, "normalization."), forbidden_side(spec)
     if side != width:
@@ -346,7 +390,7 @@ def _restore(payload: dict, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
             f"rebuilding the archive's cubes needs more than {caps.max_cubes} candidates (max_cubes)"
         ) from None
     cube_shape = (side,) * spec.dimension
-    index = tuple(_block_from_str(s, cube_shape, idx, sep) for s in _field(payload, "index", list))
+    index = tuple(_read_blocks(_field(payload, "index", list), cube_shape, spec.alphabet, sep))
     # the forbidden cube set is reconstructible as the complement of the index
     index_data = {b.data for b in index}
     cubes = CubeSet(
@@ -370,11 +414,7 @@ def _restore(payload: dict, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
         if lside != side << i:
             raise ArchiveError(f"archive field {where}side is not {side << i}")
         shape = (lside,) * spec.dimension
-        squares = tuple(_block_from_str(s, shape, idx, sep) for s in _field(lv, "squares", list, where))
-        # anyone can re-sign a forged square, so every square is rescanned
-        for s in squares:
-            if not allowed_data(s.data, shape, cubes):
-                raise ArchiveError(f"archive field {where}squares holds a forbidden square")
+        squares = _read_blocks(_field(lv, "squares", list, where), shape, spec.alphabet, sep)
         vrel = _field(lv, "vrel", list, where, nullable=True)
         hrel = _field(lv, "hrel", list, where, nullable=True)
         if vrel is not None:
@@ -397,6 +437,13 @@ def _restore(payload: dict, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
     # the relations and every level past the first are rebuilt by the kernel
     stages = _derived_stages(levels, index, cubes, caps)
     derived = level_states(stages, cubes)
+    # the walk proves every square it makes allowed, so only an archived
+    # square it did not make is scanned, to name a forged forbidden one
+    for i, (a, b) in enumerate(zip(levels, derived)):
+        if a.squares != b.squares:
+            made = set(b.squares.datas)
+            if not all(allowed_data(d, a.squares.shape, cubes) for d in a.squares.datas if d not in made):
+                raise ArchiveError(f"archive field levels[{i}].squares holds a forbidden square")
     if len(derived) != len(levels) or any(
         (a.squares, a.vrel, a.hrel) != (b.squares, b.vrel, b.hrel) for a, b in zip(levels, derived)
     ):

@@ -273,3 +273,25 @@ def test_witness_in_one_and_three_dimensions(d1_no_adjacent_ones, d3_hard_cubes,
         res = witness_search(spec, level)
         assert res.block.shape == (2 << level,) * spec.dimension
         assert naive_allowed(res.block, spec.forbidden)
+
+
+def test_reduced_step_builds_the_stacks_once(hard_squares, monkeypatch):
+    # level0_state builds stage (1, 1) for its hrel; reduced_step steps on
+    # from it instead of building it again
+    import sftkit.chain
+    import sftkit.levels
+
+    made = []
+    original = sftkit.chain.d_chain_step
+
+    def counted(state, *a, **k):
+        out = original(state, *a, **k)
+        made.append((out.level, out.stage))
+        return out
+
+    monkeypatch.setattr(sftkit.chain, "d_chain_step", counted)
+    monkeypatch.setattr(sftkit.levels, "d_chain_step", counted)
+    index, cubes = _base(hard_squares)
+    nxt = reduced_step(level0_state(index, cubes))
+    assert made == [(1, 1), (1, 2)]
+    assert len(nxt.squares) == 1234

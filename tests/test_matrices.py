@@ -353,3 +353,22 @@ def test_compat_matrix_scans_every_index_but_pairs(hard_squares):
     rects = Pairs(parts)
     m = CompatMatrix(rects, rects, tag, tag, frozenset({(0, 1)}))
     assert m.shape == (10**8, 10**8) and m.ones_count() == 1
+
+
+def test_step_literal_joins_the_letter_squares_once(full_shift, monkeypatch):
+    # the horizontal pass goes on from the (2, 2) join of the vertical pass
+    import sftkit.matrices
+
+    shapes = []
+    original = sftkit.matrices.middle_join
+
+    def counted(datas, shape, axis):
+        shapes.append(shape)
+        return original(datas, shape, axis)
+
+    monkeypatch.setattr(sftkit.matrices, "middle_join", counted)
+    cubes = normalize_to_cubes(full_shift)
+    lvl = level0_matrices(enumerate_allowed_cubes(full_shift, cubes), cubes)
+    nxt = step_literal(lvl, DEFAULT_CAPS)
+    assert shapes == [(2, 2), (4, 2)]
+    assert nxt.horiz.ones_count() == 65536 and nxt.vjoin is None

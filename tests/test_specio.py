@@ -401,3 +401,39 @@ def test_deeply_nested_archive_is_an_archive_error(tmp_path, capsys):
         capsys.readouterr()
         assert main(["import-state", str(path)]) == 4
         assert capsys.readouterr().err.startswith("archive: ")
+
+
+def test_archive_scans_only_squares_the_walk_did_not_make(tmp_path, hard_squares, capsys, monkeypatch):
+    # the re-derivation proves its own squares allowed: a valid archive is
+    # not rescanned, and a forged square is scanned only to name it
+    import sftkit.specio
+    from sftkit.cli import main
+
+    scans = []
+    original = sftkit.specio.allowed_data
+
+    def counted(data, shape, cubes):
+        scans.append(shape)
+        return original(data, shape, cubes)
+
+    monkeypatch.setattr(sftkit.specio, "allowed_data", counted)
+    res = analyze(hard_squares, 1)
+    valid = tmp_path / "valid.json"
+    save_state(res, str(valid))
+    assert load_state(str(valid)) is not None and scans == []
+
+    def forbidden(p):
+        p["levels"][1]["squares"][0] = "1100000000000000"
+
+    assert main(["import-state", str(_resigned(tmp_path, res, forbidden))]) == 4
+    assert "archive field levels[1].squares holds a forbidden square" in capsys.readouterr().err
+    assert scans == [(4, 4)]
+
+    def allowed_in_place_of_another(p):
+        squares = p["levels"][1]["squares"]
+        squares[0] = squares[1]
+
+    scans.clear()
+    assert main(["import-state", str(_resigned(tmp_path, res, allowed_in_place_of_another))]) == 4
+    assert "the levels are not the ones the spec gives" in capsys.readouterr().err
+    assert scans == []
