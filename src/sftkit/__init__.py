@@ -10,7 +10,6 @@ from .core import (
     CubeSet,
     MAX_DIMENSION,
     Pattern,
-    ScanResult,
     SftSpec,
     assemble,
     block_allowed,
@@ -18,8 +17,6 @@ from .core import (
     make_spec,
     occurs_in,
     pattern_width,
-    scan_block,
-    transpose,
     window,
 )
 from .errors import (
@@ -53,7 +50,6 @@ from .matrices import (
     level0_matrices,
     literal_horiz_pairs,
     literal_vert_pairs,
-    order_key,
     otimes,
     step_horizontal,
     step_literal,

@@ -49,6 +49,14 @@ _SHOWN_BITS = 14_000
 PRINTED_MAX = 1 << _SHOWN_BITS
 
 
+def refuse(count: int, cap: int, message: str, partial=None) -> None:
+    """The one budget gate: stop when `count` exceeds `cap`, with `message`
+    formatted with `count` and `cap` as the BudgetError's text, `count` as
+    its `required` and `partial` as the part built before the stop."""
+    if count > cap:
+        raise BudgetError(message.format(count=count, cap=cap), required=count, partial=partial)
+
+
 def check_power(k: int, n: int, cap: int, message: str) -> None:
     """Refuse the k**n candidates of an enumeration when they exceed `cap`,
     deciding by bit length before a power larger than the cap is built.
@@ -58,10 +66,8 @@ def check_power(k: int, n: int, cap: int, message: str) -> None:
     limit = max(cap.bit_length(), _SHOWN_BITS) + 1
     if k < 2 or n <= limit / math.log2(k):
         count = k**n
-        if count <= cap:
-            return
-        if count.bit_length() <= _SHOWN_BITS:
-            raise BudgetError(message.format(count=count, cap=cap), required=count)
+        if count <= cap or count.bit_length() <= _SHOWN_BITS:
+            return refuse(count, cap, message)
     # past `limit` bits, so past the cap
     shown = n if n.bit_length() <= _SHOWN_BITS else f"(a {n.bit_length()}-bit number)"
     raise BudgetError(message.format(count=f"{k}^{shown}", cap=cap))

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import AbstractSet, Sequence
 
-from .caps import DEFAULT_CAPS, Caps
+from .caps import DEFAULT_CAPS, Caps, refuse
 from .core import Block, Blocks, Coord, CubeSet, block_datas, data_type, prod
 from .errors import BudgetError
 from .relation import Relation, join_pairs, pair_relation
@@ -79,11 +79,7 @@ def chain_start(allowed_cubes: Sequence[Block], cubes: CubeSet) -> DChainState:
 
 def _check_pairs(n: int, caps: Caps) -> None:
     # a relation over n blocks is refused by its n^2 candidate pairs
-    if n * n > caps.max_work:
-        raise BudgetError(
-            f"chain relation needs {n * n} pair checks (cap {caps.max_work})",
-            required=n * n,
-        )
+    refuse(n * n, caps.max_work, "chain relation needs {count} pair checks (cap {cap})")
 
 
 def chain_relation(state: DChainState, cubes: CubeSet, caps: Caps = DEFAULT_CAPS) -> DChainState:
@@ -101,19 +97,9 @@ def check_next_stage(state: DChainState, caps: Caps = DEFAULT_CAPS) -> None:
     """Refuse the stage that `state`'s relation would build, by its block
     count and by its cell count (blocks times cells per block)."""
     n = len(state.relation)
-    if n > caps.max_blocks:
-        raise BudgetError(
-            f"next stage would hold {n} blocks (cap {caps.max_blocks})",
-            required=n,
-            partial=n,
-        )
+    refuse(n, caps.max_blocks, "next stage would hold {count} blocks (cap {cap})", n)
     cells = 2 * n * prod(state.shape) if state.blocks else 0
-    if cells > caps.max_cells:
-        raise BudgetError(
-            f"next stage needs {cells} cells (cap {caps.max_cells})",
-            required=cells,
-            partial=n,
-        )
+    refuse(cells, caps.max_cells, "next stage needs {count} cells (cap {cap})", n)
 
 
 def d_chain_step(state: DChainState, cubes: CubeSet, caps: Caps = DEFAULT_CAPS) -> DChainState:

@@ -120,9 +120,6 @@ class Block:
     def dimension(self) -> int:
         return len(self.shape)
 
-    def cell(self, coord: Coord) -> int:
-        return self.data[flat_index(coord, self.shape)]
-
 
 def data_type(alphabet_size: int) -> type:
     """How a walk holds block data: `bytes`, one byte a cell, for alphabets
@@ -194,7 +191,8 @@ def window_data(
 
 
 def window(b: Block, offset: Coord, shape: Coord) -> Block:
-    """Pure sub-block extraction; fails if the window leaves the source."""
+    """Pure sub-block extraction; fails if the window leaves the source.
+    A reference oracle, kept apart from `relation.join`/`middle_join` on purpose."""
     if len(offset) != b.dimension or len(shape) != b.dimension:
         raise WindowRangeError("offset/shape dimension mismatch")
     for o, w, s in zip(offset, shape, b.shape):
@@ -218,7 +216,8 @@ def assemble(grid) -> Block:
     """Concatenate a rectangular grid of equal-shape blocks into one block.
 
     `grid` is nested sequences of depth d holding Blocks; windowing the
-    result at aligned offsets recovers each constituent.
+    result at aligned offsets recovers each constituent. A reference oracle,
+    kept apart from `relation.join`/`middle_join` on purpose.
     """
     gshape = _grid_shape(grid)
     cells: list[tuple[Coord, Block]] = []
@@ -258,22 +257,6 @@ def concat(a: Block, b: Block, axis: int) -> Block:
         raise ShapeError(f"mixed block shapes {a.shape} vs {b.shape}")
     shape = a.shape[:axis] + (2 * a.shape[axis],) + a.shape[axis + 1 :]
     return Block(shape, join(a.data, b.data, a.shape, axis))
-
-
-def permute_axes(b: Block, perm: Sequence[int]) -> Block:
-    """Reorder axes; `perm[i]` names the source axis placed at position i."""
-    new_shape = tuple(b.shape[p] for p in perm)
-    data = tuple(
-        b.data[flat_index(tuple(coord[perm.index(ax)] for ax in range(b.dimension)), b.shape)]
-        for coord in itertools.product(*[range(e) for e in new_shape])
-    )
-    return Block(new_shape, data)
-
-
-def transpose(b: Block) -> Block:
-    if b.dimension != 2:
-        raise ShapeError("transpose is defined for 2-dimensional blocks")
-    return permute_axes(b, (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +359,6 @@ def occurs_in(b: Block, p: Pattern) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class ScanResult:
-    allowed: bool
-    undersized: bool
-
-
 @lru_cache(maxsize=None)
 def _window_getters(src_shape: Coord, side: int) -> tuple[itemgetter, ...]:
     """One getter per l-window of `src_shape` (side >= 2), reading the
@@ -411,23 +388,14 @@ def allowed_data(data: Sequence[int], shape: Coord, cubes: CubeSet) -> bool:
     return True
 
 
-def scan_block(b: Block, cubes: CubeSet) -> ScanResult:
-    """block_allowed plus an undersized diagnostic.
-
-    Blocks with some axis shorter than the cube side contain no cube at all
-    and are reported allowed with `undersized` set.
-    """
+def block_allowed(b: Block, cubes: CubeSet) -> bool:
+    """True iff no l-window of the block equals a forbidden cube; a block
+    with an axis shorter than the cube side holds none and is allowed.
+    A reference oracle, kept apart from `relation.join`/`middle_join` on purpose."""
     if any(sym >= cubes.alphabet_size for sym in b.data):
         raise SpecError("block uses symbols outside the cube set's alphabet")
     if cubes.dimension and b.dimension != cubes.dimension:
         raise SpecError(
             f"block dimension {b.dimension} does not match cube dimension {cubes.dimension}"
         )
-    if any(s < cubes.side for s in b.shape):
-        return ScanResult(allowed=True, undersized=True)
-    return ScanResult(allowed_data(b.data, b.shape, cubes), undersized=False)
-
-
-def block_allowed(b: Block, cubes: CubeSet) -> bool:
-    """True iff no l-window of the block equals a forbidden cube."""
-    return scan_block(b, cubes).allowed
+    return any(s < cubes.side for s in b.shape) or allowed_data(b.data, b.shape, cubes)

@@ -132,8 +132,8 @@ def reduced_step(state: LevelState, caps: Caps = DEFAULT_CAPS) -> LevelState:
 def nine_window_admissible(q: Block, prev: LevelState) -> bool:
     """Direct form of the admission rule for a doubled square: all aligned
     half-step windows must be allowed squares of the previous level.
-    Equivalent to membership of (a,b,c,d) in the previous hrel; kept as an
-    independently checkable predicate."""
+    Equivalent to membership of (a,b,c,d) in the previous hrel. A reference
+    oracle, kept apart from `relation.join`/`middle_join` on purpose."""
     side = prev.side
     half = side // 2
     members = {b.data for b in prev.squares}

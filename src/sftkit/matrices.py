@@ -39,8 +39,8 @@ from __future__ import annotations
 from collections.abc import Sequence, Set
 from dataclasses import dataclass, field, replace
 
-from .caps import DEFAULT_CAPS, Caps
-from .core import Block, CubeSet, concat, permute_axes
+from .caps import DEFAULT_CAPS, Caps, refuse
+from .core import Block, CubeSet, concat
 from .errors import BudgetError, ShapeError
 from .relation import Relation, join, middle_join, pair_relation
 
@@ -65,21 +65,6 @@ class OrderTag:
         return OrderTag(0)
 
 
-def order_key(b: Block, tag: OrderTag) -> tuple[int, ...]:
-    """Read the block's symbols with `tag.fast_axis` varying fastest.
-
-    Sorting blocks by these keys realizes the row-wise / column-wise
-    dictionary orders on equal-shape blocks.
-    """
-    d = b.dimension
-    if not 0 <= tag.fast_axis < d:
-        raise ShapeError(f"order axis {tag.fast_axis} out of range for dimension {d}")
-    if tag.fast_axis == d - 1:
-        return b.data
-    perm = tuple(a for a in range(d) if a != tag.fast_axis) + (tag.fast_axis,)
-    return permute_axes(b, perm).data
-
-
 def otimes(p: Sequence[Sequence[int]], m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Row constructor: a KxK block against a K^2xK^2 matrix gives a K^4 row.
 
@@ -87,7 +72,8 @@ def otimes(p: Sequence[Sequence[int]], m: Sequence[Sequence[int]]) -> tuple[int,
     equals p[a][b] * m_block(a,b)[g][d], where m_block(a,b) is the KxK
     sub-matrix of m at block row a, block column b. Equivalently the n-th
     group of K^2 entries is p's n-th entry (read row-wise) broadcast over
-    the matching block of m.
+    the matching block of m. A reference oracle for `step_literal`'s rows,
+    kept apart from `relation.join`/`middle_join` on purpose.
     """
     k = len(p)
     if any(len(row) != k for row in p):
@@ -205,24 +191,6 @@ class CompatMatrix:
     def ones_count(self) -> int:
         return len(self.ones)
 
-    def reorder(self, row_order: OrderTag, col_order: OrderTag) -> "CompatMatrix":
-        """Re-sort both indices by the symbol-level reading orders.
-
-        Positions move, payloads do not; reordering there and back is the
-        identity on (index, ones).
-        """
-        rperm = sorted(range(len(self.row_blocks)), key=lambda i: order_key(self.row_blocks[i], row_order))
-        cperm = sorted(range(len(self.col_blocks)), key=lambda i: order_key(self.col_blocks[i], col_order))
-        rinv = {old: new for new, old in enumerate(rperm)}
-        cinv = {old: new for new, old in enumerate(cperm)}
-        return CompatMatrix(
-            tuple(self.row_blocks[i] for i in rperm),
-            tuple(self.col_blocks[i] for i in cperm),
-            row_order,
-            col_order,
-            frozenset((rinv[r], cinv[c]) for r, c in self.ones),
-        )
-
 
 @dataclass(frozen=True)
 class LiteralLevel:
@@ -260,11 +228,7 @@ def level0_matrices(
     """
     letters = tuple(index_blocks)
     k = len(letters)
-    if k * k > caps.max_index:
-        raise BudgetError(
-            f"horizontal index would have {k * k} entries (cap {caps.max_index})",
-            required=k * k,
-        )
+    refuse(k * k, caps.max_index, "horizontal index would have {count} entries (cap {cap})")
     side = cubes.side
     square = (side, side)
     datas = [b.data for b in letters]
@@ -291,26 +255,16 @@ def _colwise_pos(k: int, q: tuple[int, int, int, int]) -> int:
 
 def check_index(what: str, count: int, caps: Caps, partial=None) -> None:
     """Refuse a next-level index longer than `caps.max_index`."""
-    if count > caps.max_index:
-        raise BudgetError(
-            f"next {what} index would have {count} entries "
-            f"(cap {caps.max_index}); use the reduced pipeline",
-            required=count,
-            partial=partial,
-        )
+    message = f"next {what} index would have {{count}} entries (cap {{cap}}); use the reduced pipeline"
+    refuse(count, caps.max_index, message, partial)
 
 
 def _check_horizontal(part: LiteralLevel, caps: Caps) -> None:
     """Refuse the horizontal pass over `part`, a level built up to its
     vertical matrix, by its index length or its stack pairs."""
     check_index("horizontal", len(part.letters) ** 2, caps, part)
-    work = part.vert.ones_count() ** 2
-    if work > caps.max_work:
-        raise BudgetError(
-            f"horizontal step would examine {work} stack pairs (cap {caps.max_work})",
-            required=work,
-            partial=part,
-        )
+    message = "horizontal step would examine {count} stack pairs (cap {cap})"
+    refuse(part.vert.ones_count() ** 2, caps.max_work, message, part)
 
 
 def _with_horizontal(part: LiteralLevel, stacks: Sequence[tuple[int, int]], hpairs) -> LiteralLevel:

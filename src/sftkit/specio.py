@@ -345,6 +345,13 @@ def _index_tuples(items: list, n: int, bound: int, where: str) -> frozenset:
     return frozenset(map(tuple, items))
 
 
+def _check_hrel(lv: LevelState, where: str) -> None:
+    """Name an archived hrel entry that pairs stacks outside the level's vrel."""
+    vrel = lv.vrel
+    if lv.hrel is not None and any(h[:2] not in vrel or h[2:] not in vrel for h in lv.hrel):
+        raise ArchiveError(f"archive field {where}hrel pairs stacks that are not in vrel")
+
+
 def _derived_stages(levels: Sequence[LevelState], index, cubes: CubeSet, caps: Caps):
     """The stages the chain walk from `index` builds down to the archive's
     deepest relation: the stacks' relation (hrel) of the last level, its
@@ -421,7 +428,7 @@ def _restore(payload: dict, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
             vrel = _index_tuples(vrel, 2, len(squares), where + "vrel")
         if hrel is not None:
             hrel = _index_tuples(hrel, 4, len(squares), where + "hrel")
-            if vrel is None or any(h[:2] not in vrel or h[2:] not in vrel for h in hrel):
+            if vrel is None:
                 raise ArchiveError(f"archive field {where}hrel pairs stacks that are not in vrel")
         levels.append(LevelState(i, lside, squares, vrel, hrel, cubes))
     rows = []
@@ -438,12 +445,15 @@ def _restore(payload: dict, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
     stages = _derived_stages(levels, index, cubes, caps)
     derived = level_states(stages, cubes)
     # the walk proves every square it makes allowed, so only an archived
-    # square it did not make is scanned, to name a forged forbidden one
+    # square it did not make is scanned, to name a forged forbidden one;
+    # likewise only an hrel that differs is checked against its vrel
     for i, (a, b) in enumerate(zip(levels, derived)):
         if a.squares != b.squares:
             made = set(b.squares.datas)
             if not all(allowed_data(d, a.squares.shape, cubes) for d in a.squares.datas if d not in made):
                 raise ArchiveError(f"archive field levels[{i}].squares holds a forbidden square")
+        if a.hrel != b.hrel:
+            _check_hrel(a, f"levels[{i}].")
     if len(derived) != len(levels) or any(
         (a.squares, a.vrel, a.hrel) != (b.squares, b.vrel, b.hrel) for a, b in zip(levels, derived)
     ):

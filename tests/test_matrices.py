@@ -18,31 +18,15 @@ from sftkit import (
     level0_state,
     literal_vert_pairs,
     normalize_to_cubes,
-    order_key,
     otimes,
     reduced_step,
     step_literal,
-    transpose,
     with_relations,
 )
 from sftkit.matrices import _colwise_pos, _rowwise_pos
 from sftkit.normalize import iter_cubes
 
 from conftest import random_square_spec
-
-
-def test_order_key_2x2():
-    b = Block((2, 2), (0, 1, 2, 3))  # a b / c d
-    assert order_key(b, OrderTag.rowwise(2)) == (0, 1, 2, 3)
-    assert order_key(b, OrderTag.colwise()) == (0, 2, 1, 3)
-
-
-@given(st.integers(1, 4), st.integers(1, 4), st.data())
-@settings(max_examples=60, deadline=None)
-def test_order_key_colwise_is_rowwise_of_transpose(rows, cols, data):
-    cells = tuple(data.draw(st.integers(0, 2)) for _ in range(rows * cols))
-    b = Block((rows, cols), cells)
-    assert order_key(b, OrderTag.colwise()) == order_key(transpose(b), OrderTag.rowwise(2))
 
 
 def test_otimes_annihilation():
@@ -209,17 +193,6 @@ def _assemble_square(letters, q):
 
     i, j, r, s = q
     return assemble([[letters[i], letters[j]], [letters[r], letters[s]]])
-
-
-def test_reorder_round_trip(hard_squares):
-    index, cubes = _index_and_cubes(hard_squares)
-    lvl = level0_matrices(index, cubes)
-    m = lvl.vert
-    there = m.reorder(OrderTag.colwise(), OrderTag.colwise())
-    back = there.reorder(OrderTag.rowwise(2), OrderTag.rowwise(2))
-    assert back.row_blocks == m.row_blocks
-    assert back.col_blocks == m.col_blocks
-    assert back.ones == m.ones
 
 
 def test_literal_vert_pairs_are_allowed_stacks(checkerboard):

@@ -236,6 +236,23 @@ def test_archive_relation_indices_are_checked(tmp_path, hard_squares):
     assert "not in vrel" in _load_error(_resigned(tmp_path, res, hrel_off_vrel))
 
 
+def test_archive_hrel_entries_are_checked_only_on_a_mismatch(tmp_path, hard_squares, monkeypatch):
+    # a valid archive's hrel equals the derived one, so its entries are
+    # never checked one by one against vrel
+    import sftkit.specio
+
+    res = analyze(hard_squares, 1)
+    assert res.levels[0].hrel
+    path = tmp_path / "state.json"
+    save_state(res, str(path))
+
+    def no_entry_check(*a, **k):
+        raise AssertionError("hrel entries checked")
+
+    monkeypatch.setattr(sftkit.specio, "_check_hrel", no_entry_check)
+    assert load_state(str(path)).levels[0].hrel == res.levels[0].hrel
+
+
 def test_archive_cube_rebuild_is_capped_before_it_runs(tmp_path, hard_squares, monkeypatch):
     import sftkit.specio
 
