@@ -46,7 +46,6 @@ from .levels import (
 from .matrices import (
     CompatMatrix,
     LiteralLevel,
-    OrderTag,
     level0_matrices,
     literal_horiz_pairs,
     literal_vert_pairs,

@@ -16,16 +16,13 @@ import itertools
 import operator
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
+from math import prod
 from operator import itemgetter
 
 from .errors import ShapeError, SpecError, WindowRangeError
 
 Coord = tuple[int, ...]
-
-
-def prod(xs: Iterable[int]) -> int:
-    return reduce(lambda a, b: a * b, xs, 1)
 
 
 @lru_cache(maxsize=None)

@@ -58,14 +58,14 @@ class LevelState:
     `squares` is sorted by data; the kernel hands it out as a `core.Blocks`
     view, which builds a `Block` only when one is read. Relations are
     stored positionally against it: `vrel` holds (upper, lower) index pairs
-    (a `relation.Relation` when the kernel built it, a frozenset when
-    loaded); `hrel` holds (a, b, c, d) meaning stack a-over-b is
-    horizontally compatible with stack c-over-d. Either may be None when a
-    level was built only far enough to count its squares. `cubes` is the
-    forbidden set the relations are decided against, and `stacks` the
-    chain stage (n+1, 1) that hrel was read from, kept so that stepping
-    does not build it again (leave it None when setting hrel by hand);
-    neither is part of a state's value.
+    (a `relation.Relation` in walked and loaded states); `hrel` holds
+    (a, b, c, d) meaning stack a-over-b is horizontally compatible with
+    stack c-over-d. Either may be None when a level was built only far
+    enough to count its squares. `cubes` is the forbidden set the relations
+    are decided against, and `stacks` the chain stage (n+1, 1) that hrel
+    was read from, kept so that stepping does not build it again; a state
+    without it rebuilds the stacks from vrel, and their relation with the
+    kernel. Neither is part of a state's value.
     """
 
     level: int
@@ -118,13 +118,9 @@ def reduced_step(state: LevelState, caps: Caps = DEFAULT_CAPS) -> LevelState:
     stacks with the horizontal relation as their relation. The result
     carries no relations yet (they are only needed to step again)."""
     state = with_relations(state, caps)
-    stacks = state.stacks
-    if stacks is None:
-        # relations given with the state: the x-th stack is the x-th sorted
-        # vrel pair
-        stacks = d_chain_step(_square_stage(state), state.cubes, caps)
-        at = {pair: x for x, pair in enumerate(sorted(state.vrel))}
-        stacks = replace(stacks, relation=frozenset((at[h[:2]], at[h[2:]]) for h in state.hrel))
+    # an empty level or a hand-made state has no stacks: they are stepped
+    # from vrel, and their relation is derived by the kernel
+    stacks = state.stacks or d_chain_step(_square_stage(state), state.cubes, caps)
     nxt = d_chain_step(stacks, state.cubes, caps)
     return LevelState(nxt.level, 2 * state.side, nxt.blocks, None, None, state.cubes)
 

@@ -45,26 +45,6 @@ from .errors import BudgetError, ShapeError
 from .relation import Relation, join, middle_join, pair_relation
 
 
-@dataclass(frozen=True)
-class OrderTag:
-    """Which axis varies fastest when a block is read out as a tuple.
-
-    For d=2, `rowwise` (axis 1 fastest: left-right then top-bottom) and
-    `colwise` (axis 0 fastest: top-bottom then left-right) are the two
-    dictionary orders used by the pipeline.
-    """
-
-    fast_axis: int
-
-    @staticmethod
-    def rowwise(dimension: int = 2) -> "OrderTag":
-        return OrderTag(dimension - 1)
-
-    @staticmethod
-    def colwise() -> "OrderTag":
-        return OrderTag(0)
-
-
 def otimes(p: Sequence[Sequence[int]], m: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Row constructor: a KxK block against a K^2xK^2 matrix gives a K^4 row.
 
@@ -164,8 +144,6 @@ class CompatMatrix:
 
     row_blocks: Sequence[Block]
     col_blocks: Sequence[Block]
-    row_order: OrderTag
-    col_order: OrderTag
     ones: Set[tuple[int, int]]
 
     def __post_init__(self):
@@ -233,8 +211,7 @@ def level0_matrices(
     square = (side, side)
     datas = [b.data for b in letters]
     pairs = list(pair_relation(datas, square, 0, cubes))
-    tag = OrderTag.rowwise(2)
-    vert = CompatMatrix(letters, letters, tag, tag, frozenset(pairs))
+    vert = CompatMatrix(letters, letters, frozenset(pairs))
     part = LiteralLevel(0, side, letters, vert, None, frozenset())
     _check_horizontal(part, caps)
 
@@ -273,8 +250,7 @@ def _with_horizontal(part: LiteralLevel, stacks: Sequence[tuple[int, int]], hpai
     pair_ones = frozenset((stacks[x], stacks[y]) for x, y in hpairs)
     hones = frozenset((a * n + b, c * n + d) for (a, b), (c, d) in pair_ones)
     rects = Pairs(part.letters)
-    tag = OrderTag.rowwise(2)
-    horiz = CompatMatrix(rects, rects, tag, tag, hones)
+    horiz = CompatMatrix(rects, rects, hones)
     return replace(part, horiz=horiz, pair_ones=pair_ones, vjoin=None)
 
 
@@ -310,8 +286,8 @@ def step_literal(
     # the next letters are the row pairs stacked, in arrangement-row-wise
     # order; the vertical index reads the same squares column-wise
     letters = Pairs(Pairs(lvl.letters, 1), 0)
-    index, ctag = Pairs(Pairs(lvl.letters, 0), 1), OrderTag.colwise()
-    vert = CompatMatrix(index, index, ctag, ctag, vones)
+    index = Pairs(Pairs(lvl.letters, 0), 1)
+    vert = CompatMatrix(index, index, vones)
     part = LiteralLevel(lvl.level + 1, 2 * lvl.side, letters, vert, None, frozenset(), (squares, vrel))
     return step_horizontal(lvl, part, caps) if compute_h else part
 

@@ -298,8 +298,9 @@ def save_state(result: AnalysisResult, path: str) -> None:
 def load_state(path: str, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
     """Load an archive, verifying version and integrity. The index, the
     relations and every level past the first are re-derived from the spec
-    under `caps` (a `BudgetError` when they do not fit), and the archive
-    must hold exactly what that derivation gives."""
+    under `caps` (a `BudgetError` when they do not fit), the archive must
+    hold exactly what that derivation gives, and the levels returned are
+    the derived ones, stacks stages included."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -430,7 +431,7 @@ def _restore(payload: dict, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
             hrel = _index_tuples(hrel, 4, len(squares), where + "hrel")
             if vrel is None:
                 raise ArchiveError(f"archive field {where}hrel pairs stacks that are not in vrel")
-        levels.append(LevelState(i, lside, squares, vrel, hrel, cubes))
+        levels.append(LevelState(i, lside, squares, vrel, hrel))
     rows = []
     for i, row in enumerate(_field(payload, "report_rows", list)):
         if not (
@@ -441,7 +442,8 @@ def _restore(payload: dict, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
         rows.append(LevelRow(*row))
     if not levels:
         raise ArchiveError("archive holds no levels")
-    # the relations and every level past the first are rebuilt by the kernel
+    # the relations and every level past the first are rebuilt by the kernel,
+    # and the archive's own copies are kept only to be compared with them
     stages = _derived_stages(levels, index, cubes, caps)
     derived = level_states(stages, cubes)
     # the walk proves every square it makes allowed, so only an archived
@@ -464,4 +466,4 @@ def _restore(payload: dict, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
     if (verdict, reason) != verdict_of(rows, reason):
         raise ArchiveError(f"archive verdict {verdict!r} is not the one its levels and reason give")
     report = LevelReport("reduced", side, cube_count, allowed_count, tuple(rows), verdict, reason)
-    return AnalysisResult(spec, cubes, index, tuple(levels), report)
+    return AnalysisResult(spec, cubes, index, derived, report)

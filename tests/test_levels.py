@@ -295,3 +295,13 @@ def test_reduced_step_builds_the_stacks_once(hard_squares, monkeypatch):
     nxt = reduced_step(level0_state(index, cubes))
     assert made == [(1, 1), (1, 2)]
     assert len(nxt.squares) == 1234
+
+
+def test_reduced_step_of_an_empty_level_is_empty(kill_all):
+    # an empty level has no stacks stage: the step builds them from its
+    # (empty) vrel and gives an empty next level
+    index, cubes = _base(kill_all)
+    st = level0_state(index, cubes)
+    assert st.squares == () and st.stacks is None
+    nxt = reduced_step(st)
+    assert nxt.level == 1 and nxt.squares == ()

@@ -10,7 +10,6 @@ from sftkit import (
     BudgetError,
     CubeSet,
     DEFAULT_CAPS,
-    OrderTag,
     ShapeError,
     block_allowed,
     enumerate_allowed_cubes,
@@ -312,19 +311,18 @@ def test_compat_matrix_scans_every_index_but_pairs(hard_squares):
     from sftkit.matrices import Pairs
 
     assert [f.name for f in dataclasses.fields(CompatMatrix)] == [
-        "row_blocks", "col_blocks", "row_order", "col_order", "ones",
+        "row_blocks", "col_blocks", "ones",
     ]
     index, _ = _index_and_cubes(hard_squares)
-    tag = OrderTag.rowwise(2)
     with pytest.raises(ShapeError, match="duplicate"):
-        CompatMatrix(index + index[:1], index, tag, tag, frozenset())
+        CompatMatrix(index + index[:1], index, frozenset())
     with pytest.raises(ShapeError, match="outside"):
-        CompatMatrix(index, index, tag, tag, frozenset({(0, len(index))}))
+        CompatMatrix(index, index, frozenset({(0, len(index))}))
     # a Pairs index is duplicate-free by construction and is not scanned:
     # 10^4 parts stand for 10^8 blocks, built only when read
     parts = tuple(Block((1, 1), (i,)) for i in range(10**4))
     rects = Pairs(parts)
-    m = CompatMatrix(rects, rects, tag, tag, frozenset({(0, 1)}))
+    m = CompatMatrix(rects, rects, frozenset({(0, 1)}))
     assert m.shape == (10**8, 10**8) and m.ones_count() == 1
 
 

@@ -454,3 +454,29 @@ def test_archive_scans_only_squares_the_walk_did_not_make(tmp_path, hard_squares
     assert main(["import-state", str(_resigned(tmp_path, res, allowed_in_place_of_another))]) == 4
     assert "the levels are not the ones the spec gives" in capsys.readouterr().err
     assert scans == []
+
+
+def test_loaded_levels_are_the_derived_ones_and_step_on_their_stacks(tmp_path, hard_squares, monkeypatch):
+    # the loader hands back the levels its re-derivation walked, stacks
+    # stage included, so stepping a loaded level builds only the next squares
+    import sftkit.levels
+    from sftkit import reduced_step
+
+    res = analyze(hard_squares, 1)
+    path = tmp_path / "hs.json"
+    save_state(res, str(path))
+    loaded = load_state(str(path))
+    assert loaded.levels == res.levels
+    assert loaded.levels[0].stacks is not None
+
+    calls = []
+    original = sftkit.levels.d_chain_step
+
+    def counted(state, *a, **k):
+        calls.append((state.level, state.stage))
+        return original(state, *a, **k)
+
+    monkeypatch.setattr(sftkit.levels, "d_chain_step", counted)
+    nxt = reduced_step(loaded.levels[0])
+    assert len(calls) == 1
+    assert len(nxt.squares) == 1234
