@@ -240,75 +240,104 @@ def _cmd_import(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **kwargs) -> tuple[tuple[str, ...], dict]:
+    return flags, kwargs
+
+
+_SPEC = _arg("spec")
+_LEVEL = _arg("--level", type=int, required=True)
+_LEVELS = _arg("--levels", type=int, required=True)
+
+# (name, help, handler, arguments before the common ones)
+_COMMANDS = (
+    (
+        "validate",
+        "parse and check a problem file",
+        _cmd_validate,
+        (_SPEC,),
+    ),
+    (
+        "normalize",
+        "replace the forbidden set by uniform cubes",
+        _cmd_normalize,
+        (_SPEC, _arg("--mode", choices=("all", "nonproper"), default="all")),
+    ),
+    (
+        "analyze",
+        "run the doubling pipeline to a level budget",
+        _cmd_analyze,
+        (_SPEC, _LEVELS, _arg("--mode", choices=("literal", "reduced"), default="reduced")),
+    ),
+    (
+        "count",
+        "count allowed blocks of one shape",
+        _cmd_count,
+        (
+            _SPEC,
+            _arg("--shape", required=True),
+            _arg("--engine", choices=("oracle", "dp", "matrix"), default="oracle"),
+        ),
+    ),
+    (
+        "sample",
+        "emit a random allowed patch",
+        _cmd_sample,
+        (_SPEC, _LEVEL, _arg("--seed", type=int, required=True)),
+    ),
+    (
+        "witness",
+        "search for one allowed square of a level",
+        _cmd_witness,
+        (_SPEC, _LEVEL),
+    ),
+    (
+        "compare",
+        "engine counts against the oracle",
+        _cmd_compare,
+        (
+            _SPEC,
+            _arg("--shapes", required=True, help="comma-separated, e.g. 4x2,4x4"),
+            _arg("--engine", choices=("matrix", "dp"), default="matrix"),
+        ),
+    ),
+    (
+        "export-state",
+        "analyze and save the level states",
+        _cmd_export,
+        (_SPEC, _LEVELS, _arg("--out", required=True)),
+    ),
+    (
+        "import-state",
+        "load and report a saved archive",
+        _cmd_import,
+        (_arg("archive"),),
+    ),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser. When `command` names a subcommand, only its
+    subparser is built; the usage line still lists every subcommand, so
+    help and error text are those of the whole tree."""
     ap = argparse.ArgumentParser(
         prog="sftkit",
         description="Decide desk-scale questions about shifts of finite type.",
     )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="parse and check a problem file")
-    p.add_argument("spec")
-    _add_common(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("normalize", help="replace the forbidden set by uniform cubes")
-    p.add_argument("spec")
-    p.add_argument("--mode", choices=("all", "nonproper"), default="all")
-    _add_common(p)
-    p.set_defaults(func=_cmd_normalize)
-
-    p = sub.add_parser("analyze", help="run the doubling pipeline to a level budget")
-    p.add_argument("spec")
-    p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--mode", choices=("literal", "reduced"), default="reduced")
-    _add_common(p)
-    p.set_defaults(func=_cmd_analyze)
-
-    p = sub.add_parser("count", help="count allowed blocks of one shape")
-    p.add_argument("spec")
-    p.add_argument("--shape", required=True)
-    p.add_argument("--engine", choices=("oracle", "dp", "matrix"), default="oracle")
-    _add_common(p)
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("sample", help="emit a random allowed patch")
-    p.add_argument("spec")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_sample)
-
-    p = sub.add_parser("witness", help="search for one allowed square of a level")
-    p.add_argument("spec")
-    p.add_argument("--level", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_witness)
-
-    p = sub.add_parser("compare", help="engine counts against the oracle")
-    p.add_argument("spec")
-    p.add_argument("--shapes", required=True, help="comma-separated, e.g. 4x2,4x4")
-    p.add_argument("--engine", choices=("matrix", "dp"), default="matrix")
-    _add_common(p)
-    p.set_defaults(func=_cmd_compare)
-
-    p = sub.add_parser("export-state", help="analyze and save the level states")
-    p.add_argument("spec")
-    p.add_argument("--levels", type=int, required=True)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(func=_cmd_export)
-
-    p = sub.add_parser("import-state", help="load and report a saved archive")
-    p.add_argument("archive")
-    _add_common(p)
-    p.set_defaults(func=_cmd_import)
-
+    chosen = [c for c in _COMMANDS if c[0] == command]
+    every = "{" + ",".join(c[0] for c in _COMMANDS) + "}"
+    sub = ap.add_subparsers(dest="command", required=True, metavar=every if chosen else None)
+    for name, text, handler, arguments in chosen or _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for flags, kwargs in arguments:
+            p.add_argument(*flags, **kwargs)
+        _add_common(p)
+        p.set_defaults(func=handler)
     return ap
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except BudgetError as e:

@@ -121,8 +121,9 @@ class Block:
 def data_type(alphabet_size: int) -> type:
     """How a walk holds block data: `bytes`, one byte a cell, for alphabets
     of up to 256 symbols, else tuples. Both slice, concatenate, compare and
-    read through `itemgetter` like tuples of the same symbols, so the
-    kernel runs unchanged on either."""
+    read through `itemgetter` like tuples of the same symbols, so the window
+    scan runs unchanged on either; the relation kernel reads `bytes` as
+    big-endian integers to split and glue along axes past the first."""
     return bytes if alphabet_size <= 256 else tuple
 
 

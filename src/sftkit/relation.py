@@ -28,13 +28,23 @@ of high-side indices. `pair_relation` returns those key groups as a
 `Relation` and never lists the pairs itself. Each pair has exactly one key,
 so the relation's size, which is the next stage's block count, is the sum of
 the group sizes.
+
+Halves, slabs and joined blocks are cut across the row-major order whenever
+an axis before the pairing one is longer than 1. For tuples that is a cached
+`itemgetter` gather of single cells. `bytes` are read once as big-endian
+ints instead: a half or slab is keyed by the block masked to its cells
+(the upper one shifted down to coordinate 0, so it equals the lower key of
+the same cells), one block per distinct slab is split for the seam scan,
+and `join_pairs` spreads each block once into a joined block's low cells,
+shifts that spread down one chunk for the high cells, and glues a pair with
+one OR.
 """
 from __future__ import annotations
 
 import itertools
 import operator
 from collections import defaultdict
-from collections.abc import Callable, Iterable, Iterator, Set
+from collections.abc import Callable, Hashable, Iterable, Iterator, Set
 from functools import lru_cache
 from operator import itemgetter
 from typing import Sequence
@@ -134,16 +144,35 @@ def join(p: Data, q: Data, shape: Coord, axis: int) -> Data:
     return _glue(shape, axis, type(p))(p, q)
 
 
+def _int_coded(datas: Sequence[Data], shape: Coord, axis: int) -> bool:
+    # `bytes` cut across the row-major order: some axis before `axis` is
+    # longer than 1, so halves and joins are not slices and concatenations
+    return bool(datas) and type(datas[0]) is bytes and prod(shape[axis:]) < len(datas[0])
+
+
 def join_pairs(
     datas: Sequence[Data], pairs: Iterable[tuple[int, int]], shape: Coord, axis: int
 ) -> list[Data]:
     """`join` of `datas[i]` and `datas[j]` for every pair (i, j), walking a
-    `Relation` group by group."""
+    `Relation` group by group. For `bytes` with an axis before `axis`
+    longer than 1, each block is spread once into the low cells of a joined
+    block, read as a big-endian int; shifted down one chunk, the spread
+    fills the high cells, so each pair is one OR."""
     if not datas:
         return []
     glue = _glue(shape, axis, type(datas[0]))
     groups = pairs.groups if isinstance(pairs, Relation) else [((i,), (j,)) for i, j in pairs]
     out: list[Data] = []
+    if _int_coded(datas, shape, axis):
+        zeros = bytes(len(datas[0]))
+        spread = [int.from_bytes(glue(p, zeros), "big") for p in datas]
+        size, shift = 2 * len(zeros), 8 * prod(shape[axis:])
+        for lows, highs in groups:
+            his = [spread[j] >> shift for j in highs]
+            for i in lows:
+                a = spread[i]
+                out += [(a | b).to_bytes(size, "big") for b in his]
+        return out
     for lows, highs in groups:
         his = [datas[j] for j in highs]
         for i in lows:
@@ -183,6 +212,30 @@ def _split(data: Data, shape: Coord, axis: int, cut: int) -> tuple[Data, Data]:
     )
 
 
+@lru_cache(maxsize=None)
+def _masks(shape: Coord, axis: int, cut: int) -> tuple[int, int, int]:
+    # over a block's bytes read as a big-endian int: the mask of the cells
+    # below `cut` along `axis`, the mask of the rest, and the shift that
+    # moves the rest down to coordinate 0
+    n, chunk = prod(shape), prod(shape[axis:])
+    at = cut * chunk // shape[axis]
+    lo = int.from_bytes((b"\xff" * at + bytes(chunk - at)) * (n // chunk), "big")
+    return lo, lo ^ ((1 << 8 * n) - 1), 8 * at
+
+
+def _split_keys(datas: Sequence[Data], shape: Coord, axis: int, cut: int) -> Iterator[tuple]:
+    # each datum's cells below and at-or-above `cut` along `axis` as two
+    # keys that are equal iff the cells are: the halves themselves, or for
+    # int-coded data two masked ints, the upper one moved down to
+    # coordinate 0 so that it equals the lower key of a split at
+    # extent - cut of the same cells
+    if not _int_coded(datas, shape, axis):
+        return (_split(data, shape, axis, cut) for data in datas)
+    lo, hi, shift = _masks(shape, axis, cut)
+    from_bytes = int.from_bytes
+    return (((v := from_bytes(data, "big")) & lo, (v & hi) << shift) for data in datas)
+
+
 def _seam_relation(
     datas: Sequence[Data], shape: Coord, axis: int, cubes: CubeSet
 ) -> Relation:
@@ -194,17 +247,25 @@ def _seam_relation(
         # for l = 1 no window crosses the seam
         return Relation([(allowed, allowed)] if allowed else ())
     extent = shape[axis]
-    by_hi: dict[Data, list[int]] = defaultdict(list)
-    by_lo: dict[Data, list[int]] = defaultdict(list)
-    for i in allowed:
-        by_lo[_split(datas[i], shape, axis, t)[0]].append(i)
-        by_hi[_split(datas[i], shape, axis, extent - t)[1]].append(i)
+    by_hi: dict[Hashable, list[int]] = defaultdict(list)
+    by_lo: dict[Hashable, list[int]] = defaultdict(list)
+    blocks = [datas[i] for i in allowed]
+    lo_keys = _split_keys(blocks, shape, axis, t)
+    hi_keys = _split_keys(blocks, shape, axis, extent - t)
+    for i, (lo, _), (_, hi) in zip(allowed, lo_keys, hi_keys):
+        by_lo[lo].append(i)
+        by_hi[hi].append(i)
+    his, los = list(by_hi), list(by_lo)
+    if _int_coded(blocks, shape, axis):
+        # int keys are not slabs: split one block per key for the seam scan
+        his = [_split(datas[ids[0]], shape, axis, extent - t)[1] for ids in by_hi.values()]
+        los = [_split(datas[ids[0]], shape, axis, t)[0] for ids in by_lo.values()]
     slab = shape[:axis] + (t,) + shape[axis + 1 :]
     seam = shape[:axis] + (2 * t,) + shape[axis + 1 :]
     return Relation(
         (lows, highs)
-        for hi, lows in by_hi.items()
-        for lo, highs in by_lo.items()
+        for hi, lows in zip(his, by_hi.values())
+        for lo, highs in zip(los, by_lo.values())
         if allowed_data(join(hi, lo, slab, axis), seam, cubes)
     )
 
@@ -232,11 +293,11 @@ def middle_join(datas: Sequence[Data], shape: Coord, axis: int) -> Relation:
     cells into `datas[i]`, is one of `datas`: a hash join on the halves."""
     extent = shape[axis]
     cut = extent // 2
-    by_hi: dict[Data, list[int]] = defaultdict(list)
-    by_lo: dict[Data, list[int]] = defaultdict(list)
-    for i, data in enumerate(datas):
-        lo, hi = _split(data, shape, axis, cut)
+    by_hi: dict[Hashable, list[int]] = defaultdict(list)
+    by_lo: dict[Hashable, list[int]] = defaultdict(list)
+    keys = list(_split_keys(datas, shape, axis, cut))
+    for i, (lo, hi) in enumerate(keys):
         by_lo[lo].append(i)
         by_hi[hi].append(i)
-    middles = (_split(m, shape, axis, extent - cut) for m in datas)
+    middles = keys if 2 * cut == extent else _split_keys(datas, shape, axis, extent - cut)
     return Relation((by_hi[lo], by_lo[hi]) for lo, hi in middles if lo in by_hi and hi in by_lo)

@@ -273,8 +273,8 @@ def _archive_payload(result: AnalysisResult) -> dict:
                 "level": st.level,
                 "side": st.side,
                 "squares": list(map(text, block_datas(st.squares))),
-                "vrel": sorted(map(list, st.vrel)) if st.vrel is not None else None,
-                "hrel": sorted(map(list, st.hrel)) if st.hrel is not None else None,
+                "vrel": sorted(st.vrel) if st.vrel is not None else None,
+                "hrel": sorted(st.hrel) if st.hrel is not None else None,
             }
             for st in result.levels
         ],

@@ -368,3 +368,42 @@ def test_undersized_counts_too_long_to_print_are_budget_stops(hs_file, capsys):
     assert capsys.readouterr().out.strip() == str(2**100)
     assert main(["count", hs_file, "--engine", "dp", "--shape", "1x20000"]) == 3
     assert capsys.readouterr().err == "budget: profile DP count 2^20000 is too long to print\n"
+
+
+# ---------------------------------------------------------------------------
+# one subparser per call, under the whole tree's help and error text
+
+import argparse  # noqa: E402
+
+from sftkit.cli import _COMMANDS, build_parser  # noqa: E402
+
+
+def _exit_text(parse, argv, capsys):
+    with pytest.raises(SystemExit) as e:
+        parse(argv)
+    out = capsys.readouterr()
+    return e.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("name", [c[0] for c in _COMMANDS])
+def test_one_subparser_speaks_like_the_whole_tree(name, monkeypatch, capsys):
+    whole = build_parser().parse_args
+    for argv in ([name, "-h"], [name], [name, "x", "--bogus"], [name, "x", "--threads", "q"]):
+        assert _exit_text(main, argv, capsys) == _exit_text(whole, argv, capsys)
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, command, **kwargs):
+        built.append(command)
+        return add_parser(self, command, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    _exit_text(main, [name, "-h"], capsys)
+    assert built == [name]
+
+
+@pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"]])
+def test_top_level_text_is_the_whole_tree(argv, capsys):
+    code, out, err = _exit_text(main, argv, capsys)
+    assert (code, out, err) == _exit_text(build_parser().parse_args, argv, capsys)
+    assert "{validate,normalize,analyze,count,sample,witness,compare,export-state,import-state}" in out + err

@@ -300,3 +300,74 @@ def test_middle_join_equals_naive_membership(case, letters, data):
     )
     rel = middle_join(datas, shape, axis)
     _assert_groups_count_pairs(rel, _naive_middle_pairs(datas, shape, axis))
+
+
+# ---------------------------------------------------------------------------
+# `bytes` blocks, read as big-endian ints, against the same blocks as tuples
+
+from sftkit.core import CubeSet  # noqa: E402
+from sftkit.relation import _seam_relation, join_pairs  # noqa: E402
+
+# shapes past the gather bound, so tuples are split and joined chunk by chunk
+_WIDE = ((3, 1367), (1367, 3), (2, 41, 51), (5, 3, 275), (3, 5, 275))
+
+
+def _cells(rng, count, k, nonzero):
+    # `count` cells over k symbols, each nonzero with chance `nonzero`
+    return [rng.randrange(1, k) if rng.random() < nonzero else 0 for _ in range(count)]
+
+
+@st.composite
+def coded_cases(draw):
+    """Blocks of one shape over 2-4 symbols or all 256 byte values, in
+    d = 1, 2, 3 with odd extents among them or past the gather bound, a
+    pairing axis of extent at least 2 (mostly one that row-major slices
+    cannot split), and cubes of a side that fits every axis. The blocks are
+    windows of a random tape three blocks long along the pairing axis, so
+    the middle join keeps pairs, plus a few random blocks; the cubes are
+    windows of the tape too. Some draws zero every block's first cell, the
+    int's leading byte."""
+    wide = draw(st.integers(0, 9)) == 0
+    if wide:
+        shape = draw(st.sampled_from(_WIDE))
+    else:
+        d = draw(st.sampled_from((2, 3, 1, 2, 3)))
+        shape = tuple(draw(st.lists(st.integers(1, 5), min_size=d, max_size=d)))
+    axes = [a for a, s in enumerate(shape) if s >= 2] or [0]
+    inner = [a for a in axes if max(shape[:a], default=1) > 1]
+    axis = draw(st.sampled_from(inner if inner and draw(st.integers(0, 3)) < 3 else axes))
+    shape = shape[:axis] + (max(2, shape[axis]),) + shape[axis + 1 :]
+    k = draw(st.sampled_from((2, 3, 4, 256)))
+    side = max(1, min(3, *shape) - draw(st.integers(0, 2)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    extent, n = shape[axis], math.prod(shape)
+    tape_shape = shape[:axis] + (3 * extent,) + shape[axis + 1 :]
+    tape = Block(tape_shape, tuple(_cells(rng, 3 * n, k, rng.choice((0.1, 0.3, 1.0)))))
+    # the middle of the windows at o and o + extent is the one at o + extent // 2
+    starts = {0, 1, extent // 2, extent, extent + 1, extent + extent // 2, 2 * extent}
+    offsets = [tuple(o if a == axis else 0 for a in range(len(shape))) for o in sorted(starts)]
+    datas = [list(window(tape, o, shape).data) for o in offsets]
+    datas += [_cells(rng, n, k, rng.choice((0.0, 0.1, 1.0))) for _ in range(draw(st.integers(0, 3)))]
+    if draw(st.booleans()):
+        for cells in datas:
+            cells[0] = 0
+    # forbidden cubes cut from the tape, so that some blocks and seams hold them
+    cube = (side,) * len(shape)
+    corners = [tuple(rng.randrange(s - side + 1) for s in tape_shape) for _ in range(draw(st.integers(0, 4)))]
+    cubes = frozenset(window(tape, corner, cube) for corner in corners)
+    return shape, axis, sorted({bytes(cells) for cells in datas}), CubeSet(side, cubes, k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coded_cases())
+def test_int_coded_bytes_match_the_tuple_path(case):
+    shape, axis, datas, cubes = case
+    tuples = [tuple(p) for p in datas]
+    rel = middle_join(datas, shape, axis)
+    assert rel.groups == middle_join(tuples, shape, axis).groups
+    seam = _seam_relation(datas, shape, axis, cubes)
+    assert seam.groups == _seam_relation(tuples, shape, axis, cubes).groups
+    every = list(itertools.product(range(len(datas)), repeat=2))
+    for pairs in (rel, seam, every):
+        joined = join_pairs(datas, pairs, shape, axis)
+        assert joined == [bytes(p) for p in join_pairs(tuples, pairs, shape, axis)]
