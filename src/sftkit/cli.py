@@ -237,7 +237,7 @@ def _cmd_export(args) -> int:
 def _cmd_import(args) -> int:
     result = load_state(args.archive, _caps_of(args))
     _emit_report(result.report, args.format, sys.stdout)
-    return 0
+    return result.report.exit_code()
 
 
 def _arg(*flags, **kwargs) -> tuple[tuple[str, ...], dict]:

@@ -366,6 +366,8 @@ def witness_search(
     candidates are window-scanned, and so are pairs for d <= 2. Absence is
     not an emptiness proof: the search is budgeted and incomplete.
     """
+    if level < 0:
+        raise SpecError("level must be >= 0")
     cubes = normalize_to_cubes(spec, MODE_ALL, caps)
     base = enumerate_allowed_cubes(spec, cubes, caps)
     if not base:
@@ -373,6 +375,14 @@ def witness_search(
     budget = caps.witness_nodes
     spent = 0
     d = spec.dimension
+    # a first witness of level n costs at least N(n) = 2^d N(n-1) + 2^(d-1) + 1
+    # nodes, N(0) = 0: a first witness per corner, the pair checks and the
+    # final scan; a level whose N is past the budget is not searched
+    least = 0
+    for _ in range(level):
+        least = 2**d * least + 2 ** (d - 1) + 1
+        if least > budget:
+            return WitnessResult(None, 0, f"node budget {budget} exhausted")
 
     class _Out(Exception):
         pass

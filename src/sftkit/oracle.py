@@ -3,7 +3,8 @@
 `brute_force_allowed` enumerates every symbol assignment of a shape and
 filters; `profile_count` is a cell-by-cell broken-profile DP that scales to
 shapes the brute force cannot reach. They cross-check each other wherever
-both run.
+both run. Each normalizes the spec it is given and returns a count only:
+no allowed block is kept.
 """
 from __future__ import annotations
 
@@ -14,55 +15,43 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .caps import DEFAULT_CAPS, PRINTED_MAX, Caps, check_power
-from .core import Block, CubeSet, SftSpec, allowed_data, occurs_in, prod
+from .core import Block, SftSpec, allowed_data, occurs_in, prod
 from .errors import SpecError
 from .normalize import MODE_ALL, normalize_to_cubes
-
-RETAIN_CAP = 2**16
 
 
 @dataclass(frozen=True)
 class OracleResult:
     shape: tuple[int, ...]
     count: int
-    blocks: tuple[Block, ...] | None
 
 
-def _scan_range(args) -> tuple[int, list | None]:
-    shape, ka, lo, hi, cube_data, side, raw_patterns = args
-    cells = prod(shape)
-    cubes = CubeSet(side, frozenset(Block((side,) * len(shape), d) for d in cube_data), ka)
-    count = 0
-    kept: list | None = []
-    undersized = any(s < side for s in shape)
-    # candidates lo..hi-1 in enumeration order: base-ka digits, row-major
-    for data in itertools.islice(itertools.product(range(ka), repeat=cells), lo, hi):
-        if raw_patterns is not None:
-            blk = Block(shape, data)
-            ok = not any(occurs_in(blk, p) for p in raw_patterns)
-        else:
-            ok = undersized or allowed_data(data, shape, cubes)
-        if ok:
-            count += 1
-            if kept is not None:
-                kept.append(data)
-                if len(kept) > RETAIN_CAP:
-                    kept = None
-    return count, kept
+def _scan_range(args) -> int:
+    """How many of the candidates lo..hi-1 are allowed, in enumeration
+    order: base-ka digits, row-major."""
+    shape, ka, lo, hi, cubes, raw_patterns = args
+    if raw_patterns is None and any(s < cubes.side for s in shape):
+        return hi - lo  # no cube fits, so every candidate is allowed
+    candidates = itertools.islice(itertools.product(range(ka), repeat=prod(shape)), lo, hi)
+    if raw_patterns is not None:
+        return sum(not any(occurs_in(Block(shape, d), p) for p in raw_patterns) for d in candidates)
+    return sum(map(allowed_data, candidates, itertools.repeat(shape), itertools.repeat(cubes)))
 
 
 def brute_force_allowed(
     spec: SftSpec,
     shape: tuple[int, ...],
-    cubes: CubeSet | None = None,
     mode: str = "cubes",
     caps: Caps = DEFAULT_CAPS,
 ) -> OracleResult:
-    """Exact allowed-block count by exhaustive enumeration.
+    """Exact allowed-block count by exhaustive enumeration; only the count
+    is kept.
 
-    `mode="cubes"` filters with the window scanner against the normalized
-    cube set; `mode="patterns"` rescans against the raw forbidden patterns,
-    bypassing normalization entirely (a check on the normalizer itself).
+    `mode="cubes"` filters with the window scanner against the spec's
+    normalized cube set; `mode="patterns"` rescans against the raw forbidden
+    patterns, bypassing normalization entirely (a check on the normalizer
+    itself). With `caps.threads` > 1 the candidates are split into ranges
+    counted by worker processes, and the result is the sum of their counts.
     """
     if len(shape) != spec.dimension:
         raise SpecError(f"shape {shape} does not match dimension {spec.dimension}")
@@ -76,42 +65,27 @@ def brute_force_allowed(
     if mode not in ("cubes", "patterns"):
         raise SpecError(f"unknown oracle mode {mode!r}")
     raw = spec.forbidden if mode == "patterns" else None
-    if cubes is None and mode == "cubes":
-        cubes = normalize_to_cubes(spec, MODE_ALL, caps)
-    side = cubes.side if cubes is not None else 1
-    cube_data = tuple(sorted(c.data for c in cubes.cubes)) if cubes is not None else ()
+    cubes = normalize_to_cubes(spec, MODE_ALL, caps) if raw is None else None
+
+    def job(lo: int, hi: int) -> tuple:
+        return shape, spec.alphabet_size, lo, hi, cubes, raw
 
     # more workers than cores only add processes
     workers = max(1, min(caps.threads, os.cpu_count() or 1))
     if workers == 1 or total < 4096:
-        count, kept = _scan_range((shape, spec.alphabet_size, 0, total, cube_data, side, raw))
-    else:
-        bounds = [total * i // workers for i in range(workers + 1)]
-        jobs = [
-            (shape, spec.alphabet_size, bounds[i], bounds[i + 1], cube_data, side, raw)
-            for i in range(workers)
-        ]
-        try:
-            with multiprocessing.Pool(workers) as pool:
-                parts = pool.map(_scan_range, jobs)
-        except (OSError, AssertionError):
-            count, kept = _scan_range((shape, spec.alphabet_size, 0, total, cube_data, side, raw))
-        else:
-            count = sum(c for c, _ in parts)
-            kept = [] if all(k is not None for _, k in parts) and count <= RETAIN_CAP else None
-            if kept is not None:
-                for _, k in parts:
-                    kept.extend(k)
-    blocks = None
-    if kept is not None and count <= RETAIN_CAP:
-        blocks = tuple(Block(shape, d) for d in kept)  # enumeration order is canonical
-    return OracleResult(shape, count, blocks)
+        return OracleResult(shape, _scan_range(job(0, total)))
+    bounds = [total * i // workers for i in range(workers + 1)]
+    try:
+        with multiprocessing.Pool(workers) as pool:
+            count = sum(pool.map(_scan_range, [job(lo, hi) for lo, hi in zip(bounds, bounds[1:])]))
+    except (OSError, AssertionError):
+        count = _scan_range(job(0, total))
+    return OracleResult(shape, count)
 
 
 def profile_count(
     spec: SftSpec,
     shape: tuple[int, int],
-    cubes: CubeSet | None = None,
     caps: Caps = DEFAULT_CAPS,
 ) -> int:
     """Broken-profile DP count of allowed r x s arrays (2-d only).
@@ -125,8 +99,7 @@ def profile_count(
     """
     if spec.dimension != 2:
         raise SpecError("profile counting is 2-dimensional only")
-    if cubes is None:
-        cubes = normalize_to_cubes(spec, MODE_ALL, caps)
+    cubes = normalize_to_cubes(spec, MODE_ALL, caps)
     r, s = shape
     side = cubes.side
     ka = spec.alphabet_size

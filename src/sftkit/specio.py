@@ -40,7 +40,7 @@ from .core import (
 )
 from .errors import ArchiveError, BudgetError, FormatError, SpecError
 from .levels import AnalysisResult, LevelReport, LevelRow, LevelState, level_states, report_rows, verdict_of
-from .normalize import MODE_ALL, forbidden_side, iter_cubes, normalize_to_cubes
+from .normalize import MODE_ALL, forbidden_side, normalize_to_cubes
 
 FILL = "*"
 ARCHIVE_FORMAT = "sft-state"
@@ -291,8 +291,11 @@ def save_state(result: AnalysisResult, path: str) -> None:
     # first among the keys, so the file is that text with it put in front;
     # json.dumps runs the C encoder, json.dump streams through the Python one
     canon = _canonical(_archive_payload(result))
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{"checksum":"{_checksum(canon)}",{canon[1:]}\n')
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f'{{"checksum":"{_checksum(canon)}",{canon[1:]}\n')
+    except OSError as e:
+        raise ArchiveError(f"cannot write {path}: {e}") from None
 
 
 def load_state(path: str, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
@@ -399,17 +402,18 @@ def _restore(payload: dict, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
         ) from None
     cube_shape = (side,) * spec.dimension
     index = tuple(_read_blocks(_field(payload, "index", list), cube_shape, spec.alphabet, sep))
-    # the forbidden cube set is reconstructible as the complement of the index
+    # the index must be the complement of the spec's forbidden cubes among
+    # all k^(l^d) cubes, checked without listing that complement
     index_data = {b.data for b in index}
-    cubes = CubeSet(
-        side,
-        frozenset(c for c in iter_cubes(spec, side) if c.data not in index_data),
-        spec.alphabet_size,
-        mode,
-    )
-    if len(cubes.cubes) != cube_count or len(index) != allowed_count:
+    total = spec.alphabet_size ** prod(cube_shape)
+    if total - len(index_data) != cube_count or len(index) != allowed_count:
         raise ArchiveError("integrity check failed: counts disagree with content")
-    if len(index_data) != len(index) or cubes.cubes != normalize_to_cubes(spec, MODE_ALL, caps).cubes:
+    cubes = normalize_to_cubes(spec, MODE_ALL, caps)
+    if (
+        len(index_data) != len(index)
+        or not index_data.isdisjoint(cubes.data_set())
+        or len(index) + len(cubes.cubes) != total
+    ):
         raise ArchiveError("archive index is not the spec's set of allowed cubes")
     levels = []
     for i, lv in enumerate(_field(payload, "levels", list)):

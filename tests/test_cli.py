@@ -407,3 +407,37 @@ def test_top_level_text_is_the_whole_tree(argv, capsys):
     code, out, err = _exit_text(main, argv, capsys)
     assert (code, out, err) == _exit_text(build_parser().parse_args, argv, capsys)
     assert "{validate,normalize,analyze,count,sample,witness,compare,export-state,import-state}" in out + err
+
+
+@pytest.mark.parametrize("spec, levels, code", [("kill", "1", 2), ("hs", "2", 3)])
+def test_import_state_exits_with_the_reports_code(tmp_path, hs_file, kill_file, capsys, spec, levels, code):
+    out_file = str(tmp_path / "state.json")
+    spec_file = {"hs": hs_file, "kill": kill_file}[spec]
+    assert main(["export-state", spec_file, "--levels", levels, "--out", out_file, "--format", "csv"]) == code
+    exported = capsys.readouterr().out
+    assert main(["import-state", out_file, "--format", "csv"]) == code
+    assert capsys.readouterr().out == exported
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["witness", "{hs}", "--level", "-1"], 4),
+        (["witness", "{hs}", "--level", "1000"], 3),
+        (["export-state", "{hs}", "--levels", "1", "--out", "{tmp}/missing/state.json"], 4),
+        (["export-state", "{hs}", "--levels", "1", "--out", "{tmp}"], 4),
+        (["analyze", "{hs}", "--levels", "-1"], 4),
+        (["sample", "{hs}", "--level", "-1", "--seed", "1"], 4),
+        (["sample", "{hs}", "--level", "1000", "--seed", "1"], 3),
+        (["count", "{tmp}/missing.json", "--shape", "4x4"], 4),
+        (["count", "{hs}", "--shape", "4x"], 4),
+    ],
+)
+def test_bad_inputs_stop_with_a_message(tmp_path, hs_file, capsys, argv, code):
+    # each case stops at its first check or budget, without a traceback
+    argv = [a.format(hs=hs_file, tmp=tmp_path) for a in argv]
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert err and "Traceback" not in err
+    if code == 4:
+        assert out == ""

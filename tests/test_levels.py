@@ -209,6 +209,15 @@ def test_witness_budget_exhaustion(hard_squares):
     assert "budget" in res.reason
 
 
+def test_witness_levels_past_the_least_cost_are_not_searched(hard_squares):
+    # the all-zero square is found first, at exactly the least cost
+    # N(n) = 4 N(n-1) + 3: N(3) = 63
+    assert witness_search(hard_squares, 3).nodes == 63
+    assert witness_search(hard_squares, 3, DEFAULT_CAPS.but(witness_nodes=63)).block is not None
+    res = witness_search(hard_squares, 3, DEFAULT_CAPS.but(witness_nodes=62))
+    assert (res.block, res.nodes, res.reason) == (None, 0, "node budget 62 exhausted")
+
+
 def test_sample_patch_contracts(checkerboard):
     res = analyze(checkerboard, 1)
     lvl1 = res.levels[1]

@@ -31,18 +31,6 @@ def test_hard_squares_small_shapes(hard_squares):
     assert brute_force_allowed(hard_squares, (4, 4)).count == 1234
 
 
-def test_retained_blocks_sorted(hard_squares):
-    res = brute_force_allowed(hard_squares, (2, 2))
-    assert res.blocks is not None and len(res.blocks) == res.count == 7
-    assert list(res.blocks) == sorted(res.blocks, key=lambda b: b.data)
-
-
-def test_retention_cap_drops_blocks(monkeypatch, hard_squares):
-    monkeypatch.setattr(oracle_mod, "RETAIN_CAP", 5)
-    res = brute_force_allowed(hard_squares, (2, 2))
-    assert res.count == 7 and res.blocks is None
-
-
 def test_patterns_mode_agrees_with_cubes_mode():
     rng = random.Random(17)
     for _ in range(5):
@@ -108,9 +96,6 @@ def test_threads_match_sequential(hard_squares):
     seq = brute_force_allowed(hard_squares, (4, 4))
     par = brute_force_allowed(hard_squares, (4, 4), caps=DEFAULT_CAPS.but(threads=2))
     assert seq.count == par.count == 1234
-    assert par.blocks is not None and [b.data for b in par.blocks] == [
-        b.data for b in seq.blocks
-    ]
 
 
 def test_threads_clamped_to_cpu_count(monkeypatch, hard_squares):
@@ -136,9 +121,16 @@ def test_threads_clamped_to_cpu_count(monkeypatch, hard_squares):
     res = brute_force_allowed(hard_squares, (4, 4), caps=DEFAULT_CAPS.but(threads=64))
     assert res.count == 1234
     assert sizes == [2]
+    # the workers' other branches: an undersized shape counts every
+    # candidate, and patterns mode rescans the raw patterns
+    two = DEFAULT_CAPS.but(threads=2)
+    assert brute_force_allowed(hard_squares, (1, 13), caps=two).count == 2**13
+    patterns = brute_force_allowed(hard_squares, (3, 4), mode="patterns", caps=two)
+    assert patterns.count == naive_count(hard_squares, (3, 4))
+    assert sizes == [2, 2, 2]
     monkeypatch.setattr(oracle_mod.os, "cpu_count", lambda: None)
     assert brute_force_allowed(hard_squares, (4, 4), caps=DEFAULT_CAPS.but(threads=8)).count == 1234
-    assert sizes == [2]  # an unknown core count runs in-process
+    assert sizes == [2, 2, 2]  # an unknown core count runs in-process
 
 
 # a side-1 spec: every cell avoids the symbol 1

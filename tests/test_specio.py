@@ -266,8 +266,45 @@ def test_archive_cube_rebuild_is_capped_before_it_runs(tmp_path, hard_squares, m
     def no_rebuild(*a, **k):
         raise AssertionError("iter_cubes ran")
 
-    monkeypatch.setattr(sftkit.specio, "iter_cubes", no_rebuild)
+    monkeypatch.setattr(sftkit.normalize, "iter_cubes", no_rebuild)
     assert "max_cubes" in _load_error(path)
+
+
+def test_archive_loader_enumerates_the_cubes_once(tmp_path, hard_squares, monkeypatch):
+    import sftkit.normalize
+    import sftkit.specio
+
+    path = tmp_path / "state.json"
+    save_state(analyze(hard_squares, 1), str(path))
+    calls = []
+    real = sftkit.normalize.iter_cubes
+
+    def counted(*a, **k):
+        calls.append(a)
+        return real(*a, **k)
+
+    for module in (sftkit.normalize, sftkit.specio):
+        monkeypatch.setattr(module, "iter_cubes", counted, raising=False)
+    load_state(str(path))
+    assert len(calls) == 1
+
+
+def test_archive_index_forgeries_keep_their_messages(tmp_path, hard_squares):
+    res = analyze(hard_squares, 0)
+
+    def swap_in_a_forbidden_cube(p):
+        p["index"][0] = "1111"
+
+    def duplicate_a_cube(p):
+        p["index"][-1] = p["index"][0]
+
+    def duplicate_a_cube_and_count_its_gap(p):
+        duplicate_a_cube(p)
+        p["normalization"]["cube_count"] += 1
+
+    assert "allowed cubes" in _load_error(_resigned(tmp_path, res, swap_in_a_forbidden_cube))
+    assert "counts disagree" in _load_error(_resigned(tmp_path, res, duplicate_a_cube))
+    assert "allowed cubes" in _load_error(_resigned(tmp_path, res, duplicate_a_cube_and_count_its_gap))
 
 
 def test_archive_normalization_mode_must_be_all_extensions(tmp_path, hard_squares, capsys):
