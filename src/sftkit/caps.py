@@ -25,7 +25,9 @@ class Caps:
     max_cells: int = 10**8
     # largest candidate-pair loop a relation builder may run
     max_work: int = 10**7
-    # candidate assignments the brute-force oracle may enumerate
+    # candidate assignments the brute-force oracle may enumerate, k_A^n for
+    # an n-cell shape; its pruned enumeration visits fewer than
+    # k_A/(k_A-1) * k_A^n prefixes, so the cap bounds its work too
     oracle_candidates: int = 2**24
     # row profiles, k_A^(s(l-1)), the cell-by-cell profile DP may refine
     profile_states: int = 2**20

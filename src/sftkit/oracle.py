@@ -1,10 +1,14 @@
 """Ground-truth counters the engine is validated against.
 
-`brute_force_allowed` enumerates every symbol assignment of a shape and
-filters; `profile_count` is a cell-by-cell broken-profile DP that scales to
-shapes the brute force cannot reach. They cross-check each other wherever
-both run. Each normalizes the spec it is given and returns a count only:
-no allowed block is kept.
+`brute_force_allowed` enumerates the symbol assignments of a shape one cell
+at a time, in row-major order, and tests each l-window when its last cell
+is placed: a forbidden window cuts every completion of its prefix, and each
+allowed block is reached as its own leaf. It merges no states and calls no
+engine code, so it stays independent of the DP and of the relation kernel.
+`profile_count` is a cell-by-cell broken-profile DP that scales to shapes
+the brute force cannot reach. They cross-check each other wherever both
+run. Each normalizes the spec it is given and returns a count only: no
+allowed block is kept.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .caps import DEFAULT_CAPS, PRINTED_MAX, Caps, check_power
-from .core import Block, SftSpec, allowed_data, occurs_in, prod
+from .core import Block, SftSpec, _gather_table, occurs_in, prod
 from .errors import SpecError
 from .normalize import MODE_ALL, normalize_to_cubes
 
@@ -26,16 +30,69 @@ class OracleResult:
     count: int
 
 
-def _scan_range(args) -> int:
-    """How many of the candidates lo..hi-1 are allowed, in enumeration
-    order: base-ka digits, row-major."""
-    shape, ka, lo, hi, cubes, raw_patterns = args
-    if raw_patterns is None and any(s < cubes.side for s in shape):
-        return hi - lo  # no cube fits, so every candidate is allowed
-    candidates = itertools.islice(itertools.product(range(ka), repeat=prod(shape)), lo, hi)
+def _last_cell_getters(shape: tuple[int, ...], side: int) -> list:
+    """Per cell in row-major order, a getter reading the l-window whose
+    last cell it is, or None where no window ends: a window ends at a cell
+    whose every coordinate is >= l-1. A one-cell window reads its symbol."""
+    table = _gather_table(shape, (side,) * len(shape))
+    back = table[-1]  # from a window's first cell to its last
+    return [
+        itemgetter(*(cell - back + t for t in table)) if min(coord) >= side - 1 else None
+        for cell, coord in enumerate(itertools.product(*map(range, shape)))
+    ]
+
+
+def _completions(cur: list, start: int, ka: int, getters: list, bad) -> int:
+    """How many ways the cells from `start` on complete the prefix held in
+    `cur`, depth first; the windows ending before `start` are not tested."""
+    last = len(cur) - 1
+    count = 0
+    symbols = range(ka)
+    todo = [None] * len(cur)  # per cell, the symbols still to try
+    c = start
+    todo[c] = iter(symbols)
+    while c >= start:
+        get = getters[c]
+        for a in todo[c]:
+            cur[c] = a
+            if get is not None and get(cur) in bad:
+                continue  # every completion holds this window
+            if c == last:
+                count += 1
+            else:
+                c += 1
+                todo[c] = iter(symbols)
+                break
+        else:
+            c -= 1
+    return count
+
+
+def _count_range(args) -> int:
+    """How many allowed blocks start with one of the prefixes lo..hi-1 of
+    the first m cells, read as base-ka numbers, row-major: whole subtrees,
+    so the counts of disjoint ranges add up."""
+    shape, ka, m, lo, hi, cubes, raw_patterns = args
+    n = prod(shape)
+    rest = ka ** (n - m)
     if raw_patterns is not None:
+        # the normalizer's check: every candidate rescanned against the raw patterns
+        candidates = itertools.islice(itertools.product(range(ka), repeat=n), lo * rest, hi * rest)
         return sum(not any(occurs_in(Block(shape, d), p) for p in raw_patterns) for d in candidates)
-    return sum(map(allowed_data, candidates, itertools.repeat(shape), itertools.repeat(cubes)))
+    bad = cubes.data_set()
+    if not bad or any(s < cubes.side for s in shape):
+        return (hi - lo) * rest  # nothing can be forbidden, so every candidate is allowed
+    if cubes.side == 1:
+        bad = {a for (a,) in bad}
+    getters = _last_cell_getters(shape, cubes.side)
+    cur = [0] * n
+    count = 0
+    for prefix in range(lo, hi):
+        for c in range(m - 1, -1, -1):
+            prefix, cur[c] = divmod(prefix, ka)
+        if not any(get is not None and get(cur) in bad for get in getters[:m]):
+            count += _completions(cur, m, ka, getters, bad)
+    return count
 
 
 def brute_force_allowed(
@@ -47,12 +104,19 @@ def brute_force_allowed(
     """Exact allowed-block count by exhaustive enumeration; only the count
     is kept.
 
-    `mode="cubes"` filters with the window scanner against the spec's
-    normalized cube set; `mode="patterns"` rescans against the raw forbidden
-    patterns, bypassing normalization entirely (a check on the normalizer
-    itself). With `caps.threads` > 1 the candidates are split into ranges
-    counted by worker processes, and the result is the sum of their counts.
+    `mode="cubes"` places symbols cell by cell in row-major order against
+    the spec's normalized cube set. Each l-window is tested once, when its
+    last cell is placed, and a forbidden one cuts every completion of the
+    prefix; each allowed block is still reached as its own leaf, and fewer
+    than k/(k-1) * k^n prefixes are visited. `mode="patterns"` rescans every
+    candidate against the raw forbidden patterns, bypassing normalization
+    entirely (a check on the normalizer itself). `caps.oracle_candidates`
+    bounds k^n in both modes. With `caps.threads` > 1 the prefixes of the
+    first few cells are split into ranges counted by worker processes, and
+    the result is the sum of their counts.
     """
+    if mode not in ("cubes", "patterns"):
+        raise SpecError(f"unknown oracle mode {mode!r}")
     if len(shape) != spec.dimension:
         raise SpecError(f"shape {shape} does not match dimension {spec.dimension}")
     check_power(
@@ -61,25 +125,28 @@ def brute_force_allowed(
         caps.oracle_candidates,
         "brute force would enumerate {count} candidates (cap {cap}); try profile_count",
     )
-    total = spec.alphabet_size ** prod(shape)
-    if mode not in ("cubes", "patterns"):
-        raise SpecError(f"unknown oracle mode {mode!r}")
+    ka = spec.alphabet_size
+    total = ka ** prod(shape)
     raw = spec.forbidden if mode == "patterns" else None
     cubes = normalize_to_cubes(spec, MODE_ALL, caps) if raw is None else None
 
-    def job(lo: int, hi: int) -> tuple:
-        return shape, spec.alphabet_size, lo, hi, cubes, raw
+    def job(m: int, lo: int, hi: int) -> tuple:
+        return shape, ka, m, lo, hi, cubes, raw
 
     # more workers than cores only add processes
     workers = max(1, min(caps.threads, os.cpu_count() or 1))
     if workers == 1 or total < 4096:
-        return OracleResult(shape, _scan_range(job(0, total)))
-    bounds = [total * i // workers for i in range(workers + 1)]
+        return OracleResult(shape, _count_range(job(0, 0, 1)))
+    # the fewest leading cells whose prefixes give every worker one
+    m = 1
+    while ka**m < workers:
+        m += 1
+    bounds = [ka**m * i // workers for i in range(workers + 1)]
     try:
         with multiprocessing.Pool(workers) as pool:
-            count = sum(pool.map(_scan_range, [job(lo, hi) for lo, hi in zip(bounds, bounds[1:])]))
+            count = sum(pool.map(_count_range, [job(m, lo, hi) for lo, hi in zip(bounds, bounds[1:])]))
     except (OSError, AssertionError):
-        count = _scan_range(job(0, total))
+        count = _count_range(job(0, 0, 1))
     return OracleResult(shape, count)
 
 

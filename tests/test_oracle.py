@@ -1,6 +1,9 @@
+import ast
+import itertools
 import random
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -185,3 +188,119 @@ def test_profile_reaches_hard_squares_16x16(tmp_path, capsys):
     assert main(["count", str(path), "--engine", "dp", "--shape", "16x16"]) == 0
     assert time.perf_counter() - start < 30
     assert capsys.readouterr().out.strip() == "18396766424410124752958806046933947217821482942"
+
+
+def test_unknown_mode_is_refused_before_the_cap(hard_squares):
+    # (8, 8) is past the candidate cap, so the mode must be checked first
+    with pytest.raises(SpecError, match="unknown oracle mode 'bogus'"):
+        brute_force_allowed(hard_squares, (8, 8), mode="bogus")
+
+
+# one forbidden cube, all ones, which a (2, 2, 2) shape completes only at its
+# last cell
+ALL_ONES_CUBE = make_spec(
+    3, ["0", "1"], [Pattern.from_cells([(c, 1) for c in itertools.product(range(2), repeat=3)])]
+)
+
+
+@st.composite
+def _cube_spec_and_shape(draw):
+    # up to four patterns in a side^d box, each cell a symbol or the fill
+    # marker (None); every axis is at least the side, and the shape has at
+    # most 2^13 (k = 2) or 3^8 (k = 3) candidates
+    k = draw(st.sampled_from([2, 3]))
+    most = 13 if k == 2 else 8
+    d = draw(st.integers(1, 3))
+    side = draw(st.sampled_from([l for l in (1, 2, 3) if l**d <= most]))
+    cell = st.one_of(st.none(), st.integers(0, k - 1))
+    patterns = []
+    for _ in range(draw(st.integers(1, 4))):
+        box = draw(st.lists(cell, min_size=side**d, max_size=side**d))
+        coords = itertools.product(range(side), repeat=d)
+        cells = [(c, a) for c, a in zip(coords, box) if a is not None]
+        if cells:
+            patterns.append(Pattern.from_cells(cells))
+    shape = []
+    room = most
+    for axis in range(d):
+        s = draw(st.integers(side, room // side ** (d - axis - 1)))
+        shape.append(s)
+        room //= s
+    return make_spec(d, [str(a) for a in range(k)], patterns), tuple(shape)
+
+
+@given(_cube_spec_and_shape())
+@example((make_spec(2, ["0", "1"], []), (3, 4)))
+@example((NO_ONES, (3, 4)))
+@example((ALL_ONES_CUBE, (2, 2, 2)))
+@settings(max_examples=60, deadline=None)
+def test_pruned_enumeration_matches_naive_count(case):
+    spec, shape = case
+    assert brute_force_allowed(spec, shape).count == naive_count(spec, shape)
+
+
+# three symbols, one forbidden 2x2 cube: 3^9 candidates, and 3^m prefixes
+# never split evenly between two workers
+THREE_SYMBOL = make_spec(
+    2, ["0", "1", "2"], [Pattern.from_cells([((0, 0), 0), ((0, 1), 1), ((1, 0), 2), ((1, 1), 0)])]
+)
+
+
+def test_worker_ranges_sum_to_the_sequential_count(monkeypatch):
+    two = DEFAULT_CAPS.but(threads=2)
+    monkeypatch.setattr(oracle_mod.os, "cpu_count", lambda: 2)
+    seq = brute_force_allowed(THREE_SYMBOL, (3, 3)).count
+    assert seq == naive_count(THREE_SYMBOL, (3, 3))
+    assert brute_force_allowed(THREE_SYMBOL, (3, 3), caps=two).count == seq
+
+    jobs = []
+
+    class FakePool:
+        def __init__(self, n):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            jobs.extend(args)
+            return [fn(j) for j in args]
+
+    monkeypatch.setattr(oracle_mod.multiprocessing, "Pool", FakePool)
+    assert brute_force_allowed(THREE_SYMBOL, (3, 3), caps=two).count == seq
+    assert len(jobs) == 2
+
+
+def test_compare_reaches_the_candidate_cap(tmp_path, capsys):
+    # 2^24 candidates per shape, exactly the cap
+    path = tmp_path / "hs.json"
+    path.write_text('{"dimension": 2, "symbols": ["0", "1"], "forbidden": [[["1", "1"]], [["1"], ["1"]]]}')
+    start = time.perf_counter()
+    code = main(["compare", str(path), "--shapes", "6x4,4x6", "--engine", "dp", "--format", "csv"])
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "shape,engine_count,oracle_count,match",
+        "6x4,36787,36787,true",
+        "4x6,36787,36787,true",
+    ]
+
+
+def test_oracle_shares_no_engine_code():
+    # the oracle checks the engine, so it must not import the window scanner
+    # or the relation kernel and the engines built on it
+    tree = ast.parse(Path(oracle_mod.__file__).read_text())
+    modules, names = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            modules.add(node.module or "")
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            modules.update(a.name for a in node.names)
+    assert "allowed_data" not in names
+    engine = {"relation", "chain", "levels", "matrices"}
+    assert not {m.rsplit(".", 1)[-1] for m in modules} & engine
+    assert not names & engine  # `from . import relation`
