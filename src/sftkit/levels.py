@@ -28,7 +28,7 @@ import itertools
 import random
 from dataclasses import dataclass, field, replace
 from functools import partial
-from typing import AbstractSet, Callable, Sequence
+from typing import AbstractSet, Callable, Iterator, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
 from .chain import (
@@ -48,7 +48,7 @@ from .normalize import (
     enumerate_allowed_cubes,
     normalize_to_cubes,
 )
-from .relation import join, join_pairs
+from .relation import Relation, join
 
 
 @dataclass(frozen=True)
@@ -60,10 +60,11 @@ class LevelState:
     stored positionally against it: `vrel` holds (upper, lower) index pairs
     (a `relation.Relation` in walked and loaded states); `hrel` holds
     (a, b, c, d) meaning stack a-over-b is horizontally compatible with
-    stack c-over-d. Either may be None when a level was built only far
-    enough to count its squares. `cubes` is the forbidden set the relations
-    are decided against, and `stacks` the chain stage (n+1, 1) that hrel
-    was read from, kept so that stepping does not build it again; a state
+    stack c-over-d (a sorted Set view, `StackRelation`, in walked and loaded
+    states). Either may be None when a level was built only far enough to
+    count its squares. `cubes` is the forbidden set the relations are
+    decided against, and `stacks` the chain stage (n+1, 1) that hrel was
+    read from, kept so that stepping does not build it again; a state
     without it rebuilds the stacks from vrel, and their relation with the
     kernel. Neither is part of a state's value.
     """
@@ -72,7 +73,7 @@ class LevelState:
     side: int
     squares: Sequence[Block]
     vrel: AbstractSet[tuple[int, int]] | None
-    hrel: frozenset[tuple[int, int, int, int]] | None
+    hrel: AbstractSet[tuple[int, int, int, int]] | None
     cubes: CubeSet | None = field(default=None, compare=False, repr=False)
     stacks: DChainState | None = field(default=None, compare=False, repr=False)
 
@@ -81,10 +82,32 @@ def _square_stage(state: LevelState) -> DChainState:
     return DChainState(2, state.level, 2, state.squares, state.vrel)
 
 
-def _hrel(vrel, stack_relation) -> frozenset[tuple[int, int, int, int]]:
-    # stack x is the x-th sorted vrel pair, and (x, y) reads as the two
-    # pairs end to end: a join along axis 0 of (top, bottom) index tuples
-    return frozenset(join_pairs(sorted(vrel), stack_relation, (2,), 0))
+class StackRelation(Relation):
+    """hrel as a view over the stacks' relation: stack x is the x-th sorted
+    vrel pair, and (x, y) reads as the two pairs end to end. The 4-tuples
+    iterate sorted, from per-stack successor lists off the key groups; two
+    views compare as lists, and anything else goes through `Relation`."""
+
+    __slots__ = ("vrel",)
+
+    def __init__(self, vrel: AbstractSet[tuple[int, int]], stacks: Relation):
+        super().__init__(stacks.groups)
+        self.vrel = sorted(vrel)
+
+    def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
+        vrel = self.vrel
+        succ: list[list[int]] = [[] for _ in vrel]
+        for lows, highs in self.groups:
+            for x in lows:
+                succ[x] += highs
+        return iter([vrel[x] + vrel[y] for x, ys in enumerate(succ) for y in sorted(ys)])
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, StackRelation):
+            return len(self) == len(other) and list(self) == list(other)
+        return super().__eq__(other)
+
+    __hash__ = Relation.__hash__
 
 
 def level0_state(allowed_cubes: Sequence[Block], cubes: CubeSet, caps: Caps = DEFAULT_CAPS) -> LevelState:
@@ -110,7 +133,7 @@ def with_relations(
     stages = chain_report(squares, state.cubes, (state.level + 1, 2), caps, build_target=False)
     # an empty level ends the walk on its own (empty) relation
     stacks = stages[-1] if len(stages) > 1 else None
-    return replace(state, hrel=_hrel(state.vrel, stages[-1].relation), stacks=stacks)
+    return replace(state, hrel=StackRelation(state.vrel, stages[-1].relation), stacks=stacks)
 
 
 def reduced_step(state: LevelState, caps: Caps = DEFAULT_CAPS) -> LevelState:
@@ -228,7 +251,7 @@ def level_states(stages: Sequence[DChainState], cubes: CubeSet) -> tuple[LevelSt
         if st.stage == 2:
             levels.append(LevelState(st.level, cubes.side << st.level, st.blocks, st.relation, None, cubes))
         elif st.relation is not None:
-            levels[-1] = replace(levels[-1], hrel=_hrel(levels[-1].vrel, st.relation), stacks=st)
+            levels[-1] = replace(levels[-1], hrel=StackRelation(levels[-1].vrel, st.relation), stacks=st)
     return tuple(levels)
 
 

@@ -198,25 +198,27 @@ def render_block(b: Block, alphabet: Sequence[str]) -> str:
 # state archives
 
 
-def _block_writer(alphabet: Sequence[str], sep: str) -> Callable[[Sequence[int]], str]:
-    # a block's data as archive text: its symbol codes as one string, and
-    # one str.translate of that into the symbols, each followed by `sep`
-    # (the last one cut off)
+def _block_writer(alphabet: Sequence[str], sep: str) -> Callable[[Sequence[Sequence[int]]], list[str]]:
+    # blocks' data as archive texts: symbol codes as one string, and one
+    # str.translate of that into the symbols, each followed by `sep` (the
+    # last cut off); without one, a stage of `bytes` is translated at once
     table = {i: s + sep for i, s in enumerate(alphabet)}
     cut = -len(sep) or None
 
-    def text(data: Sequence[int]) -> str:
-        codes = data.decode("latin-1") if isinstance(data, bytes) else "".join(map(chr, data))
-        return codes.translate(table)[:cut]
+    def texts(datas: Sequence[Sequence[int]]) -> list[str]:
+        if not sep and datas and type(datas[0]) is bytes:
+            n, whole = len(datas[0]), b"".join(datas).decode("latin-1").translate(table)
+            return [whole[i : i + n] for i in range(0, len(whole), n)]
+        return ["".join(map(chr, data)).translate(table)[:cut] for data in datas]
 
-    return text
+    return texts
 
 
 def _read_blocks(texts: list, shape: Coord, alphabet: Sequence[str], sep: str) -> Blocks:
     """Archive texts of blocks of `shape` as a `Blocks` view holding the
     walk's data type (`core.data_type`). The texts are read as one string
     of symbol codes, by one str.translate when there is no separator, and
-    one `max` over it finds any unknown symbol."""
+    any code left once those below k are deleted is an unknown symbol."""
     n, k = prod(shape), len(alphabet)
     for text in texts:
         if type(text) is not str:
@@ -230,7 +232,7 @@ def _read_blocks(texts: list, shape: Coord, alphabet: Sequence[str], sep: str) -
         # a character below code k that is no symbol reads as code k
         table = {c: k for c in range(k)} | {ord(s): i for i, s in enumerate(alphabet) if len(s) == 1}
         codes = "".join(texts).translate(table)
-    if codes and ord(max(codes)) >= k:
+    if codes.translate(dict.fromkeys(range(k))):
         known = set(alphabet)
         sym = next(s for cell in cells for s in cell if s not in known)
         raise ArchiveError(f"archive block uses unknown symbol {sym!r}")
@@ -254,7 +256,7 @@ def _archive_payload(result: AnalysisResult) -> dict:
     """Serializable archive of a reduced analysis run, without its checksum."""
     spec = result.spec
     sep = "" if all(len(s) == 1 for s in spec.alphabet) else ","
-    text = _block_writer(spec.alphabet, sep)
+    texts = _block_writer(spec.alphabet, sep)
     rep = result.report
     return {
         "format": ARCHIVE_FORMAT,
@@ -267,12 +269,12 @@ def _archive_payload(result: AnalysisResult) -> dict:
             "mode": result.cubes.mode,
             "allowed_count": rep.allowed_count,
         },
-        "index": list(map(text, block_datas(result.index))),
+        "index": texts(block_datas(result.index)),
         "levels": [
             {
                 "level": st.level,
                 "side": st.side,
-                "squares": list(map(text, block_datas(st.squares))),
+                "squares": texts(block_datas(st.squares)),
                 "vrel": sorted(st.vrel) if st.vrel is not None else None,
                 "hrel": sorted(st.hrel) if st.hrel is not None else None,
             }
@@ -299,14 +301,16 @@ def save_state(result: AnalysisResult, path: str) -> None:
 
 
 def load_state(path: str, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
-    """Load an archive, verifying version and integrity. The index, the
-    relations and every level past the first are re-derived from the spec
-    under `caps` (a `BudgetError` when they do not fit), the archive must
-    hold exactly what that derivation gives, and the levels returned are
-    the derived ones, stacks stages included."""
+    """Load an archive, verifying version and integrity (the checksum of its
+    own body in save_state's layout, else of its canonical text). The index,
+    the relations and every level past the first are re-derived from the
+    spec under `caps` (a `BudgetError` when they do not fit), the archive
+    must hold exactly what that derivation gives, and the levels returned
+    are the derived ones, stacks stages included."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
+            text = fh.read()
+        payload = json.loads(text)
     except OSError as e:
         raise ArchiveError(f"cannot read {path}: {e}") from None
     except json.JSONDecodeError as e:
@@ -316,7 +320,7 @@ def load_state(path: str, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
     except RecursionError:
         raise ArchiveError("corrupt archive: nested too deeply") from None
     try:
-        return _restore(payload, caps)
+        return _restore(payload, text, caps)
     except RecursionError:
         # nesting just under the decoder's limit fails in the checksum's encoder
         raise ArchiveError("corrupt archive: nested too deeply") from None
@@ -339,19 +343,26 @@ def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
-def _index_tuples(items: list, n: int, bound: int, where: str) -> frozenset:
+def _index_tuples(items: list, n: int, bound: int, where: str) -> list[tuple[int, ...]]:
     # JSON decodes to exact types, and `type(i) is int` leaves out booleans
     flat = list(itertools.chain.from_iterable(items)) if set(map(type, items)) <= {list} else None
     if flat is None or set(map(len, items)) - {n} or set(map(type, flat)) - {int}:
         raise ArchiveError(f"archive field {where} must hold lists of {n} integers")
-    if flat and (min(flat) < 0 or max(flat) >= bound):
+    values = set(flat)
+    if values and (min(values) < 0 or max(values) >= bound):
         raise ArchiveError(f"archive field {where} indexes past the level's {bound} squares")
-    return frozenset(map(tuple, items))
+    return list(map(tuple, items))
+
+
+def _same(items: list | None, rel) -> bool:
+    # an archived relation against the derived one: as sorted lists, the way
+    # save_state writes them, and only when those differ as sets
+    return items is rel if items is None or rel is None else items == sorted(rel) or frozenset(items) == rel
 
 
 def _check_hrel(lv: LevelState, where: str) -> None:
     """Name an archived hrel entry that pairs stacks outside the level's vrel."""
-    vrel = lv.vrel
+    vrel = frozenset(lv.vrel or ())
     if lv.hrel is not None and any(h[:2] not in vrel or h[2:] not in vrel for h in lv.hrel):
         raise ArchiveError(f"archive field {where}hrel pairs stacks that are not in vrel")
 
@@ -370,7 +381,7 @@ def _derived_stages(levels: Sequence[LevelState], index, cubes: CubeSet, caps: C
     return chain_report(chain_start(index, cubes), cubes, target, caps, build_target=build)
 
 
-def _restore(payload: dict, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
+def _restore(payload: dict, text: str, caps: Caps) -> AnalysisResult:
     if not isinstance(payload, dict) or payload.get("format") != ARCHIVE_FORMAT:
         raise ArchiveError("not a state archive")
     version = payload.get("version")
@@ -378,9 +389,14 @@ def _restore(payload: dict, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
         raise ArchiveError(
             f"archive version {version} is not loadable by this build (wants {ARCHIVE_VERSION})"
         )
+    # save_state writes '{"checksum":"<sum>",' + body + '\n': a file in that
+    # layout is checked against its own body, any other by its canonical text
     claimed = payload.get("checksum")
+    head = f'{{"checksum":"{claimed}",'
+    body_text = "{" + text[len(head) : -1]
+    signed = text.startswith(head) and text.endswith("\n") and claimed == _checksum(body_text)
     body = {k: v for k, v in payload.items() if k != "checksum"}
-    if claimed != _checksum(_canonical(body)):
+    if not signed and claimed != _checksum(_canonical(body)):
         raise ArchiveError("integrity check failed: archive was modified")
     # the checksum can be recomputed by anyone: every field is checked too
     spec = parse_spec(_field(payload, "spec", dict))
@@ -453,16 +469,17 @@ def _restore(payload: dict, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
     # the walk proves every square it makes allowed, so only an archived
     # square it did not make is scanned, to name a forged forbidden one;
     # likewise only an hrel that differs is checked against its vrel
+    same = len(derived) == len(levels)
     for i, (a, b) in enumerate(zip(levels, derived)):
         if a.squares != b.squares:
             made = set(b.squares.datas)
             if not all(allowed_data(d, a.squares.shape, cubes) for d in a.squares.datas if d not in made):
                 raise ArchiveError(f"archive field levels[{i}].squares holds a forbidden square")
-        if a.hrel != b.hrel:
+        same = same and a.squares == b.squares and _same(a.vrel, b.vrel)
+        if not _same(a.hrel, b.hrel):
             _check_hrel(a, f"levels[{i}].")
-    if len(derived) != len(levels) or any(
-        (a.squares, a.vrel, a.hrel) != (b.squares, b.vrel, b.hrel) for a, b in zip(levels, derived)
-    ):
+            same = False
+    if not same:
         raise ArchiveError("integrity check failed: the levels are not the ones the spec gives")
     if rows != report_rows(stages):
         raise ArchiveError("integrity check failed: report rows disagree with the levels")

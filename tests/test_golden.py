@@ -55,6 +55,7 @@ def _commands() -> list[tuple[str, list[str], bool]]:
         ("full_shift", 0, True), ("full_shift", 1, True),
         ("three_symbol", 0, True), ("three_symbol", 1, False),
         ("d1", 1, False), ("d3_diag", 1, False),
+        ("wide_symbols", 0, True), ("wide_symbols", 1, True),
     ):
         add(
             f"export-{spec}-{level}",

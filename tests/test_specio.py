@@ -517,3 +517,150 @@ def test_loaded_levels_are_the_derived_ones_and_step_on_their_stacks(tmp_path, h
     nxt = reduced_step(loaded.levels[0])
     assert len(calls) == 1
     assert len(nxt.squares) == 1234
+
+
+# ---------------------------------------------------------------------------
+# archive I/O by the stage: round trip, both checksum paths, symbol checks
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from sftkit import DEFAULT_CAPS  # noqa: E402
+
+# single-character symbols, multi-character ones, and a mix of the two
+_ALPHABETS = (("0", "1", "2"), ("on", "off", "idle"), ("x", "yy", "zzz"))
+_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+
+@st.composite
+def _archived_runs(draw):
+    k = draw(st.sampled_from((2, 3)))
+    symbols = list(draw(st.sampled_from(_ALPHABETS))[:k])
+    cells = [(a, b, c, d) for a in range(k) for b in range(k) for c in range(k) for d in range(k)]
+    size = {"min_size": len(cells) // 4, "max_size": len(cells) * 3 // 4}
+    forbidden = draw(st.lists(st.sampled_from(cells), unique=True, **size))
+    spec = parse_spec(
+        {
+            "dimension": 2,
+            "symbols": symbols,
+            "forbidden": [[[list(at), symbols[s]] for at, s in zip(_CORNERS, pat)] for pat in forbidden],
+        }
+    )
+    return spec, draw(st.integers(0, 2))
+
+
+# tighter than the default caps, so that no example builds a large stage; a
+# run stopped by them is archived and round-tripped as well
+_ROUND_TRIP_CAPS = DEFAULT_CAPS.but(max_blocks=2_000, max_work=10**5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(run=_archived_runs(), at=st.integers(0, 10**9), by=st.sampled_from("0129xyz,[]{}:\"-"))
+def test_archive_round_trip_property(tmp_path_factory, run, at, by):
+    spec, level = run
+    res = analyze(spec, level, caps=_ROUND_TRIP_CAPS)
+    path = tmp_path_factory.mktemp("rt") / "state.json"
+    save_state(res, str(path))
+    text = path.read_text()
+    loaded = load_state(str(path), _ROUND_TRIP_CAPS)
+    assert loaded.report == res.report
+    assert [(a.squares, a.vrel, a.hrel) for a in loaded.levels] == [
+        (b.squares, b.vrel, b.hrel) for b in res.levels
+    ]
+    save_state(loaded, str(path))
+    assert path.read_text() == text
+    # one character changed anywhere before the closing newline
+    i = at % (len(text) - 1)
+    if text[i] == by:
+        by = "3"
+    path.write_text(text[:i] + by + text[i + 1 :])
+    with pytest.raises(ArchiveError):
+        load_state(str(path), _ROUND_TRIP_CAPS)
+
+
+def test_unmodified_archive_is_checked_against_its_own_body(tmp_path, hard_squares, monkeypatch):
+    import sftkit.specio
+
+    res = analyze(hard_squares, 1)
+    path = tmp_path / "state.json"
+    save_state(res, str(path))
+
+    def no_canonical(*a, **k):
+        raise AssertionError("archive re-encoded")
+
+    monkeypatch.setattr(sftkit.specio, "_canonical", no_canonical)
+    assert load_state(str(path)).report == res.report
+
+
+def test_archive_in_another_layout_is_checked_by_its_canonical_text(tmp_path, hard_squares):
+    # `_resigned` writes json.dumps' layout, with spaces after separators
+    res = analyze(hard_squares, 1)
+    path = _resigned(tmp_path, res, lambda p: None)
+    assert load_state(path).report == res.report
+
+
+def test_archive_signed_over_its_own_non_canonical_body_faces_the_field_checks(tmp_path, hard_squares):
+    import hashlib
+
+    res = analyze(hard_squares, 1)
+    path = tmp_path / "state.json"
+    save_state(res, str(path))
+    payload = json.loads(path.read_text())
+    del payload["checksum"]
+
+    def signed(body: str) -> str:
+        path.write_text(f'{{"checksum":"{hashlib.sha256(body.encode()).hexdigest()}",{body[1:]}\n')
+        return str(path)
+
+    assert load_state(signed(json.dumps(payload, indent=1))).report == res.report
+    payload["verdict"] = "empty"
+    assert "verdict" in _load_error(signed(json.dumps(payload, indent=1)))
+
+
+_HUNDRED = [*"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789", *map(chr, range(0x100, 0x126))]
+
+
+@pytest.mark.parametrize("wide", [False, True], ids=["k2", "k100"])
+@pytest.mark.parametrize("char", ["\x00", "\x01", "?", "€"])
+def test_archive_square_with_an_unknown_symbol_is_refused(tmp_path, hard_squares, wide, char):
+    assert len(_HUNDRED) == 100
+    if wide:
+        res = analyze(parse_spec({"dimension": 2, "symbols": _HUNDRED, "forbidden": [[["Z"]]]}), 0)
+    else:
+        res = analyze(hard_squares, 0)
+
+    def forge(p):
+        square = p["levels"][0]["squares"][0]
+        p["levels"][0]["squares"][0] = char + square[1:]
+
+    assert _load_error(_resigned(tmp_path, res, forge)) == f"archive block uses unknown symbol {char!r}"
+
+
+def test_hrel_view_keeps_the_set_contract(hard_squares, monkeypatch):
+    from dataclasses import replace
+
+    from sftkit.levels import StackRelation
+
+    res = analyze(hard_squares, 1)
+    state = res.levels[0]
+    view = state.hrel
+    assert isinstance(view, StackRelation)
+    tuples = frozenset(view)
+    some = next(iter(tuples))
+    fewer = tuples - {some}
+    # len, iteration and view-to-view equality list the tuples without a set
+    with monkeypatch.context() as m:
+        m.setattr(StackRelation, "pairs", lambda self: pytest.fail("frozenset built"))
+        assert len(view) == len(tuples) == 1234
+        assert list(view) == sorted(tuples)
+        assert view == analyze(hard_squares, 1).levels[0].hrel
+    assert view == tuples and tuples == view
+    assert not (view != tuples) and not (tuples != view)
+    assert view != fewer and fewer != view
+    assert hash(view) == hash(tuples)
+    assert some in view and (len(state.squares), 0, 0, 0) not in view
+    assert type(view & fewer) is frozenset and view & fewer == fewer
+    assert type(view | fewer) is frozenset and view | fewer == tuples
+    plain = replace(state, vrel=frozenset(state.vrel), hrel=tuples)
+    assert plain == state and state == plain
+    assert hash(plain) == hash(state)
