@@ -29,7 +29,8 @@ class Caps:
     # an n-cell shape; its pruned enumeration visits fewer than
     # k_A/(k_A-1) * k_A^n prefixes, so the cap bounds its work too
     oracle_candidates: int = 2**24
-    # row profiles, k_A^(s(l-1)), the cell-by-cell profile DP may refine
+    # k_A^((l-1)*(sum of the box's strides - 1)), k_A^(s(l-1)) for r x s:
+    # the cell-by-cell profile DP's states, over k_A^(l-1)
     profile_states: int = 2**20
     # assemblies the witness search may try before giving up
     witness_nodes: int = 200_000

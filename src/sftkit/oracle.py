@@ -5,9 +5,11 @@ at a time, in row-major order, and tests each l-window when its last cell
 is placed: a forbidden window cuts every completion of its prefix, and each
 allowed block is reached as its own leaf. It merges no states and calls no
 engine code, so it stays independent of the DP and of the relation kernel.
-`profile_count` is a cell-by-cell broken-profile DP that scales to shapes
-the brute force cannot reach. They cross-check each other wherever both
-run. Each normalizes the spec it is given and returns a count only: no
+`profile_count` is a cell-by-cell broken-profile DP over a box of any
+dimension that scales to shapes the brute force cannot reach: its state is
+one int of the last cells placed, and each cell checks the window ending
+there, cut off at the box's low faces. It too calls no engine code. They
+cross-check each other wherever both run. Each normalizes the spec it is given and returns a count only: no
 allowed block is kept.
 """
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .caps import DEFAULT_CAPS, PRINTED_MAX, Caps, check_power
-from .core import Block, SftSpec, _gather_table, occurs_in, prod
+from .core import Block, CubeSet, SftSpec, _gather_table, occurs_in, prod, strides
 from .errors import SpecError
 from .normalize import MODE_ALL, normalize_to_cubes
 
@@ -117,8 +119,7 @@ def brute_force_allowed(
     """
     if mode not in ("cubes", "patterns"):
         raise SpecError(f"unknown oracle mode {mode!r}")
-    if len(shape) != spec.dimension:
-        raise SpecError(f"shape {shape} does not match dimension {spec.dimension}")
+    _check_shape(spec, shape)
     check_power(
         spec.alphabet_size,
         prod(shape),
@@ -150,53 +151,110 @@ def brute_force_allowed(
     return OracleResult(shape, count)
 
 
+def _check_shape(spec: SftSpec, shape: tuple[int, ...]) -> None:
+    """The shape rule both oracles share with the CLI: one extent per
+    axis of the spec, each at least 1."""
+    if len(shape) != spec.dimension:
+        raise SpecError(f"shape {tuple(shape)} does not match dimension {spec.dimension}")
+    if any(s < 1 for s in shape):
+        raise SpecError(f"shape {tuple(shape)} has an extent below 1")
+
+
+def _cut_windows(spec: SftSpec, cubes: CubeSet, b: int) -> dict:
+    """Per extent vector e in [1..l]^d, the low-corner e-sub-blocks of the allowed
+    l-cubes, each packed b bits a cell in row-major order (its last cell in
+    the low bits) and grouped as {code of all cells but the last: the
+    symbols that last cell may take}."""
+    side, d = cubes.side, spec.dimension
+    bad = cubes.data_set()
+    low = (1 << b) - 1
+    kinds = [(e, _gather_table((side,) * d, e), {}) for e in itertools.product(range(1, side + 1), repeat=d)]
+    # one pass over the candidates, keeping no allowed cube
+    for data in itertools.product(range(spec.alphabet_size), repeat=side**d):
+        if data in bad:
+            continue
+        for _, offsets, groups in kinds:
+            code = 0
+            for o in offsets:
+                code = (code << b) | data[o]
+            groups.setdefault(code >> b, set()).add(code & low)
+    return {e: {rest: tuple(sorted(a)) for rest, a in groups.items()} for e, _, groups in kinds}
+
+
+def _runs(e: tuple[int, ...], st: tuple[int, ...], b: int) -> list[tuple[int, int, int]]:
+    """How to read, from a state whose newest cell is in its low bits, the
+    code of every cell but the last of the e-window ending at the next
+    cell: per run of e[-1] cells along the last axis, a (shift, mask,
+    position) triple, the run read as (state >> shift) & mask and placed at
+    `position`. The last run ends at the next cell, so the state holds one
+    cell fewer of it."""
+    m = e[-1]
+    heads = list(itertools.product(*(range(x) for x in e[:-1])))
+    out = []
+    for r, head in enumerate(heads):
+        # how far back the run's last cell lies from the next cell
+        back = sum((x - 1 - t) * s for x, t, s in zip(e, head, st))
+        pos = m * b * (len(heads) - 1 - r) - b
+        if back:
+            out.append(((back - 1) * b, (1 << m * b) - 1, pos))
+        elif m > 1:
+            out.append((0, (1 << (m - 1) * b) - 1, 0))
+    return out
+
+
 def profile_count(
     spec: SftSpec,
-    shape: tuple[int, int],
+    shape: tuple[int, ...],
     caps: Caps = DEFAULT_CAPS,
 ) -> int:
-    """Broken-profile DP count of allowed r x s arrays (2-d only).
+    """Broken-profile DP count of the allowed blocks of a d-box.
 
-    The transfer-matrix method of Calkin and Wilf, one cell at a time: the
-    state is the last (l-1)(s+1) cells in row-major order, and each of the
-    k_A symbols for the next cell is checked against the one l x l window
-    that cell completes. `caps.profile_states` bounds k_A^(s(l-1)), the
-    row profiles the states refine. Must agree with brute force wherever
-    both run. Undersized shapes hold no cube and count k_A^(r*s).
+    The transfer-matrix method of Calkin and Wilf, one cell at a time in
+    row-major order, in any dimension. The state is the last (l-1)*sum of
+    the box's strides cells, held as one int of b = max(1, bits of k_A-1)
+    bits a cell, the newest cell in the low bits; placing symbol a steps
+    it to ((state << b) & mask) | a. Each cell checks the window ending
+    there, cut off at the box's low faces to extent min(coord+1, l) per
+    axis, against the low-corner sub-blocks of that extent of the allowed
+    cubes. When every extent of the box is >= l, a cut window is the low
+    corner of a full window of the box, so it prunes soundly, and the full
+    windows are checked as they complete; the successors of a state are
+    memoised per extent vector. `caps.profile_states` bounds
+    k_A^((l-1)*(sum of strides - 1)), so at most k_A^(l-1) times the cap
+    states are live in any d; in 2-d (r x s) that is k_A^(s(l-1)). Must
+    agree with brute force wherever both run. A box thinner than l on some
+    axis holds no cube and counts k_A^n.
     """
-    if spec.dimension != 2:
-        raise SpecError("profile counting is 2-dimensional only")
+    _check_shape(spec, shape)
     cubes = normalize_to_cubes(spec, MODE_ALL, caps)
-    r, s = shape
     side = cubes.side
     ka = spec.alphabet_size
-    if r < side or s < side:
-        check_power(ka, r * s, PRINTED_MAX, "profile DP count {count} is too long to print")
-        return ka ** (r * s)
-    check_power(ka, s * (side - 1), caps.profile_states, "profile DP needs {count} states (cap {cap})")
-    bad = cubes.data_set()
-    keep = (side - 1) * (s + 1)
-    # the l x l window ending at the newest of keep + 1 cells, read
-    # row-major; one cell is taken as a slice, a 1-tuple like its cube
-    if side == 1:
-        window = itemgetter(slice(0, 1))
-    else:
-        window = itemgetter(*(i * s + j for i in range(side) for j in range(side)))
-    symbols = [(a,) for a in range(ka)]
-    counts: dict[tuple, int] = {(): 1}
-    for cell in range(r * s):
-        i, j = divmod(cell, s)
-        check = i >= side - 1 and j >= side - 1
-        # once the state holds `keep` cells, the oldest one leaves it
-        drop = 1 if cell >= keep else 0
-        nxt: dict[tuple, int] = {}
+    n = prod(shape)
+    if any(s < side for s in shape):
+        check_power(ka, n, PRINTED_MAX, "profile DP count {count} is too long to print")
+        return ka**n
+    st = strides(shape)
+    check_power(ka, (side - 1) * (sum(st) - 1), caps.profile_states, "profile DP needs {count} states (cap {cap})")
+    b = max(1, (ka - 1).bit_length())
+    mask = (1 << (side - 1) * sum(st) * b) - 1
+    # per extent vector: its table, its run reads and its successor memo
+    kinds = {e: (table, _runs(e, st, b), {}) for e, table in _cut_windows(spec, cubes, b).items()}
+    counts: dict[int, int] = {0: 1}
+    # per cell in row-major order, the extent of the window ending there,
+    # cut at the low faces
+    for e in itertools.product(*([min(c + 1, side) for c in range(s)] for s in shape)):
+        table, reads, memo = kinds[e]
+        nxt: dict[int, int] = {}
         get = nxt.get
         for state, cnt in counts.items():
-            for a in symbols:
-                cells = state + a
-                if check and window(cells) in bad:
-                    continue
-                key = cells[drop:]
-                nxt[key] = get(key, 0) + cnt
+            succ = memo.get(state)
+            if succ is None:
+                rest = 0
+                for shift, m, pos in reads:
+                    rest |= ((state >> shift) & m) << pos
+                head = (state << b) & mask
+                succ = memo[state] = tuple(head | a for a in table.get(rest, ()))
+            for t in succ:
+                nxt[t] = get(t, 0) + cnt
         counts = nxt
     return sum(counts.values())

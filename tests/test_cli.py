@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -441,3 +442,18 @@ def test_bad_inputs_stop_with_a_message(tmp_path, hs_file, capsys, argv, code):
     assert err and "Traceback" not in err
     if code == 4:
         assert out == ""
+
+
+def test_dp_counts_in_every_dimension(capsys):
+    # the DP serves compare's fallback and count --engine dp in d = 1 and 3
+    specs = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden", "specs")
+    diag = os.path.join(specs, "d3_diag.json")
+    assert main(["compare", diag, "--shapes", "2x2x2,4x2x2,4x4x2", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "shape,engine_count,oracle_count,match",
+        "2x2x2,19,19,true",
+        "4x2x2,281,281,true",
+        "4x4x2,39543,39543,true",
+    ]
+    assert main(["count", os.path.join(specs, "d1.json"), "--engine", "dp", "--shape", "40"]) == 0
+    assert capsys.readouterr().out.strip() == "267914296"

@@ -16,7 +16,12 @@ from sftkit import (
     Pattern,
     SpecError,
     brute_force_allowed,
+    chain_report,
+    chain_start,
+    enumerate_allowed_cubes,
+    load_spec_file,
     make_spec,
+    normalize_to_cubes,
     profile_count,
 )
 from sftkit.cli import main
@@ -304,3 +309,81 @@ def test_oracle_shares_no_engine_code():
     engine = {"relation", "chain", "levels", "matrices"}
     assert not {m.rsplit(".", 1)[-1] for m in modules} & engine
     assert not names & engine  # `from . import relation`
+
+
+def test_profile_refuses_a_shape_of_another_dimension(hard_squares):
+    # the brute force's message, not an unpacking error
+    with pytest.raises(SpecError, match=r"shape \(4, 4, 4\) does not match dimension 2"):
+        profile_count(hard_squares, (4, 4, 4))
+    with pytest.raises(SpecError, match=r"shape \(4, 4, 4\) does not match dimension 2"):
+        brute_force_allowed(hard_squares, (4, 4, 4))
+
+
+@pytest.mark.parametrize("shape", [(-1, 4), (0, 4), (4, 0), (2, -3)])
+def test_oracles_refuse_extents_below_one(hard_squares, shape):
+    # a negative extent used to give a float count, k^n with n < 0
+    with pytest.raises(SpecError, match="extent below 1"):
+        profile_count(hard_squares, shape)
+    with pytest.raises(SpecError, match="extent below 1"):
+        brute_force_allowed(hard_squares, shape)
+
+
+@st.composite
+def _box_spec_and_shape(draw):
+    # the cube strategy's case, or the same spec on a box cut to any
+    # extents from 1 up, so that some axes are thinner than the cube side
+    spec, shape = draw(_cube_spec_and_shape())
+    if draw(st.booleans()):
+        shape = tuple(draw(st.integers(1, s)) for s in shape)
+    return spec, shape
+
+
+# a 0 only at the start of a line along the last axis: the high corner of
+# a cube's cut window is not its low corner
+ZERO_STARTS_LINES = make_spec(
+    3, ["0", "1"], [Pattern.from_cells([((0, 0, 0), a), ((0, 0, 1), 0)]) for a in (0, 1)]
+)
+
+
+@given(_box_spec_and_shape())
+@example((ZERO_STARTS_LINES, (2, 2, 2)))
+@example((ALL_ONES_CUBE, (2, 2, 2)))
+@example((THREE_SYMBOL, (3, 3)))
+@example((NO_ONES, (1, 4)))
+@settings(max_examples=60, deadline=None)
+def test_profile_matches_brute_force_in_every_dimension(case):
+    spec, shape = case
+    assert profile_count(spec, shape) == brute_force_allowed(spec, shape).count
+
+
+GOLDEN_SPECS = Path(__file__).parent / "data" / "golden" / "specs"
+
+
+def _chain_counts(spec, target):
+    cubes = normalize_to_cubes(spec)
+    start = chain_start(enumerate_allowed_cubes(spec, cubes), cubes)
+    return {stage.blocks[0].shape: len(stage.blocks) for stage in chain_report(start, cubes, target)}
+
+
+def test_profile_matches_the_chain_in_three_dimensions(d3_hard_cubes):
+    diag = load_spec_file(str(GOLDEN_SPECS / "d3_diag.json"))
+    chain = _chain_counts(diag, (1, 2))
+    assert chain == {(2, 2, 2): 19, (4, 2, 2): 281, (4, 4, 2): 39543}
+    for shape, count in chain.items():
+        assert profile_count(diag, shape) == count
+    assert _chain_counts(d3_hard_cubes, (1, 2))[(4, 4, 2)] == 536453
+    assert profile_count(d3_hard_cubes, (4, 4, 2)) == 536453
+
+
+def test_profile_pins_three_dimensional_cubes(d3_hard_cubes):
+    # d3_diag 4x4x4 is the chain's value (count --engine matrix)
+    diag = load_spec_file(str(GOLDEN_SPECS / "d3_diag.json"))
+    assert profile_count(diag, (4, 4, 4)) == 536_057_854
+    assert profile_count(d3_hard_cubes, (4, 4, 4)) == 121_039_421_240
+
+
+def test_profile_budget_bounds_the_live_states_in_three_dimensions():
+    # 3x4x5 holds 2^20 profiles of its 4x5 faces, but the first cube ends at
+    # its 27th cell, so 2^26 states would be live before any window prunes
+    with pytest.raises(BudgetError, match=r"profile DP needs 33554432 states \(cap 1048576\)"):
+        profile_count(ALL_ONES_CUBE, (3, 4, 5))
