@@ -223,10 +223,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    spec = load_spec_file(args.spec)
-    if spec.dimension != 2:
-        raise SpecError("state archives cover the 2-dimensional pipeline only")
-    result = analyze(spec, args.levels, mode="reduced", caps=_caps_of(args))
+    result = analyze(load_spec_file(args.spec), args.levels, mode="reduced", caps=_caps_of(args))
     save_state(result, args.out)
     _emit_report(result.report, args.format, sys.stdout)
     return result.report.exit_code()

@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property
 from typing import AbstractSet, Callable, Iterator, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
@@ -203,23 +203,26 @@ class LevelReport:
 class AnalysisResult:
     """What `analyze` found. The report's counts come from relation sizes:
     the walk stops one stage short of the target and counts the target's
-    blocks from the last relation without building them. For d=2 reduced
-    runs, `levels` are read from the walked stages when first accessed,
-    and only then is the target level's squares stage built (as
-    `export-state` and library callers need it); other runs have no
-    levels. Construct it with the levels, or a callable returning them."""
+    blocks from the last relation without building them. `stages` are the
+    walked chain stages, in every dimension; only when they are first read
+    is the target stage built (as `export-state` and library callers need
+    it). For d=2 reduced runs, `levels` are the level states those stages
+    hold; other runs have no levels. Construct it with the stages, or a
+    callable returning them."""
 
     spec: SftSpec
     cubes: CubeSet
     index: tuple[Block, ...]
-    _levels: tuple[LevelState, ...] | Callable[[], tuple[LevelState, ...]]
+    _stages: tuple[DChainState, ...] | Callable[[], tuple[DChainState, ...]]
     report: LevelReport
 
-    @property
+    @cached_property
+    def stages(self) -> tuple[DChainState, ...]:
+        return self._stages() if callable(self._stages) else self._stages
+
+    @cached_property
     def levels(self) -> tuple[LevelState, ...]:
-        if callable(self._levels):
-            object.__setattr__(self, "_levels", self._levels())
-        return self._levels
+        return level_states(self.stages, self.cubes) if self.report.mode == "reduced" else ()
 
 
 def _label(dimension: int, level: int, stage: int) -> tuple[int, str]:
@@ -300,28 +303,23 @@ def analyze(
         stages, reason = e.partial, str(e)
     else:
         # the target is counted from the last relation, not built, but it is
-        # held to the caps it meets when `levels` is read and it is built
+        # held to the caps it meets when `stages` is read and it is built
         if stages[-1].relation is not None:
             try:
                 check_next_stage(stages[-1], caps)
             except BudgetError as e:
                 reason = str(e)
-    # a walk that reached its target steps into it when `levels` is read
-    step = reason is None and stages[-1].relation is not None
     rows = tuple(report_rows(stages))
-    verdict, reason = verdict_of(rows, reason)
-    d2 = spec.dimension == 2
-    report = LevelReport(
-        "reduced" if d2 else "chain", norm.side, norm.cube_count, norm.allowed_count, rows, verdict, reason
-    )
-    levels_of = partial(_read_levels, tuple(stages), cubes, caps if step else None)
-    return AnalysisResult(spec, cubes, index, levels_of if d2 else (), report)
+    verdict, stop = verdict_of(rows, reason)
+    mode = "reduced" if spec.dimension == 2 else "chain"
+    report = LevelReport(mode, norm.side, norm.cube_count, norm.allowed_count, rows, verdict, stop)
+    walked = stages
+    if reason is None and stages[-1].relation is not None:
+        # a walk that reached its target steps into it when `stages` is read
+        def walked():
+            return (*stages, d_chain_step(stages[-1], cubes, caps))
 
-
-def _read_levels(stages, cubes: CubeSet, step_caps: Caps | None) -> tuple[LevelState, ...]:
-    if step_caps is not None:
-        stages = (*stages, d_chain_step(stages[-1], cubes, step_caps))
-    return level_states(stages, cubes)
+    return AnalysisResult(spec, cubes, index, walked, report)
 
 
 def _analyze_literal(spec, cubes, index, norm, levels, caps) -> AnalysisResult:

@@ -14,6 +14,12 @@ A problem document is JSON with exactly three fields::
 Dense patterns are nested lists of depth `dimension` whose leaves are
 symbols or the fill marker "*"; sparse patterns list [coord, symbol] cells.
 Unknown top-level fields are rejected.
+
+A state archive records an analysis run in any dimension: the spec, its
+normalization counts, the report, and the walked chain stages, each as its
+level and stage (which give its shape), its sorted block texts and its
+relation's key groups. `load_state` re-derives that walk and accepts only
+an archive that holds exactly its stages.
 """
 from __future__ import annotations
 
@@ -23,13 +29,12 @@ import json
 from typing import Callable, Sequence
 
 from .caps import DEFAULT_CAPS, Caps, check_power
-from .chain import chain_report, chain_start
+from .chain import DChainState, chain_report, chain_start
 from .core import (
     MAX_DIMENSION,
     Block,
     Blocks,
     Coord,
-    CubeSet,
     Pattern,
     SftSpec,
     allowed_data,
@@ -39,12 +44,13 @@ from .core import (
     prod,
 )
 from .errors import ArchiveError, BudgetError, FormatError, SpecError
-from .levels import AnalysisResult, LevelReport, LevelRow, LevelState, level_states, report_rows, verdict_of
+from .levels import AnalysisResult, LevelReport, LevelRow, report_rows, verdict_of
 from .normalize import MODE_ALL, forbidden_side, normalize_to_cubes
+from .relation import Relation
 
 FILL = "*"
 ARCHIVE_FORMAT = "sft-state"
-ARCHIVE_VERSION = 1
+ARCHIVE_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +259,9 @@ def _checksum(canon: str) -> str:
 
 
 def _archive_payload(result: AnalysisResult) -> dict:
-    """Serializable archive of a reduced analysis run, without its checksum."""
+    """Serializable archive of an analysis run, without its checksum: its
+    walked chain stages, each as its level and stage (which give its shape),
+    its sorted block texts and its relation's key groups, or null."""
     spec = result.spec
     sep = "" if all(len(s) == 1 for s in spec.alphabet) else ","
     texts = _block_writer(spec.alphabet, sep)
@@ -269,16 +277,14 @@ def _archive_payload(result: AnalysisResult) -> dict:
             "mode": result.cubes.mode,
             "allowed_count": rep.allowed_count,
         },
-        "index": texts(block_datas(result.index)),
-        "levels": [
+        "stages": [
             {
                 "level": st.level,
-                "side": st.side,
-                "squares": texts(block_datas(st.squares)),
-                "vrel": sorted(st.vrel) if st.vrel is not None else None,
-                "hrel": sorted(st.hrel) if st.hrel is not None else None,
+                "stage": st.stage,
+                "blocks": texts(block_datas(st.blocks)),
+                "relation": None if st.relation is None else st.relation.groups,
             }
-            for st in result.levels
+            for st in result.stages
         ],
         "report_rows": [
             [row.level, row.stage, row.block_count, row.relation_count] for row in rep.rows
@@ -302,11 +308,11 @@ def save_state(result: AnalysisResult, path: str) -> None:
 
 def load_state(path: str, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
     """Load an archive, verifying version and integrity (the checksum of its
-    own body in save_state's layout, else of its canonical text). The index,
-    the relations and every level past the first are re-derived from the
-    spec under `caps` (a `BudgetError` when they do not fit), the archive
-    must hold exactly what that derivation gives, and the levels returned
-    are the derived ones, stacks stages included."""
+    own body in save_state's layout, else of its canonical text). The chain
+    walk is re-derived from the spec under `caps` (a `BudgetError` when it
+    does not fit) to the archive's last stage, and one relation further when
+    that stage's relation is archived. The archive must hold exactly the
+    stages that walk gives, and the stages returned are the derived ones."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -343,42 +349,23 @@ def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
-def _index_tuples(items: list, n: int, bound: int, where: str) -> list[tuple[int, ...]]:
+def _key_groups(items: list, bound: int, where: str) -> Relation:
     # JSON decodes to exact types, and `type(i) is int` leaves out booleans
-    flat = list(itertools.chain.from_iterable(items)) if set(map(type, items)) <= {list} else None
-    if flat is None or set(map(len, items)) - {n} or set(map(type, flat)) - {int}:
-        raise ArchiveError(f"archive field {where} must hold lists of {n} integers")
-    values = set(flat)
-    if values and (min(values) < 0 or max(values) >= bound):
-        raise ArchiveError(f"archive field {where} indexes past the level's {bound} squares")
-    return list(map(tuple, items))
+    chain = itertools.chain.from_iterable
+    pairs = set(map(type, items)) <= {list} and set(map(len, items)) <= {2}
+    halves = list(chain(items)) if pairs else [None]
+    indices = list(chain(halves)) if set(map(type, halves)) <= {list} else [None]
+    if set(map(type, indices)) - {int}:
+        raise ArchiveError(f"archive field {where} must hold [lows, highs] lists of integers")
+    if indices and (min(indices) < 0 or max(indices) >= bound):
+        raise ArchiveError(f"archive field {where} indexes past the stage's {bound} blocks")
+    return Relation(map(tuple, items))
 
 
-def _same(items: list | None, rel) -> bool:
-    # an archived relation against the derived one: as sorted lists, the way
-    # save_state writes them, and only when those differ as sets
-    return items is rel if items is None or rel is None else items == sorted(rel) or frozenset(items) == rel
-
-
-def _check_hrel(lv: LevelState, where: str) -> None:
-    """Name an archived hrel entry that pairs stacks outside the level's vrel."""
-    vrel = frozenset(lv.vrel or ())
-    if lv.hrel is not None and any(h[:2] not in vrel or h[2:] not in vrel for h in lv.hrel):
-        raise ArchiveError(f"archive field {where}hrel pairs stacks that are not in vrel")
-
-
-def _derived_stages(levels: Sequence[LevelState], index, cubes: CubeSet, caps: Caps):
-    """The stages the chain walk from `index` builds down to the archive's
-    deepest relation: the stacks' relation (hrel) of the last level, its
-    vertical relation, or else its squares."""
-    last = levels[-1]
-    if last.hrel is not None:
-        target, build = (last.level + 1, 2), False
-    elif last.vrel is not None:
-        target, build = (last.level + 1, 1), False
-    else:
-        target, build = (last.level, 2), True
-    return chain_report(chain_start(index, cubes), cubes, target, caps, build_target=build)
+def _same(a: Relation | None, b: Relation | None) -> bool:
+    # an archived relation against the derived one, as the key groups
+    # save_state writes
+    return a is b if a is None or b is None else a.groups == b.groups
 
 
 def _restore(payload: dict, text: str, caps: Caps) -> AnalysisResult:
@@ -416,12 +403,31 @@ def _restore(payload: dict, text: str, caps: Caps) -> AnalysisResult:
         raise ArchiveError(
             f"rebuilding the archive's cubes needs more than {caps.max_cubes} candidates (max_cubes)"
         ) from None
-    cube_shape = (side,) * spec.dimension
-    index = tuple(_read_blocks(_field(payload, "index", list), cube_shape, spec.alphabet, sep))
-    # the index must be the complement of the spec's forbidden cubes among
+    d = spec.dimension
+    archived: list[DChainState] = []
+    want = (0, d)
+    for i, entry in enumerate(_field(payload, "stages", list)):
+        where = f"stages[{i}]."
+        if not isinstance(entry, dict):
+            raise ArchiveError(f"archive field stages[{i}] is not an object")
+        level, stage = _field(entry, "level", int, where), _field(entry, "stage", int, where)
+        if (level, stage) != want:
+            raise ArchiveError(f"archive field stages[{i}] is stage ({level}, {stage}), not {want}")
+        # stage (n, i) has its first i axes doubled n times, the rest n - 1
+        shape = tuple(side << level if a < stage else side << (level - 1) for a in range(d))
+        blocks = _read_blocks(_field(entry, "blocks", list, where), shape, spec.alphabet, sep)
+        rel = _field(entry, "relation", list, where, nullable=True)
+        if rel is not None:
+            rel = _key_groups(rel, len(blocks), where + "relation")
+        archived.append(DChainState(d, level, stage, blocks, rel))
+        want = archived[-1].next_stage()
+    if not archived:
+        raise ArchiveError("archive holds no stages")
+    # stage 0 must be the complement of the spec's forbidden cubes among
     # all k^(l^d) cubes, checked without listing that complement
+    index = tuple(archived[0].blocks)
     index_data = {b.data for b in index}
-    total = spec.alphabet_size ** prod(cube_shape)
+    total = spec.alphabet_size ** (side**d)
     if total - len(index_data) != cube_count or len(index) != allowed_count:
         raise ArchiveError("integrity check failed: counts disagree with content")
     cubes = normalize_to_cubes(spec, MODE_ALL, caps)
@@ -431,27 +437,6 @@ def _restore(payload: dict, text: str, caps: Caps) -> AnalysisResult:
         or len(index) + len(cubes.cubes) != total
     ):
         raise ArchiveError("archive index is not the spec's set of allowed cubes")
-    levels = []
-    for i, lv in enumerate(_field(payload, "levels", list)):
-        where = f"levels[{i}]."
-        if not isinstance(lv, dict):
-            raise ArchiveError(f"archive field levels[{i}] is not an object")
-        if _field(lv, "level", int, where) != i:
-            raise ArchiveError(f"archive field {where}level is not {i}")
-        lside = _field(lv, "side", int, where)
-        if lside != side << i:
-            raise ArchiveError(f"archive field {where}side is not {side << i}")
-        shape = (lside,) * spec.dimension
-        squares = _read_blocks(_field(lv, "squares", list, where), shape, spec.alphabet, sep)
-        vrel = _field(lv, "vrel", list, where, nullable=True)
-        hrel = _field(lv, "hrel", list, where, nullable=True)
-        if vrel is not None:
-            vrel = _index_tuples(vrel, 2, len(squares), where + "vrel")
-        if hrel is not None:
-            hrel = _index_tuples(hrel, 4, len(squares), where + "hrel")
-            if vrel is None:
-                raise ArchiveError(f"archive field {where}hrel pairs stacks that are not in vrel")
-        levels.append(LevelState(i, lside, squares, vrel, hrel))
     rows = []
     for i, row in enumerate(_field(payload, "report_rows", list)):
         if not (
@@ -460,31 +445,29 @@ def _restore(payload: dict, text: str, caps: Caps) -> AnalysisResult:
         ):
             raise ArchiveError(f"archive field report_rows[{i}] is not [level, stage, blocks, relations]")
         rows.append(LevelRow(*row))
-    if not levels:
-        raise ArchiveError("archive holds no levels")
-    # the relations and every level past the first are rebuilt by the kernel,
-    # and the archive's own copies are kept only to be compared with them
-    stages = _derived_stages(levels, index, cubes, caps)
-    derived = level_states(stages, cubes)
-    # the walk proves every square it makes allowed, so only an archived
-    # square it did not make is scanned, to name a forged forbidden one;
-    # likewise only an hrel that differs is checked against its vrel
-    same = len(derived) == len(levels)
-    for i, (a, b) in enumerate(zip(levels, derived)):
-        if a.squares != b.squares:
-            made = set(b.squares.datas)
-            if not all(allowed_data(d, a.squares.shape, cubes) for d in a.squares.datas if d not in made):
-                raise ArchiveError(f"archive field levels[{i}].squares holds a forbidden square")
-        same = same and a.squares == b.squares and _same(a.vrel, b.vrel)
-        if not _same(a.hrel, b.hrel):
-            _check_hrel(a, f"levels[{i}].")
+    # every stage is rebuilt by the kernel, and the archive's own copies are
+    # kept only to be compared with them
+    last = archived[-1]
+    build = last.relation is None
+    target = (last.level, last.stage) if build else last.next_stage()
+    stages = chain_report(chain_start(index, cubes), cubes, target, caps, build_target=build)
+    # the walk proves every block it makes allowed, so only an archived
+    # block it did not make is scanned, to name a forged forbidden one
+    same = len(stages) == len(archived)
+    for i, (a, b) in enumerate(zip(archived, stages)):
+        if a.blocks != b.blocks:
+            made = set(b.blocks.datas)
+            if not all(allowed_data(x, a.shape, cubes) for x in a.blocks.datas if x not in made):
+                raise ArchiveError(f"archive field stages[{i}].blocks holds a forbidden block")
             same = False
+        same = same and _same(a.relation, b.relation)
     if not same:
-        raise ArchiveError("integrity check failed: the levels are not the ones the spec gives")
+        raise ArchiveError("integrity check failed: the stages are not the ones the spec gives")
     if rows != report_rows(stages):
-        raise ArchiveError("integrity check failed: report rows disagree with the levels")
+        raise ArchiveError("integrity check failed: report rows disagree with the stages")
     verdict, reason = _field(payload, "verdict", str), _field(payload, "reason", str, nullable=True)
     if (verdict, reason) != verdict_of(rows, reason):
-        raise ArchiveError(f"archive verdict {verdict!r} is not the one its levels and reason give")
-    report = LevelReport("reduced", side, cube_count, allowed_count, tuple(rows), verdict, reason)
-    return AnalysisResult(spec, cubes, index, derived, report)
+        raise ArchiveError(f"archive verdict {verdict!r} is not the one its stages and reason give")
+    mode = "reduced" if d == 2 else "chain"
+    report = LevelReport(mode, side, cube_count, allowed_count, tuple(rows), verdict, reason)
+    return AnalysisResult(spec, cubes, index, stages, report)

@@ -246,24 +246,6 @@ def test_analyze_chain_keeps_stages_on_budget_stop(tmp_path, capsys):
     assert lines[1:] == ["0,cubes,19,281,inconclusive", "1,dir1,281,,inconclusive"]
 
 
-def test_export_state_refuses_other_dimensions_before_analyzing(tmp_path, monkeypatch, capsys):
-    import sftkit.cli
-
-    calls = []
-    monkeypatch.setattr(sftkit.cli, "analyze", lambda *a, **k: calls.append(a))
-    for doc in (
-        {"dimension": 1, "symbols": ["0", "1"], "forbidden": [["1", "1"]]},
-        {"dimension": 3, "symbols": ["0", "1"], "forbidden": [[[[0, 0, 0], "1"], [[0, 0, 1], "1"]]]},
-    ):
-        p = tmp_path / "spec.json"
-        p.write_text(json.dumps(doc))
-        out = tmp_path / "state.json"
-        assert main(["export-state", str(p), "--levels", "1", "--out", str(out)]) == 4
-        assert "2-dimensional" in capsys.readouterr().err
-        assert not out.exists()
-    assert calls == []
-
-
 def test_witness_exit_code_comes_from_the_typed_status(hs_file, kill_file, monkeypatch, capsys):
     import sftkit.cli
     from sftkit import WitnessResult
@@ -308,12 +290,12 @@ def test_import_state_rescans_a_forged_square(tmp_path, hs_file, capsys):
     assert main(["export-state", hs_file, "--levels", "1", "--out", str(out_file)]) == 0
 
     def two_adjacent_ones(p):
-        p["levels"][1]["squares"][0] = "1100000000000000"
+        p["stages"][2]["blocks"][0] = "1100000000000000"
 
     _resign(out_file, two_adjacent_ones)
     capsys.readouterr()
     assert main(["import-state", str(out_file)]) == 4
-    assert "archive: archive field levels[1].squares holds a forbidden square" in capsys.readouterr().err
+    assert "archive: archive field stages[2].blocks holds a forbidden block" in capsys.readouterr().err
 
 
 def _one_more_square(p):
@@ -329,7 +311,7 @@ def _last_row_dropped(p):
 
 
 def _level_renumbered(p):
-    p["levels"][1]["level"] = 2
+    p["stages"][2]["level"] = 2
 
 
 @pytest.mark.parametrize("edit", [_one_more_square, _one_pair_fewer, _last_row_dropped, _level_renumbered])
@@ -417,6 +399,19 @@ def test_import_state_exits_with_the_reports_code(tmp_path, hs_file, kill_file, 
     assert main(["export-state", spec_file, "--levels", levels, "--out", out_file, "--format", "csv"]) == code
     exported = capsys.readouterr().out
     assert main(["import-state", out_file, "--format", "csv"]) == code
+    assert capsys.readouterr().out == exported
+
+
+def test_budget_stopped_export_writes_key_groups_not_pairs(tmp_path, hs_file, capsys):
+    # the stop leaves level 1's 1,095,851 squares pairs as the last relation:
+    # archived as its 1,234 key groups, not pair by pair
+    out_file = tmp_path / "state.json"
+    caps = ["--max-blocks", "2000", "--format", "csv"]
+    assert main(["export-state", hs_file, "--levels", "2", "--out", str(out_file), *caps]) == 3
+    exported = capsys.readouterr().out
+    assert exported.splitlines()[-2:] == ["1,squares,1234,1095851,inconclusive", "1,rects,1095851,,inconclusive"]
+    assert out_file.stat().st_size <= 10**6
+    assert main(["import-state", str(out_file), *caps]) == 3
     assert capsys.readouterr().out == exported
 
 

@@ -140,13 +140,13 @@ def _wide_doc(symbols, keep):
             [f"s{i}" for i in range(WIDE)],
             {"s7", "s250", "s299"},
             "s299 s299\ns299 s250\n",
-            "0d7b8419131f1df0bff8a7690cdc236f47a2c4c8fa17a1f3f0fd32971caac64b",
+            "0b814f662ffc66f4bcc0b99572eb2192fd47f29a2602bdb0e922ecd2ded26659",
         ),
         (
             [chr(0x4E00 + i) for i in range(WIDE)],
             {chr(0x4E00), chr(0x4E00 + 255), chr(0x4E00 + 299)},
             "伫伫\n伫仿\n",
-            "5a71da9cb795cecc0e83069ef6d7b193cf56c9cda7a432f71f2e85fa1f4ec9dc",
+            "2e8d01d618706b477bbd2555632e32d8d5d606ae28469d6f8a9b0144059eda23",
         ),
     ],
     ids=["names", "chars"],

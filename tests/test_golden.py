@@ -1,5 +1,6 @@
 """Golden CLI outputs: CSV stdout, exit code and state-archive bytes of a
-fixed command list over the fixture specs in `tests/data/golden/specs`.
+fixed command list over the fixture specs in `tests/data/golden/specs`;
+each kept archive must also import back to its export's stdout and code.
 
 A refactor that claims "same output" must pass this unchanged. To rewrite
 the captures after an intended output change, run from the repository root:
@@ -54,7 +55,7 @@ def _commands() -> list[tuple[str, list[str], bool]]:
         ("checkerboard", 0, True), ("checkerboard", 1, True), ("checkerboard", 2, True),
         ("full_shift", 0, True), ("full_shift", 1, True),
         ("three_symbol", 0, True), ("three_symbol", 1, False),
-        ("d1", 1, False), ("d3_diag", 1, False),
+        ("d1", 1, True), ("d3_diag", 0, True), ("d3_diag", 1, False),
         ("wide_symbols", 0, True), ("wide_symbols", 1, True),
     ):
         add(
@@ -95,6 +96,17 @@ def test_golden_output(tmp_path, name, argv, keep):
     if keep:
         with open(os.path.join(HERE, want["archive"]), "rb") as fh:
             assert archive == fh.read()
+
+
+@pytest.mark.parametrize("name", [n for n, c in _load().items() if "archive" in c])
+def test_kept_archive_imports_to_its_export_report(name):
+    # a loader that refuses its own captures, or a format bump that leaves
+    # them unwritten, fails here
+    want = _load()[name]
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["import-state", os.path.join(HERE, want["archive"]), "--format", "csv"])
+    assert (code, buf.getvalue()) == (want["exit"], want["stdout"])
 
 
 def _write() -> None:

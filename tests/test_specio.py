@@ -1,3 +1,6 @@
+import contextlib
+import io
+import itertools
 import json
 
 import pytest
@@ -148,16 +151,21 @@ def test_archive_integrity(tmp_path, hard_squares):
     assert "integrity" in str(exc.value)
 
 
-def test_archive_version_gate(tmp_path, hard_squares):
+def test_archive_version_gate(tmp_path, hard_squares, capsys):
+    from sftkit.cli import main
+
     res = analyze(hard_squares, 1)
     path = tmp_path / "state.json"
     save_state(res, str(path))
     payload = json.loads(path.read_text())
-    payload["version"] = 99
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ArchiveError) as exc:
-        load_state(str(path))
-    assert "version" in str(exc.value)
+    for version in (1, 99):
+        payload["version"] = version
+        path.write_text(json.dumps(payload))
+        message = f"archive version {version} is not loadable by this build (wants 2)"
+        assert _load_error(str(path)) == message
+        capsys.readouterr()
+        assert main(["import-state", str(path)]) == 4
+        assert capsys.readouterr().err == f"archive: {message}\n"
 
 
 def test_archive_empty_space_preserves_verdict(tmp_path, kill_all):
@@ -195,8 +203,8 @@ def _load_error(path) -> str:
 def test_archive_missing_or_ill_typed_fields(tmp_path, hard_squares):
     res = analyze(hard_squares, 1)
     assert "separator is missing" in _load_error(_resigned(tmp_path, res, lambda p: p.pop("separator")))
-    assert "levels is missing" in _load_error(_resigned(tmp_path, res, lambda p: p.pop("levels")))
-    assert "levels is not a list" in _load_error(_resigned(tmp_path, res, lambda p: p.update(levels=7)))
+    assert "stages is missing" in _load_error(_resigned(tmp_path, res, lambda p: p.pop("stages")))
+    assert "stages is not a list" in _load_error(_resigned(tmp_path, res, lambda p: p.update(stages=7)))
 
     def side_as_text(p):
         p["normalization"]["side"] = "2"
@@ -208,10 +216,15 @@ def test_archive_missing_or_ill_typed_fields(tmp_path, hard_squares):
 
     assert "pattern width 2" in _load_error(_resigned(tmp_path, res, side_off_the_spec))
 
-    def level_without_squares(p):
-        del p["levels"][1]["squares"]
+    def stage_without_blocks(p):
+        del p["stages"][2]["blocks"]
 
-    assert "levels[1].squares is missing" in _load_error(_resigned(tmp_path, res, level_without_squares))
+    assert "stages[2].blocks is missing" in _load_error(_resigned(tmp_path, res, stage_without_blocks))
+
+    def stage_renumbered(p):
+        p["stages"][2]["stage"] = 1
+
+    assert "stages[2] is stage (1, 1), not (1, 2)" in _load_error(_resigned(tmp_path, res, stage_renumbered))
 
     def row_of_wrong_shape(p):
         p["report_rows"][0] = [0, "squares"]
@@ -222,35 +235,14 @@ def test_archive_missing_or_ill_typed_fields(tmp_path, hard_squares):
 def test_archive_relation_indices_are_checked(tmp_path, hard_squares):
     res = analyze(hard_squares, 1)
 
-    def vrel_past_the_squares(p):
-        p["levels"][0]["vrel"].append([0, len(p["levels"][0]["squares"])])
+    def group_past_the_blocks(p):
+        p["stages"][0]["relation"].append([[0], [len(p["stages"][0]["blocks"])]])
 
-    path = _resigned(tmp_path, res, vrel_past_the_squares)
-    assert "indexes past the level's 7 squares" in _load_error(path)
-    vrel = res.levels[0].vrel
-    a, b = next((a, b) for a in range(7) for b in range(7) if (a, b) not in vrel)
-
-    def hrel_off_vrel(p):
-        p["levels"][0]["hrel"].append([a, b, a, b])
-
-    assert "not in vrel" in _load_error(_resigned(tmp_path, res, hrel_off_vrel))
-
-
-def test_archive_hrel_entries_are_checked_only_on_a_mismatch(tmp_path, hard_squares, monkeypatch):
-    # a valid archive's hrel equals the derived one, so its entries are
-    # never checked one by one against vrel
-    import sftkit.specio
-
-    res = analyze(hard_squares, 1)
-    assert res.levels[0].hrel
-    path = tmp_path / "state.json"
-    save_state(res, str(path))
-
-    def no_entry_check(*a, **k):
-        raise AssertionError("hrel entries checked")
-
-    monkeypatch.setattr(sftkit.specio, "_check_hrel", no_entry_check)
-    assert load_state(str(path)).levels[0].hrel == res.levels[0].hrel
+    path = _resigned(tmp_path, res, group_past_the_blocks)
+    assert "indexes past the stage's 7 blocks" in _load_error(path)
+    for group in ([[0], [1], [2]], [[0], 1], [[0], [True]], [[0], [None]], 0):
+        path = _resigned(tmp_path, res, lambda p: p["stages"][1]["relation"].append(group))
+        assert "stages[1].relation must hold [lows, highs] lists of integers" in _load_error(path)
 
 
 def test_archive_cube_rebuild_is_capped_before_it_runs(tmp_path, hard_squares, monkeypatch):
@@ -293,10 +285,11 @@ def test_archive_index_forgeries_keep_their_messages(tmp_path, hard_squares):
     res = analyze(hard_squares, 0)
 
     def swap_in_a_forbidden_cube(p):
-        p["index"][0] = "1111"
+        p["stages"][0]["blocks"][0] = "1111"
 
     def duplicate_a_cube(p):
-        p["index"][-1] = p["index"][0]
+        cubes = p["stages"][0]["blocks"]
+        cubes[-1] = cubes[0]
 
     def duplicate_a_cube_and_count_its_gap(p):
         duplicate_a_cube(p)
@@ -324,35 +317,33 @@ def test_archive_normalization_mode_must_be_all_extensions(tmp_path, hard_square
 # forgeries that keep the archive's own counts consistent
 
 
-def _drop_a_vrel_pair(p):
-    # one vertical pair and every horizontal entry that uses it are dropped,
-    # and the report rows are rewritten to the smaller counts
-    lv = p["levels"][0]
-    pair = lv["vrel"].pop()
-    lv["hrel"] = [h for h in lv["hrel"] if pair not in (h[:2], h[2:])]
-    p["report_rows"][0][3] = len(lv["vrel"])
-    p["report_rows"][1][2:] = [len(lv["vrel"]), len(lv["hrel"])]
+def _drop_a_pair(p):
+    # the last pair of stage 0's relation is dropped, the rest written one
+    # pair a group, and the report rows are rewritten to the smaller count
+    stage = p["stages"][0]
+    pairs = [(i, j) for lows, highs in stage["relation"] for i in lows for j in highs]
+    stage["relation"] = [[[i], [j]] for i, j in pairs[:-1]]
+    p["report_rows"][0][3] -= 1
+    p["report_rows"][1][2] -= 1
 
 
 def test_archive_relations_are_rederived(tmp_path, hard_squares):
     res = analyze(hard_squares, 1)
-    assert "are not the ones the spec gives" in _load_error(_resigned(tmp_path, res, _drop_a_vrel_pair))
+    assert "are not the ones the spec gives" in _load_error(_resigned(tmp_path, res, _drop_a_pair))
 
 
 def test_archive_next_level_is_rederived(tmp_path, hard_squares):
-    # a level-1 square and the horizontal entry that makes it are dropped
+    # a level-1 square and the pair of stacks that makes it are dropped
     from sftkit import assemble
 
     res = analyze(hard_squares, 1)
-    sq = res.levels[0].squares
-    first = res.levels[1].squares[0]
-    a, b, c, d = next(
-        h for h in res.levels[0].hrel if assemble([[sq[h[0]], sq[h[2]]], [sq[h[1]], sq[h[3]]]]) == first
-    )
+    stacks = res.stages[1]
+    first = res.stages[2].blocks[0]
+    pair = next((x, y) for x, y in stacks.relation if assemble([[stacks.blocks[x], stacks.blocks[y]]]) == first)
 
     def drop(p):
-        p["levels"][0]["hrel"].remove([a, b, c, d])
-        p["levels"][1]["squares"].pop(0)
+        p["stages"][1]["relation"] = [[[x], [y]] for x, y in stacks.relation if (x, y) != pair]
+        p["stages"][2]["blocks"].pop(0)
         p["report_rows"][1][3] -= 1
         p["report_rows"][2][2] -= 1
 
@@ -375,8 +366,7 @@ def test_archive_index_must_be_the_specs_allowed_cubes(tmp_path, hard_squares):
 
     def drop_a_cube(p):
         # the cube set rebuilt as the index's complement gains one cube
-        p["index"].pop()
-        p["levels"][0]["squares"].pop()
+        p["stages"][0]["blocks"].pop()
         p["normalization"]["cube_count"] += 1
         p["normalization"]["allowed_count"] -= 1
         p["report_rows"][0][2] -= 1
@@ -387,7 +377,7 @@ def test_archive_index_must_be_the_specs_allowed_cubes(tmp_path, hard_squares):
 def test_import_state_refuses_a_forged_relation(tmp_path, hard_squares, capsys):
     from sftkit.cli import main
 
-    path = _resigned(tmp_path, analyze(hard_squares, 1), _drop_a_vrel_pair)
+    path = _resigned(tmp_path, analyze(hard_squares, 1), _drop_a_pair)
     capsys.readouterr()
     assert main(["import-state", path, "--format", "csv"]) == 4
     captured = capsys.readouterr()
@@ -444,12 +434,13 @@ def test_deeply_nested_spec_is_a_format_error(tmp_path, capsys):
 
 def test_deeply_nested_archive_is_an_archive_error(tmp_path, capsys):
     from sftkit.cli import main
+    from sftkit.specio import ARCHIVE_VERSION
 
     path = tmp_path / "deep_state.json"
     # every depth around the decoder's limit, where a document the decoder
     # still takes can fail in the checksum's encoder, and one far past it
     for depth in (*range(900, 1001), 100_000):
-        path.write_text('{"format": "sft-state", "version": 1, "x": ' + _nested(depth) + "}")
+        path.write_text(f'{{"format": "sft-state", "version": {ARCHIVE_VERSION}, "x": ' + _nested(depth) + "}")
         with pytest.raises(ArchiveError):
             load_state(str(path))
         capsys.readouterr()
@@ -477,19 +468,19 @@ def test_archive_scans_only_squares_the_walk_did_not_make(tmp_path, hard_squares
     assert load_state(str(valid)) is not None and scans == []
 
     def forbidden(p):
-        p["levels"][1]["squares"][0] = "1100000000000000"
+        p["stages"][2]["blocks"][0] = "1100000000000000"
 
     assert main(["import-state", str(_resigned(tmp_path, res, forbidden))]) == 4
-    assert "archive field levels[1].squares holds a forbidden square" in capsys.readouterr().err
+    assert "archive field stages[2].blocks holds a forbidden block" in capsys.readouterr().err
     assert scans == [(4, 4)]
 
     def allowed_in_place_of_another(p):
-        squares = p["levels"][1]["squares"]
+        squares = p["stages"][2]["blocks"]
         squares[0] = squares[1]
 
     scans.clear()
     assert main(["import-state", str(_resigned(tmp_path, res, allowed_in_place_of_another))]) == 4
-    assert "the levels are not the ones the spec gives" in capsys.readouterr().err
+    assert "the stages are not the ones the spec gives" in capsys.readouterr().err
     assert scans == []
 
 
@@ -529,21 +520,24 @@ from sftkit import DEFAULT_CAPS  # noqa: E402
 
 # single-character symbols, multi-character ones, and a mix of the two
 _ALPHABETS = (("0", "1", "2"), ("on", "off", "idle"), ("x", "yy", "zzz"))
-_CORNERS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 @st.composite
 def _archived_runs(draw):
+    # patterns on the first four corners of the side-2 box: a domino in
+    # d = 1, a 2x2 square in d = 2 and a 1x2x2 slab in d = 3
+    d = draw(st.sampled_from((1, 2, 3)))
     k = draw(st.sampled_from((2, 3)))
     symbols = list(draw(st.sampled_from(_ALPHABETS))[:k])
-    cells = [(a, b, c, d) for a in range(k) for b in range(k) for c in range(k) for d in range(k)]
+    corners = list(itertools.product(range(2), repeat=d))[:4]
+    cells = list(itertools.product(range(k), repeat=len(corners)))
     size = {"min_size": len(cells) // 4, "max_size": len(cells) * 3 // 4}
     forbidden = draw(st.lists(st.sampled_from(cells), unique=True, **size))
     spec = parse_spec(
         {
-            "dimension": 2,
+            "dimension": d,
             "symbols": symbols,
-            "forbidden": [[[list(at), symbols[s]] for at, s in zip(_CORNERS, pat)] for pat in forbidden],
+            "forbidden": [[[list(at), symbols[s]] for at, s in zip(corners, pat)] for pat in forbidden],
         }
     )
     return spec, draw(st.integers(0, 2))
@@ -552,11 +546,14 @@ def _archived_runs(draw):
 # tighter than the default caps, so that no example builds a large stage; a
 # run stopped by them is archived and round-tripped as well
 _ROUND_TRIP_CAPS = DEFAULT_CAPS.but(max_blocks=2_000, max_work=10**5)
+_CAP_FLAGS = ["--max-blocks", "2000", "--max-work", str(10**5)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(run=_archived_runs(), at=st.integers(0, 10**9), by=st.sampled_from("0129xyz,[]{}:\"-"))
 def test_archive_round_trip_property(tmp_path_factory, run, at, by):
+    from sftkit.cli import _emit_report, main
+
     spec, level = run
     res = analyze(spec, level, caps=_ROUND_TRIP_CAPS)
     path = tmp_path_factory.mktemp("rt") / "state.json"
@@ -564,9 +561,18 @@ def test_archive_round_trip_property(tmp_path_factory, run, at, by):
     text = path.read_text()
     loaded = load_state(str(path), _ROUND_TRIP_CAPS)
     assert loaded.report == res.report
+    assert loaded.stages == res.stages
     assert [(a.squares, a.vrel, a.hrel) for a in loaded.levels] == [
         (b.squares, b.vrel, b.hrel) for b in res.levels
     ]
+    # import-state prints the report export-state printed, in either format
+    for fmt in ("csv", "table"):
+        exported, imported = io.StringIO(), io.StringIO()
+        _emit_report(res.report, fmt, exported)
+        with contextlib.redirect_stdout(imported):
+            assert main(["import-state", str(path), "--format", fmt, *_CAP_FLAGS]) == res.report.exit_code()
+        assert imported.getvalue() == exported.getvalue()
+    assert f"mode: {'reduced' if spec.dimension == 2 else 'chain'}\n" in imported.getvalue()
     save_state(loaded, str(path))
     assert path.read_text() == text
     # one character changed anywhere before the closing newline
@@ -630,8 +636,8 @@ def test_archive_square_with_an_unknown_symbol_is_refused(tmp_path, hard_squares
         res = analyze(hard_squares, 0)
 
     def forge(p):
-        square = p["levels"][0]["squares"][0]
-        p["levels"][0]["squares"][0] = char + square[1:]
+        square = p["stages"][0]["blocks"][0]
+        p["stages"][0]["blocks"][0] = char + square[1:]
 
     assert _load_error(_resigned(tmp_path, res, forge)) == f"archive block uses unknown symbol {char!r}"
 
