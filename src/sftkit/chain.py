@@ -5,8 +5,8 @@ Starting from the allowed l-cubes, each cycle doubles one axis at a time
 (axis 0, axis 1, ..., axis d-1, then wraps); after a full cycle the allowed
 cubes of twice the side are complete. Stage (n, i) holds all allowed blocks
 whose first i axes have length 2^n*l and whose remaining axes have length
-2^(n-1)*l. For d=2, stage (n, 2) holds the squares of doubling level n and
-stage (n+1, 1) their vertical stacks (see `levels.LevelState`).
+2^(n-1)*l, as one `core.Blocks`, empty or not. For d=2, stage (n, 2) is the
+doubling level n (`levels.LevelState`) and stage (n+1, 1) its vertical stacks.
 
 Admission of a concatenated pair is `relation.pair_relation` along the
 pairing axis: during the first cycle the pairing extent equals l, so the
@@ -29,9 +29,9 @@ from dataclasses import dataclass, replace
 from typing import AbstractSet, Sequence
 
 from .caps import DEFAULT_CAPS, Caps, refuse
-from .core import Block, Blocks, Coord, CubeSet, block_datas, data_type, prod
+from .core import Block, Blocks, Coord, CubeSet, data_type, prod
 from .errors import BudgetError
-from .relation import Relation, join_pairs, pair_relation
+from .relation import join_pairs, pair_relation
 
 
 @dataclass(frozen=True)
@@ -39,25 +39,22 @@ class DChainState:
     """One stage of the chain.
 
     `level` (n) and `stage` (i) follow the shape law above, with the base
-    encoded as (0, d): cubes of side l, nothing doubled yet. `blocks` is
-    sorted by data; the walk holds it as a `core.Blocks` view, so a `Block`
-    is only built where one is read. `relation` holds the admitted pairs
-    along the next axis once computed; its size is the next stage's block
-    count, and it is what the next step materializes.
+    encoded as (0, d): cubes of side l, nothing doubled yet. `blocks` is a
+    `core.Blocks` view sorted by data, so a `Block` is only built where one
+    is read. `relation` holds the admitted pairs along the next axis once
+    computed; its size is the next stage's block count, and it is what the
+    next step materializes.
     """
 
     dimension: int
     level: int
     stage: int
-    blocks: Sequence[Block]
+    blocks: Blocks
     relation: AbstractSet[tuple[int, int]] | None
 
     @property
-    def shape(self) -> Coord | None:
-        """The blocks' shape (None for an empty stage given as a tuple)."""
-        if isinstance(self.blocks, Blocks):
-            return self.blocks.shape
-        return self.blocks[0].shape if self.blocks else None
+    def shape(self) -> Coord:
+        return self.blocks.shape
 
     def next_axis(self) -> int:
         return 0 if self.stage == self.dimension else self.stage
@@ -87,9 +84,7 @@ def chain_relation(state: DChainState, cubes: CubeSet, caps: Caps = DEFAULT_CAPS
     if state.relation is not None:
         return state
     _check_pairs(len(state.blocks), caps)
-    if not state.blocks:
-        return replace(state, relation=Relation())
-    rel = pair_relation(block_datas(state.blocks), state.shape, state.next_axis(), cubes)
+    rel = pair_relation(state.blocks.datas, state.shape, state.next_axis(), cubes)
     return replace(state, relation=rel)
 
 
@@ -98,7 +93,7 @@ def check_next_stage(state: DChainState, caps: Caps = DEFAULT_CAPS) -> None:
     count and by its cell count (blocks times cells per block)."""
     n = len(state.relation)
     refuse(n, caps.max_blocks, "next stage would hold {count} blocks (cap {cap})", n)
-    cells = 2 * n * prod(state.shape) if state.blocks else 0
+    cells = 2 * n * prod(state.shape)
     refuse(cells, caps.max_cells, "next stage needs {count} cells (cap {cap})", n)
 
 
@@ -112,8 +107,8 @@ def d_chain_step(state: DChainState, cubes: CubeSet, caps: Caps = DEFAULT_CAPS) 
     axis = state.next_axis()
     level, stage = state.next_stage()
     shape = state.shape
-    new_shape = None if shape is None else shape[:axis] + (2 * shape[axis],) + shape[axis + 1 :]
-    out = join_pairs(block_datas(state.blocks), state.relation, shape, axis)
+    new_shape = shape[:axis] + (2 * shape[axis],) + shape[axis + 1 :]
+    out = join_pairs(state.blocks.datas, state.relation, shape, axis)
     out.sort()
     return DChainState(state.dimension, level, stage, Blocks(new_shape, out), None)
 

@@ -7,7 +7,6 @@ Exit codes: 0 success / nonempty-to-level-N, 2 certified empty,
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 
 from .caps import Caps, DEFAULT_CAPS
@@ -20,7 +19,7 @@ from .errors import (
     SftError,
     SpecError,
 )
-from .levels import LevelReport, analyze, witness_search
+from .levels import LevelReport, analyze, sample_patch, witness_search
 from .normalize import (
     MODE_ALL,
     MODE_NON_PROPER,
@@ -175,10 +174,7 @@ def _cmd_sample(args) -> int:
     cubes = normalize_to_cubes(spec, MODE_ALL, caps)
     start = chain_start(enumerate_allowed_cubes(spec, cubes, caps), cubes)
     st = chain_report(start, cubes, (args.level, spec.dimension), caps)[-1]
-    if not st.blocks:
-        raise EmptyStateError(f"no allowed blocks at level {args.level}")
-    rng = random.Random(args.seed)
-    print(render_block(st.blocks[rng.randrange(len(st.blocks))], spec.alphabet))
+    print(render_block(sample_patch(st, args.seed), spec.alphabet))
     return 0
 
 

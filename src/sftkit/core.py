@@ -165,12 +165,6 @@ class Blocks(Sequence[Block]):
         return f"Blocks({self.shape}, {len(self.datas)} blocks)"
 
 
-def block_datas(blocks: Sequence[Block]) -> Sequence[Sequence[int]]:
-    """The flat data of `blocks`, read off a `Blocks` view without building
-    a `Block`."""
-    return blocks.datas if isinstance(blocks, Blocks) else [b.data for b in blocks]
-
-
 @lru_cache(maxsize=None)
 def _gather_table(src_shape: Coord, win_shape: Coord) -> tuple[int, ...]:
     """Flat source offsets of a `win_shape` window anchored at the origin."""

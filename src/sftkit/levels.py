@@ -1,16 +1,18 @@
 """Doubling levels of a 2-dimensional spec, and the analysis report.
 
-A level holds the set of allowed squares of side 2^n*l (sorted canonically),
-the vertical relation (pairs whose 2:1 stack is allowed), and the horizontal
-relation (pairs of stacks whose side-by-side square is allowed). It is a view
-over the stages of `chain.py` with axis order (0, 1): squares and vrel are
-stage (n, 2); hrel is the relation of the stacks, stage (n+1, 1), whose x-th
-block is the x-th sorted vrel pair. Relations are built only when the
-next level is asked for, as `relation.Relation` key groups whose sizes give
-the block counts of the stages above them; `analyze` never builds the level
-it only counts (see `AnalysisResult`). Level 0 uses the seam-slab join of
-`relation.pair_relation` (one window scan per cube and per distinct pair of
-seam slabs); from level 1 on, everything reduces to set lookups:
+A level is chain stage (n, 2) of `chain.py`, axis order (0, 1): its blocks
+are the allowed squares of side 2^n*l (sorted canonically), and its
+relation the vertical one (pairs whose 2:1 stack is allowed). The
+horizontal relation (pairs of stacks whose side-by-side square is allowed)
+is the relation of the stacks, stage (n+1, 1), whose x-th block is the x-th
+sorted vrel pair; a level keeps that stage once its relation is known.
+Every level is read off a walk's stages by `level_states`. Relations are
+built only when the next level is asked for, as `relation.Relation` key
+groups whose sizes give the block counts of the stages above them;
+`analyze` never builds the level it only counts (see `AnalysisResult`).
+Level 0 uses the seam-slab join of `relation.pair_relation` (one window
+scan per cube and per distinct pair of seam slabs); from level 1 on,
+everything reduces to set lookups:
 
 * a stack A-over-B is allowed iff A, B and the half-overlapping middle
   square (bottom half of A on top half of B) are allowed;
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import AbstractSet, Callable, Iterator, Sequence
 
@@ -39,7 +41,7 @@ from .chain import (
     check_next_stage,
     d_chain_step,
 )
-from .core import Block, CubeSet, SftSpec, allowed_data
+from .core import Block, Blocks, CubeSet, SftSpec, allowed_data
 from .errors import BudgetError, EmptyStateError, SpecError
 from .matrices import LiteralLevel, level0_matrices, step_horizontal, step_literal
 from .normalize import (
@@ -49,37 +51,6 @@ from .normalize import (
     normalize_to_cubes,
 )
 from .relation import Relation, join
-
-
-@dataclass(frozen=True)
-class LevelState:
-    """Allowed squares of one level and their compatibility relations.
-
-    `squares` is sorted by data; the kernel hands it out as a `core.Blocks`
-    view, which builds a `Block` only when one is read. Relations are
-    stored positionally against it: `vrel` holds (upper, lower) index pairs
-    (a `relation.Relation` in walked and loaded states); `hrel` holds
-    (a, b, c, d) meaning stack a-over-b is horizontally compatible with
-    stack c-over-d (a sorted Set view, `StackRelation`, in walked and loaded
-    states). Either may be None when a level was built only far enough to
-    count its squares. `cubes` is the forbidden set the relations are
-    decided against, and `stacks` the chain stage (n+1, 1) that hrel was
-    read from, kept so that stepping does not build it again; a state
-    without it rebuilds the stacks from vrel, and their relation with the
-    kernel. Neither is part of a state's value.
-    """
-
-    level: int
-    side: int
-    squares: Sequence[Block]
-    vrel: AbstractSet[tuple[int, int]] | None
-    hrel: AbstractSet[tuple[int, int, int, int]] | None
-    cubes: CubeSet | None = field(default=None, compare=False, repr=False)
-    stacks: DChainState | None = field(default=None, compare=False, repr=False)
-
-
-def _square_stage(state: LevelState) -> DChainState:
-    return DChainState(2, state.level, 2, state.squares, state.vrel)
 
 
 class StackRelation(Relation):
@@ -110,42 +81,71 @@ class StackRelation(Relation):
     __hash__ = Relation.__hash__
 
 
+@dataclass(frozen=True)
+class LevelState(DChainState):
+    """A doubling level: chain stage (n, 2), whose blocks are the level's
+    `squares` and whose relation is `vrel`, the (upper, lower) index pairs
+    whose stack is allowed. `stacks` is stage (n+1, 1), kept once its
+    relation is computed; `hrel` reads that relation as (a, b, c, d), stack
+    a-over-b beside stack c-over-d (a `StackRelation`). vrel and hrel are
+    None until computed. `cubes` is the forbidden set the relations are
+    decided against, and not part of a state's value.
+    """
+
+    stacks: DChainState | None = None
+    cubes: CubeSet | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def side(self) -> int:
+        return self.shape[0]
+
+    @property
+    def squares(self) -> Blocks:
+        return self.blocks
+
+    @property
+    def vrel(self) -> AbstractSet[tuple[int, int]] | None:
+        return self.relation
+
+    @cached_property
+    def hrel(self) -> StackRelation | None:
+        # built once a state: the view sorts every vrel pair
+        return None if self.stacks is None else StackRelation(self.relation, self.stacks.relation)
+
+
 def level0_state(allowed_cubes: Sequence[Block], cubes: CubeSet, caps: Caps = DEFAULT_CAPS) -> LevelState:
     """Base level: allowed cubes with seam-slab join relations."""
-    squares = chain_start(allowed_cubes, cubes).blocks
-    return with_relations(LevelState(0, cubes.side, squares, None, None, cubes), caps)
+    return with_relations(level_states([chain_start(allowed_cubes, cubes)], cubes)[0], caps)
 
 
 def with_relations(
     state: LevelState, caps: Caps = DEFAULT_CAPS, need_hrel: bool = True
 ) -> LevelState:
-    """Fill vrel (and, unless `need_hrel` is off, hrel) of a state. hrel is
-    the relation of the level's stacks, chain stage (n+1, 1), whose pair
-    checks are held against `max_work` before the stacks are built."""
+    """Fill vrel (and, unless `need_hrel` is off, hrel) of a level: the walk
+    from it to its stacks, stage (n+1, 1), with their relation computed.
+    The stacks' pair checks are held against `max_work` before the stacks
+    are built."""
     if state.vrel is not None and (state.hrel is not None or not need_hrel):
         return state
-    if state.cubes is None:
+    cubes = state.cubes
+    if cubes is None:
         raise SpecError("relations need the state's forbidden cube set")
-    squares = chain_relation(_square_stage(state), state.cubes, caps)
-    state = replace(state, vrel=squares.relation)
+    squares = chain_relation(state, cubes, caps)
     if not need_hrel:
-        return state
-    stages = chain_report(squares, state.cubes, (state.level + 1, 2), caps, build_target=False)
-    # an empty level ends the walk on its own (empty) relation
-    stacks = stages[-1] if len(stages) > 1 else None
-    return replace(state, hrel=StackRelation(state.vrel, stages[-1].relation), stacks=stacks)
+        return level_states([squares], cubes)[0]
+    stages = chain_report(squares, cubes, (state.level + 1, 2), caps, build_target=False)
+    if not squares.blocks:
+        # a walk ends on an empty level: its empty stacks are stepped here
+        stages += (chain_relation(d_chain_step(squares, cubes, caps), cubes, caps),)
+    return level_states(stages, cubes)[0]
 
 
 def reduced_step(state: LevelState, caps: Caps = DEFAULT_CAPS) -> LevelState:
-    """The next level's squares: chain stage (n+1, 2), stepped from the
-    stacks with the horizontal relation as their relation. The result
-    carries no relations yet (they are only needed to step again)."""
+    """The next level: chain stage (n+1, 2), stepped from the stacks with
+    the horizontal relation as their relation. Its relations are left
+    uncomputed (they are only needed to step again)."""
     state = with_relations(state, caps)
-    # an empty level or a hand-made state has no stacks: they are stepped
-    # from vrel, and their relation is derived by the kernel
-    stacks = state.stacks or d_chain_step(_square_stage(state), state.cubes, caps)
-    nxt = d_chain_step(stacks, state.cubes, caps)
-    return LevelState(nxt.level, 2 * state.side, nxt.blocks, None, None, state.cubes)
+    return level_states([d_chain_step(state.stacks, state.cubes, caps)], state.cubes)[0]
 
 
 def nine_window_admissible(q: Block, prev: LevelState) -> bool:
@@ -246,15 +246,13 @@ def report_rows(stages: Sequence[DChainState]) -> list[LevelRow]:
 
 
 def level_states(stages: Sequence[DChainState], cubes: CubeSet) -> tuple[LevelState, ...]:
-    """The d=2 level states a walk's stages hold: each squares stage with
-    its vertical relation, and the relation of the stacks above it as the
-    level's hrel."""
-    levels: list[LevelState] = []
-    for st in stages:
+    """The d=2 levels a walk's stages hold: each squares stage, with the
+    stacks stage above it when that stage's relation is computed."""
+    levels = []
+    for st, up in zip(stages, (*stages[1:], None)):
         if st.stage == 2:
-            levels.append(LevelState(st.level, cubes.side << st.level, st.blocks, st.relation, None, cubes))
-        elif st.relation is not None:
-            levels[-1] = replace(levels[-1], hrel=StackRelation(levels[-1].vrel, st.relation), stacks=st)
+            stacks = up if up is not None and up.relation is not None else None
+            levels.append(LevelState(2, st.level, 2, st.blocks, st.relation, stacks, cubes))
     return tuple(levels)
 
 
@@ -352,8 +350,8 @@ def _analyze_literal(spec, cubes, index, norm, levels, caps) -> AnalysisResult:
         verdict = "empty"
         reason = None
     elif verdict is None:
-        reached = lits[-1].level + 1 if lits else 0
-        verdict = f"nonempty-to-level-{min(levels, reached) if levels else 0}"
+        # without a stop the loop above reaches the asked level
+        verdict = f"nonempty-to-level-{levels}"
     report = LevelReport(
         "literal", norm.side, norm.cube_count, norm.allowed_count, tuple(rows), verdict, reason
     )
@@ -453,14 +451,14 @@ def witness_search(
     return WitnessResult(None, spent, "search space exhausted without a witness")
 
 
-def sample_patch(state: LevelState, seed: int) -> Block:
-    """Deterministic uniform draw from a level's square set.
+def sample_patch(stage: DChainState, seed: int) -> Block:
+    """Deterministic uniform draw from a stage's blocks, such as a level's
+    squares.
 
     The draw is a central patch of some convergent sequence of larger and
-    larger blocks; an individual allowed square need not extend to a full
+    larger blocks; an individual allowed block need not extend to a full
     configuration, so this is a patch, not a certificate.
     """
-    if not state.squares:
-        raise EmptyStateError(f"level {state.level} has no allowed squares")
-    rng = random.Random(seed)
-    return state.squares[rng.randrange(len(state.squares))]
+    if not stage.blocks:
+        raise EmptyStateError(f"no allowed blocks at level {stage.level}")
+    return stage.blocks[random.Random(seed).randrange(len(stage.blocks))]

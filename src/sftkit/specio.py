@@ -38,7 +38,6 @@ from .core import (
     Pattern,
     SftSpec,
     allowed_data,
-    block_datas,
     data_type,
     make_spec,
     prod,
@@ -175,29 +174,20 @@ def load_spec_file(path: str) -> SftSpec:
 def render_block(b: Block, alphabet: Sequence[str]) -> str:
     """Deterministic text rendering: one line per row, top row first.
 
-    Multi-character symbols are space-separated; d=1 renders one line, d=3
-    renders axis-0 slices separated by blank lines.
+    Multi-character symbols are space-separated. A d=1 block is one line;
+    a block of d >= 2 axes is its axis-0 slices, rendered in turn and
+    joined by d-1 newlines (so d=3 layers are separated by blank lines).
     """
-    wide = any(len(s) != 1 for s in alphabet)
-    join = " " if wide else ""
+    sep = " " if any(len(s) != 1 for s in alphabet) else ""
 
-    def line(cells):
-        return join.join(alphabet[c] for c in cells)
+    def text(data, shape):
+        if len(shape) == 1:
+            return sep.join(alphabet[c] for c in data)
+        n = len(data) // shape[0]
+        slices = (text(data[i : i + n], shape[1:]) for i in range(0, len(data), n))
+        return ("\n" * (len(shape) - 1)).join(slices)
 
-    if b.dimension == 1:
-        return line(b.data)
-    if b.dimension == 2:
-        rows, cols = b.shape
-        return "\n".join(line(b.data[r * cols : (r + 1) * cols]) for r in range(rows))
-    if b.dimension == 3:
-        layers, rows, cols = b.shape
-        per = rows * cols
-        out = []
-        for z in range(layers):
-            sl = b.data[z * per : (z + 1) * per]
-            out.append("\n".join(line(sl[r * cols : (r + 1) * cols]) for r in range(rows)))
-        return "\n\n".join(out)
-    raise SpecError(f"rendering is not supported for dimension {b.dimension}")
+    return text(b.data, b.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +271,7 @@ def _archive_payload(result: AnalysisResult) -> dict:
             {
                 "level": st.level,
                 "stage": st.stage,
-                "blocks": texts(block_datas(st.blocks)),
+                "blocks": texts(st.blocks.datas),
                 "relation": None if st.relation is None else st.relation.groups,
             }
             for st in result.stages

@@ -2,13 +2,19 @@
 name from outside the program, and its frontier probe installs it on every
 run. A renamed or removed name would make `install()` fail, so this checks
 that every name it wraps exists, is wrapped, and is restored by
-`uninstall()`. It only reads `perfbench/`.
+`uninstall()`. Its hooks also read attributes of what the wrapped functions
+return, so the counts they claim are checked against the results. It only
+reads `perfbench/`.
 """
 import importlib.util
 import os
 import sys
 
-TRACER = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench", "tracer.py")
+import sftkit
+
+HERE = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+TRACER = os.path.join(HERE, "perfbench", "tracer.py")
+ARCHIVE = os.path.join(HERE, "tests", "data", "golden", "export-hard_squares-1.state.json")
 
 
 def _sftkit_namespaces() -> dict:
@@ -42,3 +48,42 @@ def test_tracer_wraps_and_restores_every_name():
         assert after[name].keys() == attrs.keys()
         changed = [attr for attr, val in attrs.items() if after[name][attr] is not val]
         assert not changed, f"{name}: {changed} not restored"
+
+
+def _level_claims(st) -> list:
+    # (block shape, count) of a level's squares, its vertical stacks and
+    # its side-by-side squares, read off the stages it holds
+    rows, cols = st.shape
+    out = [((rows, cols), len(st.blocks))]
+    if st.relation is not None:
+        out.append(((2 * rows, cols), len(st.relation)))
+    if st.stacks is not None:
+        out.append(((2 * rows, 2 * cols), len(st.stacks.relation)))
+    return out
+
+
+def test_tracer_claims_are_the_counts_of_the_results(hard_squares):
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    t = tracer.Tracer()
+    t.install()
+    try:
+        # called through the modules, where the wrappers are installed
+        cubes = sftkit.normalize.normalize_to_cubes(hard_squares)
+        index = sftkit.normalize.enumerate_allowed_cubes(hard_squares, cubes)
+        lvl0 = sftkit.levels.level0_state(index, cubes)
+        lvl1 = sftkit.levels.reduced_step(lvl0)
+        vert = sftkit.levels.with_relations(lvl1, sftkit.DEFAULT_CAPS, False)
+        loaded = sftkit.specio.load_state(ARCHIVE)
+    finally:
+        t.uninstall()
+    claims = [(sp.name, sp.attrs.get("claims")) for sp in t.spans if sp.name.startswith(("levels.", "specio.load"))]
+    assert claims == [
+        ("levels.base", _level_claims(lvl0)),
+        ("levels.step", _level_claims(lvl1)),
+        ("levels.vrel", _level_claims(vert)[1:]),
+        ("specio.load", [c for st in loaded.levels for c in _level_claims(st)]),
+    ]
+    assert claims[0][1] == [((2, 2), 7), ((4, 2), 41), ((4, 4), 1234)]
+    assert len(claims[3][1]) == 4

@@ -47,6 +47,8 @@ def test_normalize_csv(hs_file, capsys):
     assert main(["normalize", hs_file, "--format", "csv"]) == 0
     out = capsys.readouterr().out
     assert out == "side,cube_count,mode,allowed_count\n2,9,all-extensions,7\n"
+    assert main(["normalize", hs_file]) == 0
+    assert capsys.readouterr().out == "side: 2\ncube_count: 9\nmode: all-extensions\nallowed_count: 7\n"
 
 
 def test_normalize_nonproper(hs_file, capsys):
@@ -125,6 +127,10 @@ def test_sample_and_determinism(tmp_path, capsys):
 
 def test_sample_empty(kill_file, capsys):
     assert main(["sample", kill_file, "--level", "0", "--seed", "1"]) == 2
+    # the walk ends on the empty level 0, and the message names it
+    capsys.readouterr()
+    assert main(["sample", kill_file, "--level", "2", "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "empty: no allowed blocks at level 0\n"
 
 
 def test_sample_d1(tmp_path, capsys):
@@ -162,6 +168,8 @@ def test_compare(hs_file, capsys):
     out = capsys.readouterr().out
     assert "4x2,41,41,true" in out
     assert "4x4,1234,1234,true" in out
+    assert main(["compare", hs_file, "--shapes", "4x2,4x4"]) == 0
+    assert capsys.readouterr().out == "4x2: engine=41 oracle=41 ok\n4x4: engine=1234 oracle=1234 ok\n"
 
 
 def test_export_import_round_trip(tmp_path, hs_file, capsys):
@@ -427,6 +435,8 @@ def test_budget_stopped_export_writes_key_groups_not_pairs(tmp_path, hs_file, ca
         (["sample", "{hs}", "--level", "1000", "--seed", "1"], 3),
         (["count", "{tmp}/missing.json", "--shape", "4x4"], 4),
         (["count", "{hs}", "--shape", "4x"], 4),
+        (["analyze", "{hs}", "--levels", "1", "--threads", "0"], 4),
+        (["import-state", "{tmp}"], 4),
     ],
 )
 def test_bad_inputs_stop_with_a_message(tmp_path, hs_file, capsys, argv, code):

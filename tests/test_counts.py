@@ -4,7 +4,6 @@ is built."""
 import json
 import random
 import tracemalloc
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +24,7 @@ from sftkit import (
 )
 from sftkit.chain import check_next_stage
 from sftkit.cli import main
+from sftkit.core import Blocks
 from sftkit.relation import Relation
 
 from conftest import random_square_spec
@@ -177,9 +177,9 @@ def test_cell_cap_stops_a_wide_dimension_spec():
 def test_default_cell_cap_refuses_the_wide_stage_unbuilt():
     # the default cap stops the 64-axis walk at 2^27 cells; checked on a
     # stand-in block so that no such stage is built
-    block = SimpleNamespace(shape=(2,) * 26 + (1,) * 38)
-    state = DChainState(64, 1, 26, (block,), Relation([([0], [0])]))
+    blocks = Blocks((2,) * 26 + (1,) * 38, [b""])
+    state = DChainState(64, 1, 26, blocks, Relation([([0], [0])]))
     with pytest.raises(BudgetError) as exc:
         check_next_stage(state)
     assert exc.value.required == 2**27 > DEFAULT_CAPS.max_cells
-    check_next_stage(DChainState(64, 1, 25, (SimpleNamespace(shape=(2,) * 25 + (1,) * 39),), Relation([([0], [0])])))
+    check_next_stage(DChainState(64, 1, 25, Blocks((2,) * 25 + (1,) * 39, [b""]), Relation([([0], [0])])))

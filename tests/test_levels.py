@@ -218,6 +218,15 @@ def test_witness_levels_past_the_least_cost_are_not_searched(hard_squares):
     assert (res.block, res.nodes, res.reason) == (None, 0, "node budget 62 exhausted")
 
 
+def test_witness_search_stops_when_its_budget_runs_out_mid_search():
+    # the first witness costs 13,967 nodes; a budget of N(2) = 15 passes the
+    # up-front check and the search stops on its sixteenth node
+    spec = random_square_spec(random.Random(6), 4, 10)
+    assert witness_search(spec, 2).nodes == 13967
+    res = witness_search(spec, 2, DEFAULT_CAPS.but(witness_nodes=15))
+    assert (res.block, res.nodes, res.reason) == (None, 16, "node budget 15 exhausted")
+
+
 def test_sample_patch_contracts(checkerboard):
     res = analyze(checkerboard, 1)
     lvl1 = res.levels[1]
@@ -230,7 +239,7 @@ def test_sample_patch_contracts(checkerboard):
     from dataclasses import replace
 
     single = analyze(checkerboard, 0).levels[0]
-    lone = replace(single, squares=single.squares[:1])
+    lone = replace(single, blocks=single.squares[:1])
     assert sample_patch(lone, 0) == single.squares[0]
     assert sample_patch(lone, 123) == single.squares[0]
 
@@ -307,10 +316,11 @@ def test_reduced_step_builds_the_stacks_once(hard_squares, monkeypatch):
 
 
 def test_reduced_step_of_an_empty_level_is_empty(kill_all):
-    # an empty level has no stacks stage: the step builds them from its
-    # (empty) vrel and gives an empty next level
+    # an empty level has an empty stacks stage with its (empty) relation,
+    # so its hrel is empty and the step gives an empty next level
     index, cubes = _base(kill_all)
     st = level0_state(index, cubes)
-    assert st.squares == () and st.stacks is None
+    assert st.squares == () and st.stacks.blocks == () and st.stacks.relation == set()
+    assert st.hrel == set()
     nxt = reduced_step(st)
     assert nxt.level == 1 and nxt.squares == ()

@@ -47,6 +47,14 @@ PINNED = {
         + "1,vert,16,256,nonempty-to-level-2\n1,horiz,256,65536,nonempty-to-level-2\n",
     ),
     ("three_symbol", 0): (0, HEAD),
+    # no allowed cube: no rows, and empty at every level
+    ("kill_all", 0): (2, HEAD),
+    ("kill_all", 1): (2, HEAD),
+    ("kill_all", 2): (2, HEAD),
+    # one allowed 2x2 cube that pairs with nothing, in either direction
+    ("lone_cube", 0): (0, HEAD),
+    ("lone_cube", 1): (2, HEAD + "0,vert,1,0,empty\n0,horiz,1,0,empty\n"),
+    ("lone_cube", 2): (2, HEAD + "0,vert,1,0,empty\n0,horiz,1,0,empty\n"),
 }
 
 

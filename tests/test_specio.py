@@ -57,6 +57,9 @@ def test_parse_unknown_symbol_names_pattern():
     with pytest.raises(SpecError) as exc:
         parse_spec({"dimension": 2, "symbols": ["0", "1"], "forbidden": [[["2", "1"]]]})
     assert "forbidden[0]" in str(exc.value)
+    with pytest.raises(SpecError) as exc:
+        parse_spec({"dimension": 2, "symbols": ["0", "1"], "forbidden": [[[[0, 0], "2"]]]})
+    assert str(exc.value) == "forbidden[0]: unknown symbol '2'"
 
 
 def test_parse_rejects_unknown_fields():
@@ -71,6 +74,17 @@ def test_parse_missing_field_and_bad_json():
     with pytest.raises(FormatError) as exc:
         parse_spec("{ not json")
     assert "line" in str(exc.value)
+    for doc, message in (
+        ([], "document root must be an object"),
+        ({"dimension": "2", "symbols": ["0"], "forbidden": []}, "dimension: expected an integer"),
+        ({"dimension": 2, "symbols": [0, 1], "forbidden": []}, "symbols: expected a list of strings"),
+        ({"dimension": 2, "symbols": ["0"], "forbidden": {}}, "forbidden: expected a list of patterns"),
+        ({"dimension": 2, "symbols": ["0"], "forbidden": [[["0", 0]]]}, "forbidden[0]: expected a symbol at depth 2"),
+        ({"dimension": 2, "symbols": ["0"], "forbidden": [[[]]]}, "forbidden[0]: expected a nonempty list at depth 1"),
+    ):
+        with pytest.raises(FormatError) as exc:
+            parse_spec(doc)
+        assert str(exc.value) == message
 
 
 def test_parse_semantic_errors():
@@ -105,8 +119,9 @@ def test_render_multichar_and_dims():
     assert render_block(Block((3,), (0, 1, 0)), ["0", "1"]) == "010"
     got = render_block(Block((2, 1, 2), (0, 1, 1, 0)), ["0", "1"])
     assert got == "01\n\n10"
-    with pytest.raises(SpecError):
-        render_block(Block((1, 1, 1, 1), (0,)), ["0"])
+    # d=4: axis-0 slices are joined by three newlines, d=3 layers by two
+    got = render_block(Block((2, 2, 1, 2), (0, 1, 1, 0, 1, 1, 0, 0)), ["0", "1"])
+    assert got == "01\n\n10\n\n\n11\n\n00"
 
 
 def test_render_checkerboard_patch(checkerboard):
@@ -230,6 +245,25 @@ def test_archive_missing_or_ill_typed_fields(tmp_path, hard_squares):
         p["report_rows"][0] = [0, "squares"]
 
     assert "report_rows[0]" in _load_error(_resigned(tmp_path, res, row_of_wrong_shape))
+
+    def block_set(text):
+        def edit(p):
+            p["stages"][0]["blocks"][0] = text
+
+        return edit
+
+    for edit, message in (
+        (lambda p: p.update(format="other"), "not a state archive"),
+        (lambda p: p["stages"].__setitem__(1, 7), "archive field stages[1] is not an object"),
+        (lambda p: p.update(stages=[]), "archive holds no stages"),
+        (block_set(7), "archive block 7 is not a string"),
+        (block_set("000"), "archive block '000': data length 3 does not match shape (2, 2)"),
+    ):
+        assert _load_error(_resigned(tmp_path, res, edit)) == message
+    # an integer past the interpreter's digit limit fails in the JSON decoder
+    past = tmp_path / "past.json"
+    past.write_text('{"version": ' + "9" * 5000 + "}")
+    assert _load_error(str(past)).startswith("corrupt archive: ")
 
 
 def test_archive_relation_indices_are_checked(tmp_path, hard_squares):
@@ -643,8 +677,6 @@ def test_archive_square_with_an_unknown_symbol_is_refused(tmp_path, hard_squares
 
 
 def test_hrel_view_keeps_the_set_contract(hard_squares, monkeypatch):
-    from dataclasses import replace
-
     from sftkit.levels import StackRelation
 
     res = analyze(hard_squares, 1)
@@ -667,6 +699,3 @@ def test_hrel_view_keeps_the_set_contract(hard_squares, monkeypatch):
     assert some in view and (len(state.squares), 0, 0, 0) not in view
     assert type(view & fewer) is frozenset and view & fewer == fewer
     assert type(view | fewer) is frozenset and view | fewer == tuples
-    plain = replace(state, vrel=frozenset(state.vrel), hrel=tuples)
-    assert plain == state and state == plain
-    assert hash(plain) == hash(state)
