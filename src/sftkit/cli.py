@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import TYPE_CHECKING
 
 from .caps import Caps, DEFAULT_CAPS
-from .chain import chain_report, chain_start
-from .core import SftSpec
 from .errors import (
     ArchiveError,
     BudgetError,
@@ -19,17 +18,14 @@ from .errors import (
     SftError,
     SpecError,
 )
-from .levels import LevelReport, analyze, sample_patch, witness_search
-from .normalize import (
-    MODE_ALL,
-    MODE_NON_PROPER,
-    build_report,
-    enumerate_allowed_cubes,
-    forbidden_side,
-    normalize_to_cubes,
-)
-from .oracle import brute_force_allowed, profile_count
-from .specio import load_spec_file, load_state, render_block, save_state
+
+if TYPE_CHECKING:
+    from .core import SftSpec
+    from .levels import LevelReport
+
+# Each handler imports the engine it runs when it runs, so a process loads
+# only the modules of its command; the import reads the module's current
+# attribute, so a function swapped there is the one called.
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -84,6 +80,9 @@ def _emit_report(report: LevelReport, fmt: str, out) -> None:
 
 
 def _cmd_validate(args) -> int:
+    from .normalize import forbidden_side
+    from .specio import load_spec_file
+
     spec = load_spec_file(args.spec)
     side = forbidden_side(spec)
     print(
@@ -94,6 +93,15 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_normalize(args) -> int:
+    from .normalize import (
+        MODE_ALL,
+        MODE_NON_PROPER,
+        build_report,
+        enumerate_allowed_cubes,
+        normalize_to_cubes,
+    )
+    from .specio import load_spec_file
+
     spec = load_spec_file(args.spec)
     caps = _caps_of(args)
     mode = MODE_ALL if args.mode == "all" else MODE_NON_PROPER
@@ -114,6 +122,9 @@ def _cmd_normalize(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from .levels import analyze
+    from .specio import load_spec_file
+
     spec = load_spec_file(args.spec)
     result = analyze(spec, args.levels, mode=args.mode, caps=_caps_of(args))
     _emit_report(result.report, args.format, sys.stdout)
@@ -137,6 +148,9 @@ def _chain_stage(shape: tuple[int, ...], side: int) -> tuple[int, int]:
 
 
 def _matrix_count(spec: SftSpec, shape: tuple[int, ...], caps: Caps) -> int:
+    from .chain import chain_report, chain_start
+    from .normalize import MODE_ALL, enumerate_allowed_cubes, normalize_to_cubes
+
     cubes = normalize_to_cubes(spec, MODE_ALL, caps)
     target = _chain_stage(shape, cubes.side)
     start = chain_start(enumerate_allowed_cubes(spec, cubes, caps), cubes)
@@ -147,13 +161,19 @@ def _matrix_count(spec: SftSpec, shape: tuple[int, ...], caps: Caps) -> int:
 
 def _count_with(spec, engine: str, shape, caps) -> int:
     if engine == "oracle":
+        from .oracle import brute_force_allowed
+
         return brute_force_allowed(spec, shape, caps=caps).count
     if engine == "dp":
+        from .oracle import profile_count
+
         return profile_count(spec, shape, caps=caps)
     return _matrix_count(spec, shape, caps)
 
 
 def _cmd_count(args) -> int:
+    from .specio import load_spec_file
+
     spec = load_spec_file(args.spec)
     caps = _caps_of(args)
     shape = _parse_shape(args.shape, spec.dimension)
@@ -167,6 +187,11 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    from .chain import chain_report, chain_start
+    from .levels import sample_patch
+    from .normalize import MODE_ALL, enumerate_allowed_cubes, normalize_to_cubes
+    from .specio import load_spec_file, render_block
+
     spec = load_spec_file(args.spec)
     caps = _caps_of(args)
     if args.level < 0:
@@ -179,6 +204,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from .levels import witness_search
+    from .specio import load_spec_file, render_block
+
     spec = load_spec_file(args.spec)
     caps = _caps_of(args)
     res = witness_search(spec, args.level, caps)
@@ -193,6 +221,9 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .oracle import brute_force_allowed, profile_count
+    from .specio import load_spec_file
+
     spec = load_spec_file(args.spec)
     caps = _caps_of(args)
     shapes = [s for s in args.shapes.split(",") if s]
@@ -219,6 +250,9 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_export(args) -> int:
+    from .levels import analyze
+    from .specio import load_spec_file, save_state
+
     result = analyze(load_spec_file(args.spec), args.levels, mode="reduced", caps=_caps_of(args))
     save_state(result, args.out)
     _emit_report(result.report, args.format, sys.stdout)
@@ -226,6 +260,8 @@ def _cmd_export(args) -> int:
 
 
 def _cmd_import(args) -> int:
+    from .specio import load_state
+
     result = load_state(args.archive, _caps_of(args))
     _emit_report(result.report, args.format, sys.stdout)
     return result.report.exit_code()

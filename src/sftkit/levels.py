@@ -43,7 +43,6 @@ from .chain import (
 )
 from .core import Block, Blocks, CubeSet, SftSpec, allowed_data
 from .errors import BudgetError, EmptyStateError, SpecError
-from .matrices import LiteralLevel, level0_matrices, step_horizontal, step_literal
 from .normalize import (
     MODE_ALL,
     build_report,
@@ -321,6 +320,9 @@ def analyze(
 
 
 def _analyze_literal(spec, cubes, index, norm, levels, caps) -> AnalysisResult:
+    # imported here, so the reduced walk never loads the literal module
+    from .matrices import LiteralLevel, level0_matrices, step_horizontal, step_literal
+
     rows: list[LevelRow] = []
     verdict = reason = None
     lits: list[LiteralLevel] = []

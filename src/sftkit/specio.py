@@ -23,13 +23,11 @@ an archive that holds exactly its stages.
 """
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .caps import DEFAULT_CAPS, Caps, check_power
-from .chain import DChainState, chain_report, chain_start
 from .core import (
     MAX_DIMENSION,
     Block,
@@ -43,9 +41,14 @@ from .core import (
     prod,
 )
 from .errors import ArchiveError, BudgetError, FormatError, SpecError
-from .levels import AnalysisResult, LevelReport, LevelRow, report_rows, verdict_of
-from .normalize import MODE_ALL, forbidden_side, normalize_to_cubes
-from .relation import Relation
+
+if TYPE_CHECKING:
+    from .levels import AnalysisResult
+    from .relation import Relation
+
+# Spec documents and rendering need only the modules above. The archive
+# functions import the engine they check against when they run, so parsing
+# a spec loads no engine module.
 
 FILL = "*"
 ARCHIVE_FORMAT = "sft-state"
@@ -245,6 +248,8 @@ def _canonical(payload: dict) -> str:
 
 
 def _checksum(canon: str) -> str:
+    import hashlib
+
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
@@ -340,6 +345,8 @@ def _is_int(val) -> bool:
 
 
 def _key_groups(items: list, bound: int, where: str) -> Relation:
+    from .relation import Relation
+
     # JSON decodes to exact types, and `type(i) is int` leaves out booleans
     chain = itertools.chain.from_iterable
     pairs = set(map(type, items)) <= {list} and set(map(len, items)) <= {2}
@@ -359,6 +366,10 @@ def _same(a: Relation | None, b: Relation | None) -> bool:
 
 
 def _restore(payload: dict, text: str, caps: Caps) -> AnalysisResult:
+    from .chain import DChainState, chain_report, chain_start
+    from .levels import AnalysisResult, LevelReport, LevelRow, report_rows, verdict_of
+    from .normalize import MODE_ALL, forbidden_side, normalize_to_cubes
+
     if not isinstance(payload, dict) or payload.get("format") != ARCHIVE_FORMAT:
         raise ArchiveError("not a state archive")
     version = payload.get("version")

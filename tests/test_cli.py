@@ -255,12 +255,12 @@ def test_analyze_chain_keeps_stages_on_budget_stop(tmp_path, capsys):
 
 
 def test_witness_exit_code_comes_from_the_typed_status(hs_file, kill_file, monkeypatch, capsys):
-    import sftkit.cli
+    import sftkit.levels
     from sftkit import WitnessResult
 
     # a search that found nothing, whatever its reason says, is no proof
     found_nothing = WitnessResult(None, 12, "every branch came back empty")
-    monkeypatch.setattr(sftkit.cli, "witness_search", lambda *a, **k: found_nothing)
+    monkeypatch.setattr(sftkit.levels, "witness_search", lambda *a, **k: found_nothing)
     assert main(["witness", hs_file, "--level", "2"]) == 3
     assert "not an emptiness proof" in capsys.readouterr().err
     monkeypatch.undo()

@@ -1,0 +1,123 @@
+"""Start-up: `import sftkit` loads no engine module, each CLI command loads
+only the modules it runs, and the lazy package namespace resolves every
+public name to the current object in its home module.
+
+The import-graph tests start fresh interpreters, because this test process
+has already imported every module."""
+import importlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import sftkit
+
+SPECS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden", "specs")
+HARD_SQUARES = os.path.join(SPECS, "hard_squares.json")
+ENGINE = {f"sftkit.{m}" for m in ("chain", "levels", "matrices", "oracle", "relation", "normalize")}
+
+# runs `{body}`, then prints the sftkit modules and the costly standard
+# modules it loaded, as the last line of stdout
+_PROBE = """\
+import json, sys
+{body}
+loaded = [m for m in sys.modules if m.startswith("sftkit") or m in ("hashlib", "multiprocessing")]
+print(json.dumps(sorted(loaded)))
+"""
+
+
+def _fresh(body: str, *argv: str) -> tuple[list[str], set[str]]:
+    """stdout lines before the module list, and the module list, of a fresh
+    interpreter that runs `body` with `argv` as its arguments."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE.format(body=body), *argv],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *out, loaded = proc.stdout.splitlines()
+    return out, set(json.loads(loaded))
+
+
+def _command(*argv: str, eager: bool = False) -> tuple[list[str], set[str]]:
+    body = "import sftkit; sftkit.cli.main(sys.argv[1:])"
+    if eager:
+        body = "from sftkit import *\n" + body
+    return _fresh(body, *argv)
+
+
+def test_loading_a_spec_loads_no_engine():
+    body = "import sftkit\nfrom sftkit import cli\nsftkit.load_spec_file(sys.argv[1])"
+    _, loaded = _fresh(body, HARD_SQUARES)
+    assert "sftkit.specio" in loaded
+    assert not loaded & (ENGINE | {"hashlib", "multiprocessing"})
+
+
+def test_submodules_resolve_after_a_bare_import():
+    out, loaded = _fresh("import sftkit\nprint(sftkit.relation.join.__module__, sftkit.core.__name__)")
+    assert out == ["sftkit.relation sftkit.core"]
+    assert "sftkit.levels" not in loaded
+
+
+def test_count_dp_loads_no_walk():
+    out, loaded = _command("count", HARD_SQUARES, "--engine", "dp", "--shape", "8x8")
+    # independent sets of the 8x8 grid graph (OEIS A006506)
+    assert out == ["660647962955"]
+    assert "sftkit.oracle" in loaded
+    assert not loaded & {"sftkit.levels", "sftkit.matrices"}
+
+
+def test_reduced_analyze_loads_neither_the_literal_module_nor_the_oracle():
+    out, loaded = _command("analyze", HARD_SQUARES, "--levels", "1", "--format", "csv")
+    assert out[-1].endswith("nonempty-to-level-1")
+    assert "sftkit.levels" in loaded
+    assert not loaded & {"sftkit.matrices", "sftkit.oracle", "hashlib", "multiprocessing"}
+
+
+def test_literal_analyze_loads_matrices_and_prints_the_eager_rows():
+    argv = ("analyze", HARD_SQUARES, "--levels", "2", "--mode", "literal", "--format", "csv")
+    out, loaded = _command(*argv)
+    eager_out, eager_loaded = _command(*argv, eager=True)
+    assert "sftkit.matrices" in loaded and "sftkit.oracle" not in loaded
+    assert "sftkit.oracle" in eager_loaded
+    assert len(out) > 2 and out == eager_out
+
+
+def test_every_public_name_is_the_object_of_its_home_module():
+    for name in sftkit.__all__:
+        home = importlib.import_module(f"sftkit.{sftkit._HOME[name]}")
+        assert getattr(sftkit, name) is vars(home)[name], name
+        # a lookup is never kept in the package
+        assert name not in vars(sftkit), name
+
+
+def test_dir_and_star_import_cover_every_public_name():
+    assert set(sftkit.__all__) <= set(dir(sftkit))
+    assert {"cli", "relation", "levels"} <= set(dir(sftkit))
+    names: dict = {}
+    exec("from sftkit import *", names)
+    assert set(sftkit.__all__) <= set(names)
+    assert names["analyze"] is sftkit.levels.analyze
+
+
+def test_unknown_names_raise_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sftkit.no_such_name
+    assert not hasattr(sftkit, "order_key")
+    with pytest.raises(ImportError):
+        exec("from sftkit import no_such_name", {})
+
+
+def test_a_swapped_function_is_seen_through_the_package(monkeypatch):
+    original = sftkit.levels.analyze
+
+    def swapped(*a, **k):
+        return original(*a, **k)
+
+    monkeypatch.setattr(sftkit.levels, "analyze", swapped)
+    assert sftkit.analyze is swapped
+    monkeypatch.undo()
+    assert sftkit.analyze is original
