@@ -32,7 +32,6 @@ _EXPORTS = {
         "block_allowed",
         "concat",
         "make_spec",
-        "occurs_in",
         "pattern_width",
         "window",
     ),

@@ -227,15 +227,23 @@ def _cmd_compare(args) -> int:
     spec = load_spec_file(args.spec)
     caps = _caps_of(args)
     shapes = [s for s in args.shapes.split(",") if s]
+    if not shapes:
+        raise SpecError(f"--shapes {args.shapes!r} names no shape")
     rows = []
     all_match = True
     for text in shapes:
         shape = _parse_shape(text, spec.dimension)
-        engine = _count_with(spec, args.engine, shape, caps)
+        # the oracle first, so a shape without one stops before the engine runs
         try:
             oracle = brute_force_allowed(spec, shape, caps=caps).count
-        except BudgetError:
+        except BudgetError as e:
+            if args.engine == "dp":
+                # the DP is the engine under test, so it cannot be its own
+                # oracle; the brute force's hint to try the DP is dropped
+                refused = str(e).partition(";")[0]
+                raise BudgetError(f"no oracle for {text} but the DP under test: {refused}", e.required) from None
             oracle = profile_count(spec, shape, caps=caps)
+        engine = _count_with(spec, args.engine, shape, caps)
         match = engine == oracle
         all_match = all_match and match
         rows.append((text, engine, oracle, match))

@@ -329,28 +329,6 @@ class CubeSet:
         return self._data_set
 
 
-def occurrence_offsets(b: Block, p: Pattern) -> Iterator[Coord]:
-    """All offsets at which the pattern occurs inside the block."""
-    ext = p.extents
-    if any(e > s for e, s in zip(ext, b.shape)):
-        return
-    st = strides(b.shape)
-    cell_offsets = tuple(
-        (sum(c * s for c, s in zip(coord, st)), sym) for coord, sym in p.cells
-    )
-    data = b.data
-    for off in itertools.product(*[range(s - e + 1) for s, e in zip(b.shape, ext)]):
-        base = sum(o * s for o, s in zip(off, st))
-        if all(data[base + rel] == sym for rel, sym in cell_offsets):
-            yield off
-
-
-def occurs_in(b: Block, p: Pattern) -> bool:
-    for _ in occurrence_offsets(b, p):
-        return True
-    return False
-
-
 @lru_cache(maxsize=None)
 def _window_getters(src_shape: Coord, side: int) -> tuple[itemgetter, ...]:
     """One getter per l-window of `src_shape` (side >= 2), reading the

@@ -38,7 +38,6 @@ from .chain import (
     chain_relation,
     chain_report,
     chain_start,
-    check_next_stage,
     d_chain_step,
 )
 from .core import Block, Blocks, CubeSet, SftSpec, allowed_data
@@ -205,9 +204,10 @@ class AnalysisResult:
     blocks from the last relation without building them. `stages` are the
     walked chain stages, in every dimension; only when they are first read
     is the target stage built (as `export-state` and library callers need
-    it). For d=2 reduced runs, `levels` are the level states those stages
-    hold; other runs have no levels. Construct it with the stages, or a
-    callable returning them."""
+    it), unless the caps refuse it: then they end on the relation that
+    counts it, as a budget-stopped walk does. For d=2 reduced runs,
+    `levels` are the level states those stages hold; other runs have no
+    levels. Construct it with the stages, or a callable returning them."""
 
     spec: SftSpec
     cubes: CubeSet
@@ -298,23 +298,19 @@ def analyze(
         stages = chain_report(chain_start(index, cubes), cubes, target, caps, build_target=False)
     except BudgetError as e:
         stages, reason = e.partial, str(e)
-    else:
-        # the target is counted from the last relation, not built, but it is
-        # held to the caps it meets when `stages` is read and it is built
-        if stages[-1].relation is not None:
-            try:
-                check_next_stage(stages[-1], caps)
-            except BudgetError as e:
-                reason = str(e)
     rows = tuple(report_rows(stages))
     verdict, stop = verdict_of(rows, reason)
     mode = "reduced" if spec.dimension == 2 else "chain"
     report = LevelReport(mode, norm.side, norm.cube_count, norm.allowed_count, rows, verdict, stop)
     walked = stages
     if reason is None and stages[-1].relation is not None:
-        # a walk that reached its target steps into it when `stages` is read
+        # a walk that reached its target steps into it when `stages` is read;
+        # a target past the caps stays counted by the last relation
         def walked():
-            return (*stages, d_chain_step(stages[-1], cubes, caps))
+            try:
+                return (*stages, d_chain_step(stages[-1], cubes, caps))
+            except BudgetError:
+                return stages
 
     return AnalysisResult(spec, cubes, index, walked, report)
 

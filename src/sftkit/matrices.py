@@ -30,9 +30,11 @@ half of a doubled side. So each later step is two `relation.middle_join`
 calls, the chain's own join, over letter positions (see `step_literal`).
 
 Budgets: `level0_matrices` checks its horizontal index (k^2) and
-`step_literal` its vertical index (k^4) before any work. Every horizontal
-pass stops after its vertical matrix, on its index past `max_index` or
-|vertical ones|^2 past `max_work`, with that level as `partial`.
+`step_literal` its vertical index (k^4) before any work, so those stops
+keep nothing; the k^2 check is also the only cap on the level-0 vertical
+pass, which is why it comes first. Every horizontal pass stops after its
+vertical matrix on |vertical ones|^2 past `max_work`, and from level 1 on
+also on its index past `max_index`, with that level as `partial`.
 """
 from __future__ import annotations
 
@@ -202,7 +204,9 @@ def level0_matrices(
     The index may include forbidden cubes (their rows come out zero) or be
     restricted to allowed cubes; either way every window of the assembled
     block is scanned, once per block and once per distinct seam slab pair,
-    so a 1 always means "allowed".
+    so a 1 always means "allowed". The horizontal index (k^2) is refused
+    past `max_index` before any work: no other cap bounds the vertical
+    pass, so the refusal comes first and keeps nothing.
     """
     letters = tuple(index_blocks)
     k = len(letters)

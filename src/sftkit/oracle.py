@@ -9,8 +9,8 @@ engine code, so it stays independent of the DP and of the relation kernel.
 dimension that scales to shapes the brute force cannot reach: its state is
 one int of the last cells placed, and each cell checks the window ending
 there, cut off at the box's low faces. It too calls no engine code. They
-cross-check each other wherever both run. Each normalizes the spec it is given and returns a count only: no
-allowed block is kept.
+cross-check each other wherever both run. Each normalizes the spec it is
+given and returns a count only: no allowed block is kept.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .caps import DEFAULT_CAPS, PRINTED_MAX, Caps, check_power
-from .core import Block, CubeSet, SftSpec, _gather_table, occurs_in, prod, strides
+from .core import CubeSet, SftSpec, _gather_table, prod, strides
 from .errors import SpecError
 from .normalize import MODE_ALL, normalize_to_cubes
 
@@ -74,16 +74,11 @@ def _count_range(args) -> int:
     """How many allowed blocks start with one of the prefixes lo..hi-1 of
     the first m cells, read as base-ka numbers, row-major: whole subtrees,
     so the counts of disjoint ranges add up."""
-    shape, ka, m, lo, hi, cubes, raw_patterns = args
+    shape, ka, m, lo, hi, cubes = args
     n = prod(shape)
-    rest = ka ** (n - m)
-    if raw_patterns is not None:
-        # the normalizer's check: every candidate rescanned against the raw patterns
-        candidates = itertools.islice(itertools.product(range(ka), repeat=n), lo * rest, hi * rest)
-        return sum(not any(occurs_in(Block(shape, d), p) for p in raw_patterns) for d in candidates)
     bad = cubes.data_set()
     if not bad or any(s < cubes.side for s in shape):
-        return (hi - lo) * rest  # nothing can be forbidden, so every candidate is allowed
+        return (hi - lo) * ka ** (n - m)  # nothing can be forbidden, so every candidate is allowed
     if cubes.side == 1:
         bad = {a for (a,) in bad}
     getters = _last_cell_getters(shape, cubes.side)
@@ -100,25 +95,20 @@ def _count_range(args) -> int:
 def brute_force_allowed(
     spec: SftSpec,
     shape: tuple[int, ...],
-    mode: str = "cubes",
     caps: Caps = DEFAULT_CAPS,
 ) -> OracleResult:
     """Exact allowed-block count by exhaustive enumeration; only the count
     is kept.
 
-    `mode="cubes"` places symbols cell by cell in row-major order against
-    the spec's normalized cube set. Each l-window is tested once, when its
-    last cell is placed, and a forbidden one cuts every completion of the
-    prefix; each allowed block is still reached as its own leaf, and fewer
-    than k/(k-1) * k^n prefixes are visited. `mode="patterns"` rescans every
-    candidate against the raw forbidden patterns, bypassing normalization
-    entirely (a check on the normalizer itself). `caps.oracle_candidates`
-    bounds k^n in both modes. With `caps.threads` > 1 the prefixes of the
-    first few cells are split into ranges counted by worker processes, and
-    the result is the sum of their counts.
+    Symbols are placed cell by cell in row-major order against the spec's
+    normalized cube set. Each l-window is tested once, when its last cell
+    is placed, and a forbidden one cuts every completion of the prefix;
+    each allowed block is still reached as its own leaf, and fewer than
+    k/(k-1) * k^n prefixes are visited. `caps.oracle_candidates` bounds
+    k^n. With `caps.threads` > 1 the prefixes of the first few cells are
+    split into ranges counted by worker processes, and the result is the
+    sum of their counts.
     """
-    if mode not in ("cubes", "patterns"):
-        raise SpecError(f"unknown oracle mode {mode!r}")
     _check_shape(spec, shape)
     check_power(
         spec.alphabet_size,
@@ -128,11 +118,10 @@ def brute_force_allowed(
     )
     ka = spec.alphabet_size
     total = ka ** prod(shape)
-    raw = spec.forbidden if mode == "patterns" else None
-    cubes = normalize_to_cubes(spec, MODE_ALL, caps) if raw is None else None
+    cubes = normalize_to_cubes(spec, MODE_ALL, caps)
 
     def job(m: int, lo: int, hi: int) -> tuple:
-        return shape, ka, m, lo, hi, cubes, raw
+        return shape, ka, m, lo, hi, cubes
 
     # more workers than cores only add processes
     workers = max(1, min(caps.threads, os.cpu_count() or 1))

@@ -172,6 +172,20 @@ def test_compare(hs_file, capsys):
     assert capsys.readouterr().out == "4x2: engine=41 oracle=41 ok\n4x4: engine=1234 oracle=1234 ok\n"
 
 
+def test_compare_past_the_brute_force_cap_keeps_an_independent_oracle(hs_file, capsys):
+    # 8x4 is 2^32 candidates: the matrix engine is checked against the DP,
+    # and the DP, which has no oracle left but itself, stops on the cap
+    assert main(["compare", hs_file, "--shapes", "8x4", "--engine", "matrix"]) == 0
+    assert capsys.readouterr().out == "8x4: engine=1095851 oracle=1095851 ok\n"
+    assert main(["compare", hs_file, "--shapes", "4x4,8x4", "--engine", "dp"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "budget: no oracle for 8x4 but the DP under test: "
+        "brute force would enumerate 4294967296 candidates (cap 16777216)\n"
+    )
+
+
 def test_export_import_round_trip(tmp_path, hs_file, capsys):
     out_file = tmp_path / "state.json"
     assert main(["export-state", hs_file, "--levels", "1", "--out", str(out_file)]) == 0
@@ -437,6 +451,7 @@ def test_budget_stopped_export_writes_key_groups_not_pairs(tmp_path, hs_file, ca
         (["count", "{hs}", "--shape", "4x"], 4),
         (["analyze", "{hs}", "--levels", "1", "--threads", "0"], 4),
         (["import-state", "{tmp}"], 4),
+        (["compare", "{hs}", "--shapes", ","], 4),
     ],
 )
 def test_bad_inputs_stop_with_a_message(tmp_path, hs_file, capsys, argv, code):

@@ -49,6 +49,13 @@ def test_pattern_rejects_empty_and_conflicts():
         Pattern.from_cells([((0, 0), 0), ((0, 0), 1)])
 
 
+def test_block_rejects_bad_shapes():
+    with pytest.raises(ShapeError, match="data length 3 does not match shape"):
+        Block((2, 2), (0, 1, 0))
+    with pytest.raises(ShapeError, match="extents must be positive"):
+        Block((0, 2), ())
+
+
 def test_window_identity():
     b = Block((2, 2), (0, 1, 2, 3))
     assert window(b, (0, 0), b.shape) == b

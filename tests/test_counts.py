@@ -117,26 +117,40 @@ def test_reading_levels_steps_into_the_target_once(full_shift, monkeypatch):
     assert made.count((2, 2)) == 1
 
 
-def test_analyze_holds_its_unbuilt_target_to_max_blocks(tmp_path, capsys):
+def test_analyze_certifies_its_unbuilt_target_past_max_blocks(tmp_path, monkeypatch, capsys):
+    # the 65,536 level-2 squares are counted from the last relation, never
+    # built, so max_blocks has nothing to refuse
+    made = _stepped_stages(monkeypatch)
     path = _file(tmp_path, FULL, "full.json")
     args = ["analyze", path, "--levels", "2", "--max-blocks", "1000"]
-    assert main(args + ["--format", "csv"]) == 3
+    assert main(args + ["--format", "csv"]) == 0
     assert capsys.readouterr().out.strip().splitlines()[1:] == [
-        "0,squares,2,4,inconclusive",
-        "0,rects,4,16,inconclusive",
-        "1,squares,16,256,inconclusive",
-        "1,rects,256,65536,inconclusive",
-        "2,squares,65536,,inconclusive",
+        "0,squares,2,4,nonempty-to-level-2",
+        "0,rects,4,16,nonempty-to-level-2",
+        "1,squares,16,256,nonempty-to-level-2",
+        "1,rects,256,65536,nonempty-to-level-2",
+        "2,squares,65536,,nonempty-to-level-2",
     ]
-    assert main(args) == 3
-    assert "reason: next stage would hold 65536 blocks (cap 1000)" in capsys.readouterr().out
+    assert main(args) == 0
+    assert "reason:" not in capsys.readouterr().out
+    assert (2, 2) not in made
+    # the archive ends on the relation that counts the target, and loads
+    # back to the same rows and exit code
+    state = str(tmp_path / "state.json")
+    assert main(["export-state", *args[1:], "--out", state, "--format", "csv"]) == 0
+    exported = capsys.readouterr().out
+    assert main(["import-state", state, "--max-blocks", "1000", "--format", "csv"]) == 0
+    assert capsys.readouterr().out == exported
 
 
 def test_a_budget_stop_on_the_target_keeps_levels_unstepped(full_shift, monkeypatch):
+    # reading the stages steps into the target, which max_blocks refuses:
+    # they end on the relation that counts it, and the report stands
     made = _stepped_stages(monkeypatch)
     res = analyze(full_shift, 2, caps=DEFAULT_CAPS.but(max_blocks=1000))
-    assert res.report.verdict == "inconclusive"
+    assert res.report.verdict == "nonempty-to-level-2"
     assert [len(lv.squares) for lv in res.levels] == [2, 16]
+    assert (res.stages[-1].level, res.stages[-1].stage, len(res.stages[-1].relation)) == (2, 1, 65536)
     assert (2, 2) not in made
 
 
@@ -155,11 +169,13 @@ def test_cell_cap_refuses_a_stage_before_it_is_built(checkerboard, monkeypatch):
     assert (4, 2) not in made
 
 
-def test_cell_cap_holds_the_unbuilt_target_too(checkerboard):
+def test_cell_cap_leaves_the_unbuilt_target_certified(checkerboard, monkeypatch):
+    # level 4's two squares hold 2048 cells, but they are only counted
+    made = _stepped_stages(monkeypatch)
     res = analyze(checkerboard, 4, caps=DEFAULT_CAPS.but(max_cells=2000))
-    assert res.report.verdict == "inconclusive"
-    assert "2048 cells" in res.report.reason
-    assert analyze(checkerboard, 4, caps=DEFAULT_CAPS.but(max_cells=2048)).report.verdict == "nonempty-to-level-4"
+    assert res.report.verdict == "nonempty-to-level-4" and res.report.reason is None
+    assert res.report == analyze(checkerboard, 4, caps=DEFAULT_CAPS.but(max_cells=2048)).report
+    assert (4, 2) not in made
 
 
 def test_cell_cap_stops_a_wide_dimension_spec():

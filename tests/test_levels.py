@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from sftkit import (
     DEFAULT_CAPS,
     EmptyStateError,
+    SpecError,
     analyze,
     block_allowed,
     enumerate_allowed_cubes,
@@ -20,6 +21,8 @@ from sftkit import (
     with_relations,
     witness_search,
 )
+from sftkit.chain import chain_start
+from sftkit.levels import level_states
 
 from conftest import naive_allowed, naive_count, random_square_spec
 
@@ -127,6 +130,15 @@ def test_analyze_budget_inconclusive(hard_squares):
     assert res.report.verdict == "inconclusive"
     assert res.report.exit_code() == 3
     assert "cap" in (res.report.reason or "")
+
+
+def test_relations_need_cubes_and_analyze_a_known_mode(hard_squares):
+    index, cubes = _base(hard_squares)
+    without_cubes = level_states([chain_start(index, cubes)], None)[0]
+    with pytest.raises(SpecError, match="forbidden cube set"):
+        with_relations(without_cubes)
+    with pytest.raises(SpecError, match="unknown engine mode 'bogus'"):
+        analyze(hard_squares, 1, mode="bogus")
 
 
 def test_count_monotonicity(hard_squares, checkerboard, full_shift):

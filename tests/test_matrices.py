@@ -15,6 +15,7 @@ from sftkit import (
     enumerate_allowed_cubes,
     level0_matrices,
     level0_state,
+    literal_horiz_pairs,
     literal_vert_pairs,
     normalize_to_cubes,
     otimes,
@@ -157,6 +158,15 @@ def test_step_literal_budget_advises_reduced(hard_squares):
     with pytest.raises(BudgetError) as exc:
         step_literal(lvl)  # 16^4 = 65536 > default cap
     assert "reduced" in str(exc.value)
+
+
+def test_a_vertical_only_level_has_no_horizontal_step(hard_squares):
+    cubes = normalize_to_cubes(hard_squares)
+    base = level0_matrices(enumerate_allowed_cubes(hard_squares, cubes), cubes)
+    vertical_only = step_literal(base, compute_h=False)
+    for read in (step_literal, literal_horiz_pairs):
+        with pytest.raises(BudgetError, match="horizontal matrix missing"):
+            read(vertical_only)
 
 
 def test_step_literal_rows_match_otimes_and_rescan(checkerboard):

@@ -10,6 +10,7 @@ from sftkit import (
     MODE_ALL,
     MODE_NON_PROPER,
     Pattern,
+    SpecError,
     build_report,
     enumerate_allowed_cubes,
     forbidden_side,
@@ -17,7 +18,7 @@ from sftkit import (
     normalize_to_cubes,
 )
 
-from conftest import naive_allowed_set, random_square_spec
+from conftest import naive_allowed_set, naive_count, random_square_spec
 
 
 def test_empty_forbidden_set(full_shift):
@@ -137,8 +138,12 @@ def test_gapped_support_normalizes_correctly():
 
     index = enumerate_allowed_cubes(spec, cubes)
     st1 = reduced_step(level0_state(index, cubes))
-    assert len(st1.squares) == brute_force_allowed(spec, (4, 4)).count
-    assert brute_force_allowed(spec, (4, 4), mode="patterns").count == len(st1.squares)
+    assert len(st1.squares) == brute_force_allowed(spec, (4, 4)).count == naive_count(spec, (4, 4))
+
+
+def test_unknown_normalization_mode_is_refused(hard_squares):
+    with pytest.raises(SpecError, match="unknown normalization mode 'bogus'"):
+        normalize_to_cubes(hard_squares, mode="bogus")
 
 
 def test_budget_error_names_requirement():

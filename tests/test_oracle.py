@@ -40,12 +40,12 @@ def test_hard_squares_small_shapes(hard_squares):
 
 
 def test_patterns_mode_agrees_with_cubes_mode():
+    # naive_count rescans every candidate against the raw patterns, with no
+    # normalization; the brute force searches against the normalized cubes
     rng = random.Random(17)
     for _ in range(5):
         spec = random_square_spec(rng)
-        a = brute_force_allowed(spec, (3, 4), mode="cubes").count
-        b = brute_force_allowed(spec, (3, 4), mode="patterns").count
-        assert a == b == naive_count(spec, (3, 4))
+        assert brute_force_allowed(spec, (3, 4)).count == naive_count(spec, (3, 4))
 
 
 def test_profile_matches_brute_force(hard_squares, checkerboard):
@@ -129,16 +129,13 @@ def test_threads_clamped_to_cpu_count(monkeypatch, hard_squares):
     res = brute_force_allowed(hard_squares, (4, 4), caps=DEFAULT_CAPS.but(threads=64))
     assert res.count == 1234
     assert sizes == [2]
-    # the workers' other branches: an undersized shape counts every
-    # candidate, and patterns mode rescans the raw patterns
+    # the workers' other branch: an undersized shape counts every candidate
     two = DEFAULT_CAPS.but(threads=2)
     assert brute_force_allowed(hard_squares, (1, 13), caps=two).count == 2**13
-    patterns = brute_force_allowed(hard_squares, (3, 4), mode="patterns", caps=two)
-    assert patterns.count == naive_count(hard_squares, (3, 4))
-    assert sizes == [2, 2, 2]
+    assert sizes == [2, 2]
     monkeypatch.setattr(oracle_mod.os, "cpu_count", lambda: None)
     assert brute_force_allowed(hard_squares, (4, 4), caps=DEFAULT_CAPS.but(threads=8)).count == 1234
-    assert sizes == [2, 2, 2]  # an unknown core count runs in-process
+    assert sizes == [2, 2]  # an unknown core count runs in-process
 
 
 # a side-1 spec: every cell avoids the symbol 1
@@ -193,12 +190,6 @@ def test_profile_reaches_hard_squares_16x16(tmp_path, capsys):
     assert main(["count", str(path), "--engine", "dp", "--shape", "16x16"]) == 0
     assert time.perf_counter() - start < 30
     assert capsys.readouterr().out.strip() == "18396766424410124752958806046933947217821482942"
-
-
-def test_unknown_mode_is_refused_before_the_cap(hard_squares):
-    # (8, 8) is past the candidate cap, so the mode must be checked first
-    with pytest.raises(SpecError, match="unknown oracle mode 'bogus'"):
-        brute_force_allowed(hard_squares, (8, 8), mode="bogus")
 
 
 # one forbidden cube, all ones, which a (2, 2, 2) shape completes only at its

@@ -101,6 +101,17 @@ def test_parse_semantic_errors():
     assert "empty support" in str(exc.value)
 
 
+def test_parse_refuses_conflicting_cells_and_patterns_that_are_no_list():
+    with pytest.raises(SpecError) as exc:
+        parse_spec({**HS_DOC, "forbidden": [[[[0, 0], "1"], [[0, 0], "0"]]]})
+    assert type(exc.value) is SpecError
+    assert str(exc.value) == "forbidden[0]: conflicting symbols at cell (0, 0)"
+    for pattern in ([], "1"):
+        with pytest.raises(FormatError) as exc:
+            parse_spec({**HS_DOC, "forbidden": [pattern]})
+        assert str(exc.value) == "forbidden[0]: expected a nonempty list at depth 0"
+
+
 def test_serialize_parse_fixed_point():
     spec = parse_spec(HS_DOC)
     doc = serialize_spec(spec)
