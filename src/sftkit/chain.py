@@ -29,8 +29,9 @@ from dataclasses import dataclass, replace
 from typing import AbstractSet, Sequence
 
 from .caps import DEFAULT_CAPS, Caps, refuse
-from .core import Block, Blocks, Coord, CubeSet, data_type, prod
-from .errors import BudgetError
+from .core import Block, Blocks, Coord, CubeSet, SftSpec, data_type, prod
+from .errors import BudgetError, SpecError
+from .normalize import MODE_ALL, enumerate_allowed_cubes, normalize_to_cubes
 from .relation import join_pairs, pair_relation
 
 
@@ -65,6 +66,26 @@ class DChainState:
         return self.level, self.stage + 1
 
 
+def stage_shape(d: int, side: int, level: int, stage: int) -> Coord:
+    """The block shape of stage (n, i): its first i axes doubled n times, the rest n - 1."""
+    return tuple(side << level if a < stage else side << (level - 1) for a in range(d))
+
+
+def stage_of(shape: Coord, side: int) -> tuple[int, int]:
+    """(level, stage) of the stage whose blocks have `shape`, the inverse
+    of `stage_shape`; a shape of no stage is a SpecError."""
+    big = max(shape)
+    level = max(big // side, 1).bit_length() - 1
+    stage = shape.count(big)
+    # stage (0, i) exists only as the base (0, d)
+    if (level or stage == len(shape)) and stage_shape(len(shape), side, level, stage) == shape:
+        return level, stage
+    raise SpecError(
+        f"shape {shape} is not a doubling stage: the matrix engine counts blocks whose "
+        f"first axes are {side}*2^n and whose other axes are half that, in axis order"
+    )
+
+
 def chain_start(allowed_cubes: Sequence[Block], cubes: CubeSet) -> DChainState:
     """The base stage. Its data type, `bytes` unless the alphabet has more
     than 256 symbols, is kept by every stage the walk joins from it."""
@@ -72,6 +93,14 @@ def chain_start(allowed_cubes: Sequence[Block], cubes: CubeSet) -> DChainState:
     kind = data_type(cubes.alphabet_size)
     blocks = Blocks((cubes.side,) * d, sorted(kind(b.data) for b in allowed_cubes))
     return DChainState(d, 0, d, blocks, None)
+
+
+def spec_start(spec: SftSpec, caps: Caps = DEFAULT_CAPS) -> tuple[CubeSet, tuple[Block, ...], DChainState]:
+    """The entry of every walk: the spec's forbidden cubes, its allowed
+    cubes and the base stage they make."""
+    cubes = normalize_to_cubes(spec, MODE_ALL, caps)
+    index = enumerate_allowed_cubes(spec, cubes, caps)
+    return cubes, index, chain_start(index, cubes)
 
 
 def _check_pairs(n: int, caps: Caps) -> None:

@@ -23,9 +23,9 @@ if TYPE_CHECKING:
     from .core import SftSpec
     from .levels import LevelReport
 
-# Each handler imports the engine it runs when it runs, so a process loads
-# only the modules of its command; the import reads the module's current
-# attribute, so a function swapped there is the one called.
+# `main` loads the spec and the caps; each handler imports the engine it
+# runs when it runs, so a process loads only the modules of its command, and
+# reads the module's current attribute, so a function swapped there is called.
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -79,11 +79,9 @@ def _emit_report(report: LevelReport, fmt: str, out) -> None:
         out.write(f"reason: {report.reason}\n")
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args, spec: SftSpec, caps: Caps) -> int:
     from .normalize import forbidden_side
-    from .specio import load_spec_file
 
-    spec = load_spec_file(args.spec)
     side = forbidden_side(spec)
     print(
         f"ok: dimension {spec.dimension}, {spec.alphabet_size} symbols, "
@@ -92,7 +90,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args, spec: SftSpec, caps: Caps) -> int:
     from .normalize import (
         MODE_ALL,
         MODE_NON_PROPER,
@@ -100,10 +98,7 @@ def _cmd_normalize(args) -> int:
         enumerate_allowed_cubes,
         normalize_to_cubes,
     )
-    from .specio import load_spec_file
 
-    spec = load_spec_file(args.spec)
-    caps = _caps_of(args)
     mode = MODE_ALL if args.mode == "all" else MODE_NON_PROPER
     cubes = normalize_to_cubes(spec, mode, caps)
     # allowed cubes are counted against the exact (all-extensions) set
@@ -121,40 +116,19 @@ def _cmd_normalize(args) -> int:
     return 0
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args, spec: SftSpec, caps: Caps) -> int:
     from .levels import analyze
-    from .specio import load_spec_file
 
-    spec = load_spec_file(args.spec)
-    result = analyze(spec, args.levels, mode=args.mode, caps=_caps_of(args))
+    result = analyze(spec, args.levels, mode=args.mode, caps=caps)
     _emit_report(result.report, args.format, sys.stdout)
     return result.report.exit_code()
 
 
-def _chain_stage(shape: tuple[int, ...], side: int) -> tuple[int, int]:
-    """(level, stage) of the chain stage whose blocks have `shape`."""
-    big = max(shape)
-    level = 0
-    while side << level < big:
-        level += 1
-    stage = shape.count(big)
-    want = (big,) * stage + (big // 2,) * (len(shape) - stage)
-    if side << level != big or shape != want or (level == 0 and stage < len(shape)):
-        raise SpecError(
-            f"shape {shape} is not a doubling stage: the matrix engine counts blocks whose "
-            f"first axes are {side}*2^n and whose other axes are half that, in axis order"
-        )
-    return level, stage
-
-
 def _matrix_count(spec: SftSpec, shape: tuple[int, ...], caps: Caps) -> int:
-    from .chain import chain_report, chain_start
-    from .normalize import MODE_ALL, enumerate_allowed_cubes, normalize_to_cubes
+    from .chain import chain_report, spec_start, stage_of
 
-    cubes = normalize_to_cubes(spec, MODE_ALL, caps)
-    target = _chain_stage(shape, cubes.side)
-    start = chain_start(enumerate_allowed_cubes(spec, cubes, caps), cubes)
-    st = chain_report(start, cubes, target, caps, build_target=False)[-1]
+    cubes, _, start = spec_start(spec, caps)
+    st = chain_report(start, cubes, stage_of(shape, cubes.side), caps, build_target=False)[-1]
     # a next-stage count is the size of the relation: that stage is never built
     return len(st.blocks if st.relation is None else st.relation)
 
@@ -171,11 +145,7 @@ def _count_with(spec, engine: str, shape, caps) -> int:
     return _matrix_count(spec, shape, caps)
 
 
-def _cmd_count(args) -> int:
-    from .specio import load_spec_file
-
-    spec = load_spec_file(args.spec)
-    caps = _caps_of(args)
+def _cmd_count(args, spec: SftSpec, caps: Caps) -> int:
     shape = _parse_shape(args.shape, spec.dimension)
     count = _count_with(spec, args.engine, shape, caps)
     if args.format == "csv":
@@ -186,29 +156,23 @@ def _cmd_count(args) -> int:
     return 0
 
 
-def _cmd_sample(args) -> int:
-    from .chain import chain_report, chain_start
+def _cmd_sample(args, spec: SftSpec, caps: Caps) -> int:
+    from .chain import chain_report, spec_start
     from .levels import sample_patch
-    from .normalize import MODE_ALL, enumerate_allowed_cubes, normalize_to_cubes
-    from .specio import load_spec_file, render_block
+    from .specio import render_block
 
-    spec = load_spec_file(args.spec)
-    caps = _caps_of(args)
     if args.level < 0:
         raise SpecError("level must be >= 0")
-    cubes = normalize_to_cubes(spec, MODE_ALL, caps)
-    start = chain_start(enumerate_allowed_cubes(spec, cubes, caps), cubes)
+    cubes, _, start = spec_start(spec, caps)
     st = chain_report(start, cubes, (args.level, spec.dimension), caps)[-1]
     print(render_block(sample_patch(st, args.seed), spec.alphabet))
     return 0
 
 
-def _cmd_witness(args) -> int:
+def _cmd_witness(args, spec: SftSpec, caps: Caps) -> int:
     from .levels import witness_search
-    from .specio import load_spec_file, render_block
+    from .specio import render_block
 
-    spec = load_spec_file(args.spec)
-    caps = _caps_of(args)
     res = witness_search(spec, args.level, caps)
     if res.block is not None:
         print(render_block(res.block, spec.alphabet))
@@ -220,12 +184,9 @@ def _cmd_witness(args) -> int:
     return 3
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args, spec: SftSpec, caps: Caps) -> int:
     from .oracle import brute_force_allowed, profile_count
-    from .specio import load_spec_file
 
-    spec = load_spec_file(args.spec)
-    caps = _caps_of(args)
     shapes = [s for s in args.shapes.split(",") if s]
     if not shapes:
         raise SpecError(f"--shapes {args.shapes!r} names no shape")
@@ -238,10 +199,8 @@ def _cmd_compare(args) -> int:
             oracle = brute_force_allowed(spec, shape, caps=caps).count
         except BudgetError as e:
             if args.engine == "dp":
-                # the DP is the engine under test, so it cannot be its own
-                # oracle; the brute force's hint to try the DP is dropped
-                refused = str(e).partition(";")[0]
-                raise BudgetError(f"no oracle for {text} but the DP under test: {refused}", e.required) from None
+                # the DP is the engine under test, so it cannot be its own oracle
+                raise BudgetError(f"no oracle for {text} but the DP under test: {e}", e.required) from None
             oracle = profile_count(spec, shape, caps=caps)
         engine = _count_with(spec, args.engine, shape, caps)
         match = engine == oracle
@@ -257,20 +216,20 @@ def _cmd_compare(args) -> int:
     return 0 if all_match else 1
 
 
-def _cmd_export(args) -> int:
+def _cmd_export(args, spec: SftSpec, caps: Caps) -> int:
     from .levels import analyze
-    from .specio import load_spec_file, save_state
+    from .specio import save_state
 
-    result = analyze(load_spec_file(args.spec), args.levels, mode="reduced", caps=_caps_of(args))
+    result = analyze(spec, args.levels, mode="reduced", caps=caps)
     save_state(result, args.out)
     _emit_report(result.report, args.format, sys.stdout)
     return result.report.exit_code()
 
 
-def _cmd_import(args) -> int:
+def _cmd_import(args, spec: None, caps: Caps) -> int:
     from .specio import load_state
 
-    result = load_state(args.archive, _caps_of(args))
+    result = load_state(args.archive, caps)
     _emit_report(result.report, args.format, sys.stdout)
     return result.report.exit_code()
 
@@ -374,7 +333,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.func(args)
+        from .specio import load_spec_file
+
+        # a spec error comes before a flag error
+        spec = load_spec_file(args.spec) if "spec" in vars(args) else None
+        return args.func(args, spec, _caps_of(args))
     except BudgetError as e:
         print(f"budget: {e}", file=sys.stderr)
         return 3

@@ -39,15 +39,12 @@ from .chain import (
     chain_report,
     chain_start,
     d_chain_step,
+    spec_start,
+    stage_shape,
 )
 from .core import Block, Blocks, CubeSet, SftSpec, allowed_data
 from .errors import BudgetError, EmptyStateError, SpecError
-from .normalize import (
-    MODE_ALL,
-    build_report,
-    enumerate_allowed_cubes,
-    normalize_to_cubes,
-)
+from .normalize import build_report
 from .relation import Relation, join
 
 
@@ -287,15 +284,14 @@ def analyze(
         raise SpecError(f"unknown engine mode {mode!r}")
     if mode == "literal" and spec.dimension != 2:
         raise SpecError("literal mode is 2-dimensional only; use reduced")
-    cubes = normalize_to_cubes(spec, MODE_ALL, caps)
-    index = enumerate_allowed_cubes(spec, cubes, caps)
+    cubes, index, start = spec_start(spec, caps)
     norm = build_report(spec, cubes, len(index))
     if mode == "literal":
         return _analyze_literal(spec, cubes, index, norm, levels, caps)
     target = (levels, spec.dimension)
     reason = None
     try:
-        stages = chain_report(chain_start(index, cubes), cubes, target, caps, build_target=False)
+        stages = chain_report(start, cubes, target, caps, build_target=False)
     except BudgetError as e:
         stages, reason = e.partial, str(e)
     rows = tuple(report_rows(stages))
@@ -385,8 +381,7 @@ def witness_search(
     """
     if level < 0:
         raise SpecError("level must be >= 0")
-    cubes = normalize_to_cubes(spec, MODE_ALL, caps)
-    base = enumerate_allowed_cubes(spec, cubes, caps)
+    cubes, base, _ = spec_start(spec, caps)
     if not base:
         return WitnessResult(None, 0, "no allowed cubes: the space is empty", empty=True)
     budget = caps.witness_nodes
@@ -415,7 +410,7 @@ def witness_search(
         if lv == 0:
             yield from (b.data for b in base)
             return
-        shape = (cubes.side << (lv - 1),) * d
+        shape = stage_shape(d, cubes.side, lv - 1, d)
         pair = shape[:-1] + (2 * shape[-1],)
 
         def place(chosen: list):
@@ -443,7 +438,7 @@ def witness_search(
 
     try:
         for data in candidates(level):
-            return WitnessResult(Block((cubes.side << level,) * d, data), spent, None)
+            return WitnessResult(Block(stage_shape(d, cubes.side, level, d), data), spent, None)
     except _Out:
         return WitnessResult(None, spent, f"node budget {budget} exhausted")
     return WitnessResult(None, spent, "search space exhausted without a witness")

@@ -217,7 +217,7 @@ def level0_matrices(
     pairs = list(pair_relation(datas, square, 0, cubes))
     vert = CompatMatrix(letters, letters, frozenset(pairs))
     part = LiteralLevel(0, side, letters, vert, None, frozenset())
-    _check_horizontal(part, caps)
+    _check_stack_pairs(part, caps)
 
     # horizontal entries need both column stacks allowed, so only scan those
     stacks = [join(datas[i], datas[j], square, 0) for i, j in pairs]
@@ -240,10 +240,9 @@ def check_index(what: str, count: int, caps: Caps, partial=None) -> None:
     refuse(count, caps.max_index, message, partial)
 
 
-def _check_horizontal(part: LiteralLevel, caps: Caps) -> None:
+def _check_stack_pairs(part: LiteralLevel, caps: Caps) -> None:
     """Refuse the horizontal pass over `part`, a level built up to its
-    vertical matrix, by its index length or its stack pairs."""
-    check_index("horizontal", len(part.letters) ** 2, caps, part)
+    vertical matrix, by its stack pairs."""
     message = "horizontal step would examine {count} stack pairs (cap {cap})"
     refuse(part.vert.ones_count() ** 2, caps.max_work, message, part)
 
@@ -301,7 +300,8 @@ def step_horizontal(lvl: LiteralLevel, part: LiteralLevel, caps: Caps = DEFAULT_
     Stacks, upper square over lower square, are 4x2 letter blocks; L and R
     sit side by side iff their middle stack (L's right column, R's left
     column) is a vertical one. The stops come first and carry `part`."""
-    _check_horizontal(part, caps)
+    check_index("horizontal", len(part.letters) ** 2, caps, part)
+    _check_stack_pairs(part, caps)
     k = len(lvl.letters)
     squares, vrel = part.vjoin or _letter_squares(lvl)
     pairs = list(vrel)

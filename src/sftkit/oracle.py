@@ -15,7 +15,6 @@ given and returns a count only: no allowed block is kept.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
 from dataclasses import dataclass
 from operator import itemgetter
@@ -114,7 +113,7 @@ def brute_force_allowed(
         spec.alphabet_size,
         prod(shape),
         caps.oracle_candidates,
-        "brute force would enumerate {count} candidates (cap {cap}); try profile_count",
+        "brute force would enumerate {count} candidates (cap {cap})",
     )
     ka = spec.alphabet_size
     total = ka ** prod(shape)
@@ -132,6 +131,8 @@ def brute_force_allowed(
     while ka**m < workers:
         m += 1
     bounds = [ka**m * i // workers for i in range(workers + 1)]
+    import multiprocessing  # only a pool needs it, and it costs milliseconds to load
+
     try:
         with multiprocessing.Pool(workers) as pool:
             count = sum(pool.map(_count_range, [job(m, lo, hi) for lo, hi in zip(bounds, bounds[1:])]))

@@ -366,7 +366,7 @@ def _same(a: Relation | None, b: Relation | None) -> bool:
 
 
 def _restore(payload: dict, text: str, caps: Caps) -> AnalysisResult:
-    from .chain import DChainState, chain_report, chain_start
+    from .chain import DChainState, chain_report, chain_start, stage_shape
     from .levels import AnalysisResult, LevelReport, LevelRow, report_rows, verdict_of
     from .normalize import MODE_ALL, forbidden_side, normalize_to_cubes
 
@@ -414,8 +414,7 @@ def _restore(payload: dict, text: str, caps: Caps) -> AnalysisResult:
         level, stage = _field(entry, "level", int, where), _field(entry, "stage", int, where)
         if (level, stage) != want:
             raise ArchiveError(f"archive field stages[{i}] is stage ({level}, {stage}), not {want}")
-        # stage (n, i) has its first i axes doubled n times, the rest n - 1
-        shape = tuple(side << level if a < stage else side << (level - 1) for a in range(d))
+        shape = stage_shape(d, side, level, stage)
         blocks = _read_blocks(_field(entry, "blocks", list, where), shape, spec.alphabet, sep)
         rel = _field(entry, "relation", list, where, nullable=True)
         if rel is not None:

@@ -1,16 +1,24 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sftkit import (
     DEFAULT_CAPS,
     BudgetError,
+    Pattern,
+    SpecError,
     analyze,
     block_allowed,
     enumerate_allowed_cubes,
     level0_state,
+    make_spec,
     normalize_to_cubes,
     reduced_step,
     run_chain,
 )
+from sftkit.chain import stage_of, stage_shape
 
 from conftest import naive_count
 
@@ -87,3 +95,41 @@ def test_analyze_routes_non_2d(d1_no_adjacent_ones, d3_hard_cubes):
     res3 = analyze(d3_hard_cubes, 0)
     assert res3.report.rows[0].block_count == 35
     assert res3.report.verdict == "nonempty-to-level-0"
+
+
+@st.composite
+def small_specs(draw):
+    # binary specs of cube side 1-3 in d = 1, 2, 3 whose patterns are full
+    # cubes: a few of them, or all but a few, so that walks go deep
+    d, side = draw(st.sampled_from([(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]))
+    cells = list(itertools.product(range(side), repeat=d))
+    every = list(itertools.product((0, 1), repeat=len(cells)))
+    few = draw(st.sets(st.sampled_from(every), min_size=1, max_size=4))
+    if draw(st.booleans()):
+        few = set(every) - few
+    return make_spec(d, ["0", "1"], [Pattern.from_cells(zip(cells, data)) for data in sorted(few)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_specs())
+def test_every_walked_stage_follows_the_stage_law(spec):
+    index, cubes = _base(spec)
+    try:
+        stages = run_chain(index, cubes, 3, DEFAULT_CAPS.but(max_work=10**5, max_blocks=10**4))
+    except BudgetError as e:
+        stages = e.partial
+    for state in stages:
+        assert stage_shape(spec.dimension, cubes.side, state.level, state.stage) == state.shape
+        assert stage_of(state.shape, cubes.side) == (state.level, state.stage)
+
+
+def test_stage_of_accepts_exactly_the_stage_shapes():
+    for d, side in itertools.product((1, 2, 3), (1, 2, 3)):
+        law = [(0, d)] + [(n, i) for n in range(1, 5) for i in range(1, d + 1)]
+        stages = {stage_shape(d, side, n, i): (n, i) for n, i in law}
+        for shape in itertools.product(range(1, 17), repeat=d):
+            if shape in stages:
+                assert stage_of(shape, side) == stages[shape]
+            else:
+                with pytest.raises(SpecError, match="is not a doubling stage"):
+                    stage_of(shape, side)

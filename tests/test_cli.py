@@ -356,7 +356,7 @@ def test_candidate_counts_too_long_to_print_are_budget_stops(tmp_path, hs_file, 
         (["analyze", str(wide), "--levels", "0"],
          "normalization needs 2^40000 candidate cubes; raise max_cubes to at least 2^40000"),
         (["count", hs_file, "--shape", "200x200"],
-         "brute force would enumerate 2^40000 candidates (cap 16777216); try profile_count"),
+         "brute force would enumerate 2^40000 candidates (cap 16777216)"),
         (["count", hs_file, "--engine", "dp", "--shape", "4x20000"],
          "profile DP needs 2^20000 states (cap 1048576)"),
     ]
@@ -462,6 +462,26 @@ def test_bad_inputs_stop_with_a_message(tmp_path, hs_file, capsys, argv, code):
     assert err and "Traceback" not in err
     if code == 4:
         assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["count", "{hs}", "--engine", "matrix", "--shape", "4x3"],
+         "shape (4, 3) is not a doubling stage: the matrix engine counts blocks whose first axes "
+         "are 2*2^n and whose other axes are half that, in axis order"),
+        # every command checks the common flags
+        (["validate", "{hs}", "--threads", "0"], "--threads must be >= 1"),
+        # the spec is read before the flags
+        (["validate", "{tmp}/missing.json", "--threads", "0"], "cannot read {tmp}/missing.json"),
+    ],
+    ids=["matrix-shape", "validate-threads", "spec-first"],
+)
+def test_input_errors_exit_4_with_their_message(tmp_path, hs_file, capsys, argv, message):
+    assert main([a.format(hs=hs_file, tmp=tmp_path) for a in argv]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: " + message.format(tmp=tmp_path))
 
 
 def test_dp_counts_in_every_dimension(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +142,27 @@ def test_scan_block_undersized_flag():
 def test_block_allowed_alphabet_mismatch():
     with pytest.raises(SpecError):
         block_allowed(Block((2, 2), (0, 2, 0, 0)), HARD_CUBES)
+
+
+SQUARE = Block((2, 2), (0, 0, 0, 0))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Pattern.from_cells([((0, 0), 1), ((1,), 1)]), SpecError, "cells must share one dimension"),
+        (lambda: window(SQUARE, (0,), (1, 1)), WindowRangeError, "offset/shape dimension mismatch"),
+        (lambda: assemble([[SQUARE, SQUARE], [SQUARE]]), ShapeError, "grid is not rectangular"),
+        (lambda: assemble([[[Block((1,), (0,))]]]), ShapeError, "grid depth must equal block dimension"),
+        (lambda: concat(SQUARE, Block((1, 2), (0, 0)), 0), ShapeError, "mixed block shapes (2, 2) vs (1, 2)"),
+        (lambda: CubeSet(2, frozenset({Block((1, 2), (0, 0))}), 2), SpecError, "cube of shape (1, 2) in a side-2 set"),
+        (lambda: block_allowed(Block((2, 2, 2), (0,) * 8), HARD_CUBES), SpecError, "block dimension 3 does not match"),
+    ],
+    ids=["mixed-pattern-cells", "window-offset", "ragged-grid", "deep-grid", "concat-shapes", "cube-shape", "block-dimension"],
+)
+def test_typed_errors_name_their_cause(call, error, message):
+    with pytest.raises(error, match=re.escape(message)):
+        call()
 
 
 @st.composite

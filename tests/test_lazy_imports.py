@@ -67,7 +67,7 @@ def test_count_dp_loads_no_walk():
     # independent sets of the 8x8 grid graph (OEIS A006506)
     assert out == ["660647962955"]
     assert "sftkit.oracle" in loaded
-    assert not loaded & {"sftkit.levels", "sftkit.matrices"}
+    assert not loaded & {"sftkit.levels", "sftkit.matrices", "multiprocessing"}
 
 
 def test_reduced_analyze_loads_neither_the_literal_module_nor_the_oracle():

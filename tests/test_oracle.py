@@ -1,5 +1,6 @@
 import ast
 import itertools
+import multiprocessing
 import random
 import time
 import tracemalloc
@@ -81,10 +82,10 @@ def test_full_shift_l1_profile(full_shift):
     assert profile_count(full_shift, (3, 3)) == 2**9
 
 
-def test_brute_budget_suggests_profile(hard_squares):
+def test_brute_budget_stops_at_the_cap(hard_squares):
     with pytest.raises(BudgetError) as exc:
         brute_force_allowed(hard_squares, (8, 8))
-    assert "profile" in str(exc.value)
+    assert str(exc.value) == "brute force would enumerate 18446744073709551616 candidates (cap 16777216)"
 
 
 def test_profile_budget(hard_squares):
@@ -125,7 +126,7 @@ def test_threads_clamped_to_cpu_count(monkeypatch, hard_squares):
             return [fn(j) for j in jobs]
 
     monkeypatch.setattr(oracle_mod.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(oracle_mod.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     res = brute_force_allowed(hard_squares, (4, 4), caps=DEFAULT_CAPS.but(threads=64))
     assert res.count == 1234
     assert sizes == [2]
@@ -265,9 +266,22 @@ def test_worker_ranges_sum_to_the_sequential_count(monkeypatch):
             jobs.extend(args)
             return [fn(j) for j in args]
 
-    monkeypatch.setattr(oracle_mod.multiprocessing, "Pool", FakePool)
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
     assert brute_force_allowed(THREE_SYMBOL, (3, 3), caps=two).count == seq
     assert len(jobs) == 2
+
+
+def test_a_pool_that_cannot_start_counts_in_process(monkeypatch, hard_squares):
+    started = []
+
+    def no_pool(n):
+        started.append(n)
+        raise OSError("no processes")
+
+    monkeypatch.setattr(oracle_mod.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    assert brute_force_allowed(hard_squares, (4, 4), caps=DEFAULT_CAPS.but(threads=2)).count == 1234
+    assert started == [2]
 
 
 def test_compare_reaches_the_candidate_cap(tmp_path, capsys):

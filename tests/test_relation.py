@@ -302,6 +302,17 @@ def test_middle_join_equals_naive_membership(case, letters, data):
     _assert_groups_count_pairs(rel, _naive_middle_pairs(datas, shape, axis))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([((2, 2), 0), ((4, 2), 1)]), st.integers(2, 4), st.data())
+def test_middle_join_keeps_no_group_without_a_middle(case, letters, data):
+    # a key whose middle block is missing admits no pair, and its group
+    # would still be written to an archive
+    shape, axis = case
+    cells = shape[0] * shape[1]
+    datas = sorted(data.draw(st.sets(st.tuples(*[st.integers(0, letters - 1)] * cells), max_size=40)))
+    assert all(lows and highs for lows, highs in middle_join(datas, shape, axis).groups)
+
+
 # ---------------------------------------------------------------------------
 # `bytes` blocks, read as big-endian ints, against the same blocks as tuples
 
