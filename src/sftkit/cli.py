@@ -23,9 +23,10 @@ if TYPE_CHECKING:
     from .core import SftSpec
     from .levels import LevelReport
 
-# `main` loads the spec and the caps; each handler imports the engine it
-# runs when it runs, so a process loads only the modules of its command, and
-# reads the module's current attribute, so a function swapped there is called.
+# `main` loads the spec and the caps, then calls the command's handler by
+# its name in this module when it runs, so a function swapped here is the one
+# called. Each handler imports the engine it runs when it runs, so a process
+# loads only the modules of its command.
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -40,6 +41,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
 def _caps_of(args) -> Caps:
     if args.threads < 1:
         raise SpecError("--threads must be >= 1")
+    for flag in ("max_cubes", "max_index", "max_blocks", "max_work"):
+        if getattr(args, flag) < 0:
+            raise SpecError(f"--{flag.replace('_', '-')} must be >= 0")
     return DEFAULT_CAPS.but(
         max_cubes=args.max_cubes,
         max_index=args.max_index,
@@ -337,7 +341,7 @@ def main(argv=None) -> int:
 
         # a spec error comes before a flag error
         spec = load_spec_file(args.spec) if "spec" in vars(args) else None
-        return args.func(args, spec, _caps_of(args))
+        return globals()[args.func.__name__](args, spec, _caps_of(args))
     except BudgetError as e:
         print(f"budget: {e}", file=sys.stderr)
         return 3

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .caps import DEFAULT_CAPS, Caps, check_power
@@ -248,9 +249,18 @@ def _canonical(payload: dict) -> str:
 
 
 def _checksum(canon: str) -> str:
-    import hashlib
-
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    # the interpreter's built-in SHA-256 gives hashlib's digest without
+    # mapping OpenSSL's libcrypto, which would be the largest library a
+    # command loads; random.py avoids hashlib the same way. The version picks
+    # the module's name, so no call pays for a failed import.
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:  # an interpreter built without its own SHA-256
+        from hashlib import sha256
+    return sha256(canon.encode("utf-8")).hexdigest()
 
 
 def _archive_payload(result: AnalysisResult) -> dict:

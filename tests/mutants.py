@@ -112,6 +112,28 @@ MUTANTS = (
             "tests/test_cli.py::test_input_errors_exit_4_with_their_message[matrix-shape]",
         ),
     ),
+    Mutant(
+        "_checksum: hashes the body without its first character",
+        "src/sftkit/specio.py",
+        'return sha256(canon.encode("utf-8"))',
+        'return sha256(canon[1:].encode("utf-8"))',
+        (
+            "tests/test_specio.py::test_checksum_is_hashlibs_sha256",
+            "tests/test_specio.py::test_checksum_falls_back_to_hashlib",
+            "tests/test_data_stages.py::test_wide_alphabet_cli[names]",
+            "tests/test_golden.py::test_kept_archive_imports_to_its_export_report[export-hard_squares-1]",
+        ),
+    ),
+    Mutant(
+        "main: calls the handler captured by the parser",
+        "src/sftkit/cli.py",
+        "return globals()[args.func.__name__](args",
+        "return args.func(args",
+        (
+            "tests/test_cli.py::test_main_calls_the_handler_in_the_module_when_it_runs",
+            "tests/test_bench_hooks.py::test_tracer_times_the_cli_handlers_main_calls",
+        ),
+    ),
 )
 
 

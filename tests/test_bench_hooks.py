@@ -87,3 +87,24 @@ def test_tracer_claims_are_the_counts_of_the_results(hard_squares):
     ]
     assert claims[0][1] == [((2, 2), 7), ((4, 2), 41), ((4, 4), 1234)]
     assert len(claims[3][1]) == 4
+
+
+def test_tracer_times_the_cli_handlers_main_calls(tmp_path):
+    # `main` calls the handler the module holds when it runs, so the
+    # tracer's `cli.<cmd>` wrappers record spans under `cli.main`
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    hs = os.path.join(HERE, "tests", "data", "golden", "specs", "hard_squares.json")
+    out = str(tmp_path / "state.json")
+    t = tracer.Tracer()
+    t.install()
+    try:
+        assert sftkit.cli.main(["export-state", hs, "--levels", "1", "--out", out]) == 0
+        assert sftkit.cli.main(["import-state", out]) == 0
+    finally:
+        t.uninstall()
+    names = [sp.name for sp in t.spans]
+    handlers = [(t.spans[sp.parent].name, sp.name) for sp in t.spans if sp.name in ("cli.export", "cli.import")]
+    assert names.count("cli.main") == 2
+    assert handlers == [("cli.main", "cli.export"), ("cli.main", "cli.import")]

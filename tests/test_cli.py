@@ -474,14 +474,38 @@ def test_bad_inputs_stop_with_a_message(tmp_path, hs_file, capsys, argv, code):
         (["validate", "{hs}", "--threads", "0"], "--threads must be >= 1"),
         # the spec is read before the flags
         (["validate", "{tmp}/missing.json", "--threads", "0"], "cannot read {tmp}/missing.json"),
+        # a cap below 0 is refused before any engine runs; 0 is a cap
+        (["count", "{hs}", "--engine", "matrix", "--shape", "4x2", "--max-work", "-1"],
+         "--max-work must be >= 0"),
+        (["analyze", "{hs}", "--levels", "1", "--max-cubes", "-1"], "--max-cubes must be >= 0"),
+        (["sample", "{hs}", "--level", "1", "--seed", "1", "--max-index", "-1"], "--max-index must be >= 0"),
+        (["validate", "{hs}", "--max-blocks", "-5"], "--max-blocks must be >= 0"),
     ],
-    ids=["matrix-shape", "validate-threads", "spec-first"],
+    ids=["matrix-shape", "validate-threads", "spec-first", "max-work", "max-cubes", "max-index", "max-blocks"],
 )
 def test_input_errors_exit_4_with_their_message(tmp_path, hs_file, capsys, argv, message):
     assert main([a.format(hs=hs_file, tmp=tmp_path) for a in argv]) == 4
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: " + message.format(tmp=tmp_path))
+
+
+def test_main_calls_the_handler_in_the_module_when_it_runs(tmp_path, hs_file, monkeypatch):
+    # a function swapped in the module, as the benchmark's tracer swaps it,
+    # is the one `main` calls
+    import sftkit.cli
+
+    calls = []
+
+    def swapped(args, spec, caps):
+        calls.append((args.command, args.levels, caps.max_work))
+        return 0
+
+    monkeypatch.setattr(sftkit.cli, "_cmd_export", swapped)
+    out = str(tmp_path / "state.json")
+    assert main(["export-state", hs_file, "--levels", "1", "--out", out, "--max-work", "7"]) == 0
+    assert calls == [("export-state", 1, 7)]
+    assert not os.path.exists(out)
 
 
 def test_dp_counts_in_every_dimension(capsys):

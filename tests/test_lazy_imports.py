@@ -23,7 +23,7 @@ ENGINE = {f"sftkit.{m}" for m in ("chain", "levels", "matrices", "oracle", "rela
 _PROBE = """\
 import json, sys
 {body}
-loaded = [m for m in sys.modules if m.startswith("sftkit") or m in ("hashlib", "multiprocessing")]
+loaded = [m for m in sys.modules if m.startswith("sftkit") or m in ("hashlib", "_hashlib", "multiprocessing")]
 print(json.dumps(sorted(loaded)))
 """
 
@@ -84,6 +84,20 @@ def test_literal_analyze_loads_matrices_and_prints_the_eager_rows():
     assert "sftkit.matrices" in loaded and "sftkit.oracle" not in loaded
     assert "sftkit.oracle" in eager_loaded
     assert len(out) > 2 and out == eager_out
+
+
+def test_export_and_import_state_load_no_openssl(tmp_path):
+    # the archive checksum comes from the interpreter's built-in SHA-256
+    out_file = str(tmp_path / "state.json")
+    body = (
+        "import sftkit\n"
+        "print(sftkit.cli.main(['export-state', sys.argv[1], '--levels', '1', '--out', sys.argv[2]]))\n"
+        "print(sftkit.cli.main(['import-state', sys.argv[2]]))"
+    )
+    out, loaded = _fresh(body, HARD_SQUARES, out_file)
+    assert out[-1] == "0" and out.count("verdict: nonempty-to-level-1") == 2
+    assert "sftkit.specio" in loaded
+    assert not loaded & {"hashlib", "_hashlib"}
 
 
 def test_every_public_name_is_the_object_of_its_home_module():

@@ -668,6 +668,53 @@ def test_archive_signed_over_its_own_non_canonical_body_faces_the_field_checks(t
     assert "verdict" in _load_error(signed(json.dumps(payload, indent=1)))
 
 
+def _checksum_bodies(hard_squares) -> list:
+    """An ASCII canonical archive body, and a non-ASCII one, with its
+    symbols unescaped, as an archive signed over its own body holds it."""
+    from sftkit.specio import _archive_payload, _canonical
+
+    greek = parse_spec({"dimension": 2, "symbols": ["α", "β"], "forbidden": [[["β", "β"]], [["β"], ["β"]]]})
+    raw = json.dumps(_archive_payload(analyze(greek, 1)), ensure_ascii=False)
+    bodies = [_canonical(_archive_payload(analyze(hard_squares, 1))), raw]
+    assert bodies[0].isascii() and not bodies[1].isascii()
+    return bodies
+
+
+def test_checksum_is_hashlibs_sha256(tmp_path, hard_squares):
+    import hashlib
+
+    from sftkit.specio import _checksum
+
+    bodies = _checksum_bodies(hard_squares)
+    for body in bodies:
+        assert _checksum(body) == hashlib.sha256(body.encode("utf-8")).hexdigest()
+    path = tmp_path / "state.json"
+    path.write_text(f'{{"checksum":"{_checksum(bodies[1])}",{bodies[1][1:]}\n', encoding="utf-8")
+    assert load_state(str(path)).spec.alphabet == ("α", "β")
+
+
+def test_checksum_falls_back_to_hashlib(hard_squares, monkeypatch):
+    import hashlib
+    import sys
+
+    from sftkit.specio import _checksum
+
+    bodies = _checksum_bodies(hard_squares)
+    expected = [hashlib.sha256(body.encode("utf-8")).hexdigest() for body in bodies]
+    # None in sys.modules makes an import of that name fail
+    monkeypatch.setitem(sys.modules, "_sha2", None)
+    monkeypatch.setitem(sys.modules, "_sha256", None)
+    calls, sha256 = [], hashlib.sha256
+
+    def spy(data):
+        calls.append(len(data))
+        return sha256(data)
+
+    monkeypatch.setattr(hashlib, "sha256", spy)
+    assert [_checksum(body) for body in bodies] == expected
+    assert len(calls) == 2
+
+
 _HUNDRED = [*"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789", *map(chr, range(0x100, 0x126))]
 
 
