@@ -30,7 +30,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import AbstractSet, Callable, Iterator, Sequence
+from typing import AbstractSet, Iterator, Sequence
 
 from .caps import DEFAULT_CAPS, Caps
 from .chain import (
@@ -197,24 +197,34 @@ class LevelReport:
 @dataclass(frozen=True)
 class AnalysisResult:
     """What `analyze` found. The report's counts come from relation sizes:
-    the walk stops one stage short of the target and counts the target's
-    blocks from the last relation without building them. `stages` are the
-    walked chain stages, in every dimension; only when they are first read
-    is the target stage built (as `export-state` and library callers need
-    it), unless the caps refuse it: then they end on the relation that
-    counts it, as a budget-stopped walk does. For d=2 reduced runs,
+    `walk` holds the chain stages the walk computed, in every dimension; a
+    walk that reaches its target stops one stage short of it and counts the
+    target's blocks from the last relation without building them. `walk`
+    is what `save_state` archives. `stages` are the walk stepped into the
+    target the first time they are read (as library callers need it),
+    unless the caps (`caps`) refuse that step: then, as after a budget
+    stop, they end on the relation that counts it. For d=2 reduced runs,
     `levels` are the level states those stages hold; other runs have no
-    levels. Construct it with the stages, or a callable returning them."""
+    levels."""
 
     spec: SftSpec
     cubes: CubeSet
     index: tuple[Block, ...]
-    _stages: tuple[DChainState, ...] | Callable[[], tuple[DChainState, ...]]
+    walk: tuple[DChainState, ...]
     report: LevelReport
+    caps: Caps = field(default=DEFAULT_CAPS, compare=False, repr=False)
 
     @cached_property
     def stages(self) -> tuple[DChainState, ...]:
-        return self._stages() if callable(self._stages) else self._stages
+        # only a walk that reached its target steps into it; a target past
+        # the caps stays counted by the last relation
+        walk = self.walk
+        if self.report.reason is None and walk and walk[-1].relation is not None:
+            try:
+                return (*walk, d_chain_step(walk[-1], self.cubes, self.caps))
+            except BudgetError:
+                pass
+        return walk
 
     @cached_property
     def levels(self) -> tuple[LevelState, ...]:
@@ -298,17 +308,7 @@ def analyze(
     verdict, stop = verdict_of(rows, reason)
     mode = "reduced" if spec.dimension == 2 else "chain"
     report = LevelReport(mode, norm.side, norm.cube_count, norm.allowed_count, rows, verdict, stop)
-    walked = stages
-    if reason is None and stages[-1].relation is not None:
-        # a walk that reached its target steps into it when `stages` is read;
-        # a target past the caps stays counted by the last relation
-        def walked():
-            try:
-                return (*stages, d_chain_step(stages[-1], cubes, caps))
-            except BudgetError:
-                return stages
-
-    return AnalysisResult(spec, cubes, index, walked, report)
+    return AnalysisResult(spec, cubes, index, stages, report, caps)
 
 
 def _analyze_literal(spec, cubes, index, norm, levels, caps) -> AnalysisResult:

@@ -16,10 +16,14 @@ symbols or the fill marker "*"; sparse patterns list [coord, symbol] cells.
 Unknown top-level fields are rejected.
 
 A state archive records an analysis run in any dimension: the spec, its
-normalization counts, the report, and the walked chain stages, each as its
-level and stage (which give its shape), its sorted block texts and its
-relation's key groups. `load_state` re-derives that walk and accepts only
-an archive that holds exactly its stages.
+normalization counts, the report, and the chain stages the walk of
+`analyze` computed (`AnalysisResult.walk`), each as its level and stage
+(which give its shape), its sorted block texts and its relation's key
+groups. So an archive of a walk that reached its target ends on the
+relation that counts the target, and does not hold the target stage.
+`load_state` re-derives the walk and accepts only an archive that holds
+exactly its stages; an archive that also holds the target stage, as
+`export-state` wrote them before, still loads.
 """
 from __future__ import annotations
 
@@ -264,9 +268,10 @@ def _checksum(canon: str) -> str:
 
 
 def _archive_payload(result: AnalysisResult) -> dict:
-    """Serializable archive of an analysis run, without its checksum: its
-    walked chain stages, each as its level and stage (which give its shape),
-    its sorted block texts and its relation's key groups, or null."""
+    """Serializable archive of an analysis run, without its checksum: the
+    stages its walk computed (`AnalysisResult.walk`, not the target it steps
+    into), each as its level and stage (which give its shape), its sorted
+    block texts and its relation's key groups, or null."""
     spec = result.spec
     sep = "" if all(len(s) == 1 for s in spec.alphabet) else ","
     texts = _block_writer(spec.alphabet, sep)
@@ -289,7 +294,7 @@ def _archive_payload(result: AnalysisResult) -> dict:
                 "blocks": texts(st.blocks.datas),
                 "relation": None if st.relation is None else st.relation.groups,
             }
-            for st in result.stages
+            for st in result.walk
         ],
         "report_rows": [
             [row.level, row.stage, row.block_count, row.relation_count] for row in rep.rows
@@ -317,7 +322,8 @@ def load_state(path: str, caps: Caps = DEFAULT_CAPS) -> AnalysisResult:
     walk is re-derived from the spec under `caps` (a `BudgetError` when it
     does not fit) to the archive's last stage, and one relation further when
     that stage's relation is archived. The archive must hold exactly the
-    stages that walk gives, and the stages returned are the derived ones."""
+    stages that walk gives, and the result's walk is the derived one: its
+    `stages` step into the target when first read, as `analyze`'s do."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -456,7 +462,8 @@ def _restore(payload: dict, text: str, caps: Caps) -> AnalysisResult:
             raise ArchiveError(f"archive field report_rows[{i}] is not [level, stage, blocks, relations]")
         rows.append(LevelRow(*row))
     # every stage is rebuilt by the kernel, and the archive's own copies are
-    # kept only to be compared with them
+    # kept only to be compared with them; an archive that ends on a relation
+    # is walked as `analyze` walks, without building the stage it counts
     last = archived[-1]
     build = last.relation is None
     target = (last.level, last.stage) if build else last.next_stage()
@@ -480,4 +487,4 @@ def _restore(payload: dict, text: str, caps: Caps) -> AnalysisResult:
         raise ArchiveError(f"archive verdict {verdict!r} is not the one its stages and reason give")
     mode = "reduced" if d == 2 else "chain"
     report = LevelReport(mode, side, cube_count, allowed_count, tuple(rows), verdict, reason)
-    return AnalysisResult(spec, cubes, index, stages, report)
+    return AnalysisResult(spec, cubes, index, stages, report, caps)

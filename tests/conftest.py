@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -62,6 +63,13 @@ def naive_allowed_set(spec: SftSpec, shape) -> set:
         for data in itertools.product(range(spec.alphabet_size), repeat=cells)
         if naive_allowed(Block(tuple(shape), data), spec.forbidden)
     }
+
+
+def with_target(result):
+    """`result` with its walk stepped into the target, so that `save_state`
+    writes the target stage too, as archives were written before they
+    ended on the relation that counts it."""
+    return dataclasses.replace(result, walk=result.stages)
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ MUTANTS = (
         '    if args.threads < 1:\n        raise SpecError("--threads must be >= 1")\n',
         "",
         (
-            "tests/test_cli.py::test_bad_inputs_stop_with_a_message[argv9-4]",
+            "tests/test_cli.py::test_bad_inputs_stop_with_a_message[threads-0]",
             "tests/test_cli.py::test_input_errors_exit_4_with_their_message[validate-threads]",
         ),
     ),
@@ -122,6 +122,59 @@ MUTANTS = (
             "tests/test_specio.py::test_checksum_falls_back_to_hashlib",
             "tests/test_data_stages.py::test_wide_alphabet_cli[names]",
             "tests/test_golden.py::test_kept_archive_imports_to_its_export_report[export-hard_squares-1]",
+        ),
+    ),
+    Mutant(
+        "_restore: relations not compared",
+        "src/sftkit/specio.py",
+        "        same = same and _same(a.relation, b.relation)\n",
+        "",
+        ("tests/test_specio.py::test_archive_relations_are_rederived",),
+    ),
+    Mutant(
+        "_restore: no rescan of blocks the walk did not make",
+        "src/sftkit/specio.py",
+        "if not all(allowed_data(x, a.shape, cubes) for x in a.blocks.datas if x not in made):",
+        "if False:",
+        (
+            "tests/test_cli.py::test_import_state_rescans_a_forged_square",
+            "tests/test_specio.py::test_archive_scans_only_squares_the_walk_did_not_make",
+        ),
+    ),
+    Mutant(
+        "_key_groups: no index bound",
+        "src/sftkit/specio.py",
+        "if indices and (min(indices) < 0 or max(indices) >= bound):",
+        "if False:",
+        ("tests/test_specio.py::test_archive_relation_indices_are_checked",),
+    ),
+    Mutant(
+        "_restore: the last stage always built",
+        "src/sftkit/specio.py",
+        "build_target=build)",
+        "build_target=True)",
+        (
+            "tests/test_specio.py::test_export_and_import_never_build_the_target_stage",
+            "tests/test_specio.py::test_import_runs_under_the_caps_analyze_ran_under",
+            "tests/test_golden.py::test_kept_archive_imports_to_its_export_report[export-hard_squares-1]",
+        ),
+    ),
+    Mutant(
+        "_restore: no stage-order check",
+        "src/sftkit/specio.py",
+        "if (level, stage) != want:",
+        "if False:",
+        ("tests/test_specio.py::test_archive_missing_or_ill_typed_fields",),
+    ),
+    Mutant(
+        "save_state: writes the stages stepped into the target",
+        "src/sftkit/specio.py",
+        "            for st in result.walk\n",
+        "            for st in result.stages\n",
+        (
+            "tests/test_specio.py::test_export_and_import_never_build_the_target_stage",
+            "tests/test_specio.py::test_loaded_stages_and_levels_are_the_ones_analyze_gives[hard_squares-1-None]",
+            "tests/test_golden.py::test_golden_output[export-hard_squares-1]",
         ),
     ),
     Mutant(

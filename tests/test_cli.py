@@ -307,17 +307,28 @@ def _resign(path, edit):
     path.write_text(json.dumps(payload))
 
 
-def test_import_state_rescans_a_forged_square(tmp_path, hs_file, capsys):
-    out_file = tmp_path / "state.json"
+def _hs_archives(tmp_path, hs_file):
+    """Hard squares at --levels 1 as export-state writes it, ending on the
+    relation of the rects, stage 1, and as archives were written before,
+    holding the level-1 squares as stage 2."""
+    from sftkit import analyze, parse_spec, save_state
+
+    from conftest import with_target
+
+    out_file, old_file = tmp_path / "state.json", tmp_path / "with_target.json"
     assert main(["export-state", hs_file, "--levels", "1", "--out", str(out_file)]) == 0
+    save_state(with_target(analyze(parse_spec(HS), 1)), str(old_file))
+    return out_file, old_file
 
-    def two_adjacent_ones(p):
-        p["stages"][2]["blocks"][0] = "1100000000000000"
 
-    _resign(out_file, two_adjacent_ones)
-    capsys.readouterr()
-    assert main(["import-state", str(out_file)]) == 4
-    assert "archive: archive field stages[2].blocks holds a forbidden block" in capsys.readouterr().err
+def test_import_state_rescans_a_forged_square(tmp_path, hs_file, capsys):
+    out_file, old_file = _hs_archives(tmp_path, hs_file)
+    # two adjacent ones in a 4x2 rect, and in a 4x4 square
+    for path, i, forged in ((out_file, 1, "11000000"), (old_file, 2, "1100000000000000")):
+        _resign(path, lambda p: p["stages"][i]["blocks"].__setitem__(0, forged))
+        capsys.readouterr()
+        assert main(["import-state", str(path)]) == 4
+        assert f"archive: archive field stages[{i}].blocks holds a forbidden block" in capsys.readouterr().err
 
 
 def _one_more_square(p):
@@ -333,17 +344,18 @@ def _last_row_dropped(p):
 
 
 def _level_renumbered(p):
-    p["stages"][2]["level"] = 2
+    # the last stage: the rects, or the level-1 squares of an archive that
+    # holds them
+    p["stages"][-1]["level"] = 2
 
 
 @pytest.mark.parametrize("edit", [_one_more_square, _one_pair_fewer, _last_row_dropped, _level_renumbered])
 def test_import_state_checks_report_rows_against_the_levels(tmp_path, hs_file, capsys, edit):
-    out_file = tmp_path / "state.json"
-    assert main(["export-state", hs_file, "--levels", "1", "--out", str(out_file)]) == 0
-    _resign(out_file, edit)
-    capsys.readouterr()
-    assert main(["import-state", str(out_file)]) == 4
-    assert "archive: " in capsys.readouterr().err
+    for path in _hs_archives(tmp_path, hs_file):
+        _resign(path, edit)
+        capsys.readouterr()
+        assert main(["import-state", str(path)]) == 4
+        assert "archive: " in capsys.readouterr().err
 
 
 def test_candidate_counts_too_long_to_print_are_budget_stops(tmp_path, hs_file, capsys):
@@ -449,7 +461,8 @@ def test_budget_stopped_export_writes_key_groups_not_pairs(tmp_path, hs_file, ca
         (["sample", "{hs}", "--level", "1000", "--seed", "1"], 3),
         (["count", "{tmp}/missing.json", "--shape", "4x4"], 4),
         (["count", "{hs}", "--shape", "4x"], 4),
-        (["analyze", "{hs}", "--levels", "1", "--threads", "0"], 4),
+        # named, so that the mutation gate's `_caps_of` mutant names it
+        pytest.param(["analyze", "{hs}", "--levels", "1", "--threads", "0"], 4, id="threads-0"),
         (["import-state", "{tmp}"], 4),
         (["compare", "{hs}", "--shapes", ","], 4),
     ],

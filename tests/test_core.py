@@ -252,3 +252,15 @@ def test_make_spec_validation():
         make_spec(2, ["0"], [Pattern.from_cells([((0, 0), 1)])])
     with pytest.raises(SpecError):
         make_spec(2, ["0"], [Pattern.from_cells([((0,), 0)])])
+
+
+def test_blocks_against_other_types_hash_and_repr():
+    from sftkit.core import Blocks
+
+    blocks = Blocks((1, 2), [b"\x00\x01", b"\x01\x00"])
+    as_tuple = (Block((1, 2), (0, 1)), Block((1, 2), (1, 0)))
+    # anything but a sequence is left to the other operand's comparison
+    assert blocks.__eq__(3) is NotImplemented and blocks != 3
+    assert blocks == as_tuple and blocks != as_tuple[:1]
+    assert hash(blocks) == hash(as_tuple) == hash(Blocks((1, 2), [(0, 1), (1, 0)]))
+    assert repr(blocks) == "Blocks((1, 2), 2 blocks)"

@@ -140,13 +140,13 @@ def _wide_doc(symbols, keep):
             [f"s{i}" for i in range(WIDE)],
             {"s7", "s250", "s299"},
             "s299 s299\ns299 s250\n",
-            "0b814f662ffc66f4bcc0b99572eb2192fd47f29a2602bdb0e922ecd2ded26659",
+            "786eddc54a1783ee7f1e7ffa21426bec39562891a6be807b1577bafb45677fd1",
         ),
         (
             [chr(0x4E00 + i) for i in range(WIDE)],
             {chr(0x4E00), chr(0x4E00 + 255), chr(0x4E00 + 299)},
             "伫伫\n伫仿\n",
-            "2e8d01d618706b477bbd2555632e32d8d5d606ae28469d6f8a9b0144059eda23",
+            "db97afbdefd073ded4f80ac63c3942357c1057cef8433b78706384bea665e3ac",
         ),
     ],
     ids=["names", "chars"],

@@ -353,3 +353,16 @@ def test_step_literal_joins_the_letter_squares_once(full_shift, monkeypatch):
     nxt = step_literal(lvl, DEFAULT_CAPS)
     assert shapes == [(2, 2), (4, 2)]
     assert nxt.horiz.ones_count() == 65536 and nxt.vjoin is None
+
+
+def test_pairs_slices_compare_and_hash_as_their_blocks():
+    from sftkit.matrices import Pairs
+
+    letters = (Block((1, 1), (0,)), Block((1, 1), (1,)))
+    stacks = Pairs(letters, 0)
+    every = tuple(stacks)
+    assert [b.data for b in every] == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert stacks[1:3] == every[1:3] and stacks[::-1] == every[::-1] and stacks[5:] == ()
+    assert stacks.__eq__(3) is NotImplemented and stacks != 3
+    assert stacks == Pairs(letters, 0) and stacks == every and stacks != Pairs(letters, 1)
+    assert hash(stacks) == hash(every)

@@ -382,3 +382,14 @@ def test_int_coded_bytes_match_the_tuple_path(case):
     for pairs in (rel, seam, every):
         joined = join_pairs(datas, pairs, shape, axis)
         assert joined == [bytes(p) for p in join_pairs(tuples, pairs, shape, axis)]
+
+
+def test_relation_against_other_types_and_repr():
+    from sftkit.relation import Relation
+
+    rel = Relation([((0, 1), (2,)), ((3,), (0, 1))])
+    # only sets compare: a list of the same pairs is no relation
+    assert rel.__eq__([(0, 2), (1, 2), (3, 0), (3, 1)]) is NotImplemented
+    assert rel != [(0, 2), (1, 2), (3, 0), (3, 1)]
+    assert rel == {(0, 2), (1, 2), (3, 0), (3, 1)}
+    assert repr(rel) == "Relation(4 pairs in 2 groups)"

@@ -2,6 +2,7 @@ import contextlib
 import io
 import itertools
 import json
+import os
 
 import pytest
 
@@ -19,6 +20,8 @@ from sftkit import (
     save_state,
     serialize_spec,
 )
+
+from conftest import with_target
 
 HS_DOC = {
     "dimension": 2,
@@ -242,15 +245,21 @@ def test_archive_missing_or_ill_typed_fields(tmp_path, hard_squares):
 
     assert "pattern width 2" in _load_error(_resigned(tmp_path, res, side_off_the_spec))
 
-    def stage_without_blocks(p):
-        del p["stages"][2]["blocks"]
+    def stage_without_blocks(i):
+        return lambda p: p["stages"][i].pop("blocks")
 
-    assert "stages[2].blocks is missing" in _load_error(_resigned(tmp_path, res, stage_without_blocks))
+    def stage_renumbered(i, stage):
+        return lambda p: p["stages"][i].update(stage=stage)
 
-    def stage_renumbered(p):
-        p["stages"][2]["stage"] = 1
-
-    assert "stages[2] is stage (1, 1), not (1, 2)" in _load_error(_resigned(tmp_path, res, stage_renumbered))
+    # the rects, stage 1, end the archive save_state writes; stage 2, the
+    # level-1 squares, ends one that holds the target, as archives did before
+    old = with_target(res)
+    assert "stages[1].blocks is missing" in _load_error(_resigned(tmp_path, res, stage_without_blocks(1)))
+    assert "stages[2].blocks is missing" in _load_error(_resigned(tmp_path, old, stage_without_blocks(2)))
+    path = _resigned(tmp_path, res, stage_renumbered(1, 2))
+    assert "stages[1] is stage (1, 2), not (1, 1)" in _load_error(path)
+    path = _resigned(tmp_path, old, stage_renumbered(2, 1))
+    assert "stages[2] is stage (1, 1), not (1, 2)" in _load_error(path)
 
     def row_of_wrong_shape(p):
         p["report_rows"][0] = [0, "squares"]
@@ -378,10 +387,11 @@ def test_archive_relations_are_rederived(tmp_path, hard_squares):
 
 
 def test_archive_next_level_is_rederived(tmp_path, hard_squares):
-    # a level-1 square and the pair of stacks that makes it are dropped
     from sftkit import assemble
 
     res = analyze(hard_squares, 1)
+    # a level-1 square and the pair of stacks that makes it are dropped from
+    # an archive that holds the target
     stacks = res.stages[1]
     first = res.stages[2].blocks[0]
     pair = next((x, y) for x, y in stacks.relation if assemble([[stacks.blocks[x], stacks.blocks[y]]]) == first)
@@ -392,7 +402,25 @@ def test_archive_next_level_is_rederived(tmp_path, hard_squares):
         p["report_rows"][1][3] -= 1
         p["report_rows"][2][2] -= 1
 
-    assert "are not the ones the spec gives" in _load_error(_resigned(tmp_path, res, drop))
+    assert "are not the ones the spec gives" in _load_error(_resigned(tmp_path, with_target(res), drop))
+
+    # a rect and the pair of squares that makes it are dropped from the
+    # archive save_state writes, and the rects' relation is renumbered
+    squares = res.walk[0]
+    first = res.walk[1].blocks[0]
+    below = next((x, y) for x, y in squares.relation if assemble([[squares.blocks[x]], [squares.blocks[y]]]) == first)
+
+    def drop_a_rect(p):
+        p["stages"][0]["relation"] = [[[x], [y]] for x, y in squares.relation if (x, y) != below]
+        p["stages"][1]["blocks"].pop(0)
+        pairs = [(x, y) for lows, highs in p["stages"][1]["relation"] for x in lows for y in highs]
+        kept = [[[x - 1], [y - 1]] for x, y in pairs if 0 not in (x, y)]
+        p["stages"][1]["relation"] = kept
+        p["report_rows"][0][3] -= 1
+        p["report_rows"][1][2:] = [len(p["stages"][1]["blocks"]), len(kept)]
+        p["report_rows"][2][2] = len(kept)
+
+    assert "are not the ones the spec gives" in _load_error(_resigned(tmp_path, res, drop_a_rect))
 
 
 def test_archive_verdict_is_rederived(tmp_path, hard_squares, kill_all):
@@ -508,25 +536,29 @@ def test_archive_scans_only_squares_the_walk_did_not_make(tmp_path, hard_squares
 
     monkeypatch.setattr(sftkit.specio, "allowed_data", counted)
     res = analyze(hard_squares, 1)
-    valid = tmp_path / "valid.json"
-    save_state(res, str(valid))
-    assert load_state(str(valid)) is not None and scans == []
+    # the last stage of the archive save_state writes is the 4x2 rects; an
+    # archive that holds the target ends on the 4x4 level-1 squares
+    for archived, i, forged, shape in ((res, 1, "11000000", (4, 2)), (with_target(res), 2, "1100000000000000", (4, 4))):
+        valid = tmp_path / "valid.json"
+        save_state(archived, str(valid))
+        assert load_state(str(valid)) is not None and scans == []
 
-    def forbidden(p):
-        p["stages"][2]["blocks"][0] = "1100000000000000"
+        def forbidden(p):
+            p["stages"][i]["blocks"][0] = forged
 
-    assert main(["import-state", str(_resigned(tmp_path, res, forbidden))]) == 4
-    assert "archive field stages[2].blocks holds a forbidden block" in capsys.readouterr().err
-    assert scans == [(4, 4)]
+        capsys.readouterr()
+        assert main(["import-state", str(_resigned(tmp_path, archived, forbidden))]) == 4
+        assert f"archive field stages[{i}].blocks holds a forbidden block" in capsys.readouterr().err
+        assert scans == [shape]
 
-    def allowed_in_place_of_another(p):
-        squares = p["stages"][2]["blocks"]
-        squares[0] = squares[1]
+        def allowed_in_place_of_another(p):
+            blocks = p["stages"][i]["blocks"]
+            blocks[0] = blocks[1]
 
-    scans.clear()
-    assert main(["import-state", str(_resigned(tmp_path, res, allowed_in_place_of_another))]) == 4
-    assert "the stages are not the ones the spec gives" in capsys.readouterr().err
-    assert scans == []
+        scans.clear()
+        assert main(["import-state", str(_resigned(tmp_path, archived, allowed_in_place_of_another))]) == 4
+        assert "the stages are not the ones the spec gives" in capsys.readouterr().err
+        assert scans == []
 
 
 def test_loaded_levels_are_the_derived_ones_and_step_on_their_stacks(tmp_path, hard_squares, monkeypatch):
@@ -553,6 +585,104 @@ def test_loaded_levels_are_the_derived_ones_and_step_on_their_stacks(tmp_path, h
     nxt = reduced_step(loaded.levels[0])
     assert len(calls) == 1
     assert len(nxt.squares) == 1234
+
+
+# ---------------------------------------------------------------------------
+# an archive holds the walk analyze ran, ending on the relation that counts
+# the target; archives that hold the target stage as well still load
+
+_DATA = os.path.join(os.path.dirname(__file__), "data")
+_LEGACY = os.path.join(_DATA, "legacy", "hard_squares-1-with-target.state.json")
+
+
+def test_archive_that_holds_its_target_stage_still_imports(hard_squares, capsys):
+    # export-state's bytes for hard squares at --levels 1 while archives
+    # held the level-1 squares
+    from sftkit.cli import main
+
+    with open(_LEGACY, encoding="utf-8") as fh:
+        stages = json.load(fh)["stages"]
+    assert [(st["level"], st["stage"], len(st["blocks"])) for st in stages] == [(0, 2, 7), (1, 1, 41), (1, 2, 1234)]
+    with open(os.path.join(_DATA, "golden", "cases.json"), encoding="utf-8") as fh:
+        want = json.load(fh)["export-hard_squares-1"]
+    capsys.readouterr()
+    assert main(["import-state", _LEGACY, "--format", "csv"]) == want["exit"]
+    assert capsys.readouterr().out == want["stdout"]
+    loaded, res = load_state(_LEGACY), analyze(hard_squares, 1)
+    assert loaded.walk == res.stages and loaded.stages == res.stages
+    assert loaded.levels == res.levels
+
+
+def test_export_and_import_never_build_the_target_stage(tmp_path, monkeypatch, capsys):
+    import sftkit.chain
+    import sftkit.levels
+    from sftkit.cli import main
+
+    built = []
+    original = sftkit.chain.d_chain_step
+
+    def counted(*a, **k):
+        out = original(*a, **k)
+        built.append(out.shape)
+        return out
+
+    for module in (sftkit.chain, sftkit.levels):
+        monkeypatch.setattr(module, "d_chain_step", counted)
+    spec_file, archive = tmp_path / "hs.json", tmp_path / "state.json"
+    spec_file.write_text(json.dumps(HS_DOC))
+    assert main(["export-state", str(spec_file), "--levels", "1", "--out", str(archive)]) == 0
+    assert main(["import-state", str(archive)]) == 0
+    # each command builds the 4x2 rects, and neither the 4x4 squares
+    assert built == [(4, 2), (4, 2)]
+    assert [st["stage"] for st in json.loads(archive.read_text())["stages"]] == [2, 1]
+    # the counter sees a step into the target: a library caller reads one
+    assert len(load_state(str(archive)).stages) == 3 and built[2:] == [(4, 2), (4, 4)]
+
+
+def test_import_runs_under_the_caps_analyze_ran_under(tmp_path, capsys):
+    from sftkit.cli import main
+
+    spec_file, archive = tmp_path / "hs.json", tmp_path / "state.json"
+    spec_file.write_text(json.dumps(HS_DOC))
+    capped = ["--max-blocks", "1000", "--format", "csv"]
+    assert main(["analyze", str(spec_file), "--levels", "1", *capped]) == 0
+    rows = capsys.readouterr().out
+    assert rows.splitlines()[-1] == "1,squares,1234,,nonempty-to-level-1"
+    assert main(["export-state", str(spec_file), "--levels", "1", "--out", str(archive), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == rows
+    assert main(["import-state", str(archive), *capped]) == 0
+    assert capsys.readouterr().out == rows
+    # an archive that holds the 1234 squares still has them rebuilt to compare
+    assert main(["import-state", _LEGACY, *capped]) == 3
+    assert capsys.readouterr().err == "budget: next stage would hold 1234 blocks (cap 1000)\n"
+
+
+@pytest.mark.parametrize(
+    "name, levels, max_blocks",
+    [
+        ("d1_no_adjacent_ones", 0, None),
+        ("d1_no_adjacent_ones", 3, None),
+        ("d1_no_adjacent_ones", 4, None),
+        ("hard_squares", 1, None),
+        ("hard_squares", 1, 1000),
+        ("checkerboard", 2, None),
+        ("kill_all", 1, None),
+        ("d3_hard_cubes", 0, None),
+        ("d3_hard_cubes", 1, None),
+    ],
+)
+def test_loaded_stages_and_levels_are_the_ones_analyze_gives(tmp_path, request, name, levels, max_blocks):
+    # d=1 at level 4 and capped hard squares: the caps refuse the target;
+    # d=3 at level 1: a budget stop ends the walk
+    spec = request.getfixturevalue(name)
+    caps = DEFAULT_CAPS if max_blocks is None else DEFAULT_CAPS.but(max_blocks=max_blocks)
+    path = tmp_path / "state.json"
+    save_state(analyze(spec, levels, caps=caps), str(path))
+    loaded, res = load_state(str(path), caps), analyze(spec, levels, caps=caps)
+    assert len(json.loads(path.read_text())["stages"]) == len(res.walk)
+    assert loaded.walk == res.walk
+    assert loaded.stages == res.stages
+    assert loaded.levels == res.levels
 
 
 # ---------------------------------------------------------------------------
@@ -606,6 +736,7 @@ def test_archive_round_trip_property(tmp_path_factory, run, at, by):
     text = path.read_text()
     loaded = load_state(str(path), _ROUND_TRIP_CAPS)
     assert loaded.report == res.report
+    assert loaded.walk == res.walk and len(json.loads(text)["stages"]) == len(res.walk)
     assert loaded.stages == res.stages
     assert [(a.squares, a.vrel, a.hrel) for a in loaded.levels] == [
         (b.squares, b.vrel, b.hrel) for b in res.levels
