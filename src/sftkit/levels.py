@@ -44,7 +44,6 @@ from .chain import (
 )
 from .core import Block, Blocks, CubeSet, SftSpec, allowed_data
 from .errors import BudgetError, EmptyStateError, SpecError
-from .normalize import build_report
 from .relation import Relation, join
 
 
@@ -262,16 +261,26 @@ def level_states(stages: Sequence[DChainState], cubes: CubeSet) -> tuple[LevelSt
     return tuple(levels)
 
 
-def verdict_of(rows: Sequence[LevelRow], reason: str | None) -> tuple[str, str | None]:
-    """The verdict of a chain report's rows and budget stop reason, and the
-    reason it keeps: "empty" when some row counts no block (sound at any
-    depth, so a stop is dropped), "inconclusive" after a stop, and
-    otherwise nonempty to the level of the last row, the walk's target."""
-    if any(r.block_count == 0 for r in rows):
+def verdict_of(rows: Sequence[LevelRow], reason: str | None, allowed=True, level=None) -> tuple[str, str | None]:
+    """The one verdict rule, for every mode, and the stop reason it keeps:
+    "empty" when there are no allowed cubes or some row counts no block or
+    no pair (sound at any depth, so a stop is dropped), "inconclusive" after
+    a stop, and otherwise nonempty to `level`, by default the last row's."""
+    if not allowed or any(r.block_count == 0 or r.relation_count == 0 for r in rows):
         return "empty", None
     if reason is not None:
         return "inconclusive", reason
-    return f"nonempty-to-level-{rows[-1].level}", None
+    return f"nonempty-to-level-{rows[-1].level if level is None else level}", None
+
+
+def _result(spec, cubes, index, walk, rows, reason, caps, mode=None, level=None) -> AnalysisResult:
+    """Every `AnalysisResult`: the report of `rows` and a stop `reason`, with
+    the normalization counts, the verdict of `verdict_of` and the chain
+    walk's mode ("reduced" in 2-d, else "chain") unless `mode` is given."""
+    verdict, reason = verdict_of(rows, reason, bool(index), level)
+    mode = mode or ("reduced" if spec.dimension == 2 else "chain")
+    report = LevelReport(mode, cubes.side, len(cubes.cubes), len(index), tuple(rows), verdict, reason)
+    return AnalysisResult(spec, cubes, index, walk, report, caps)
 
 
 def analyze(
@@ -282,8 +291,9 @@ def analyze(
 ) -> AnalysisResult:
     """Run normalization and the doubling pipeline up to the level budget.
 
-    The verdict is "empty" as soon as some computed block set is empty
-    (sound: every configuration contains allowed squares of every side),
+    Both modes take their verdict from `verdict_of`: "empty" as soon as
+    some computed block set or relation is empty (sound: every
+    configuration contains allowed squares of every side),
     "nonempty-to-level-N" when squares of side 2^N*l exist, and
     "inconclusive" when a budget stop intervened. No finite level ever
     certifies unconditional nonemptiness.
@@ -295,32 +305,24 @@ def analyze(
     if mode == "literal" and spec.dimension != 2:
         raise SpecError("literal mode is 2-dimensional only; use reduced")
     cubes, index, start = spec_start(spec, caps)
-    norm = build_report(spec, cubes, len(index))
     if mode == "literal":
-        return _analyze_literal(spec, cubes, index, norm, levels, caps)
-    target = (levels, spec.dimension)
+        return _analyze_literal(spec, cubes, index, levels, caps)
     reason = None
     try:
-        stages = chain_report(start, cubes, target, caps, build_target=False)
+        stages = chain_report(start, cubes, (levels, spec.dimension), caps, build_target=False)
     except BudgetError as e:
         stages, reason = e.partial, str(e)
-    rows = tuple(report_rows(stages))
-    verdict, stop = verdict_of(rows, reason)
-    mode = "reduced" if spec.dimension == 2 else "chain"
-    report = LevelReport(mode, norm.side, norm.cube_count, norm.allowed_count, rows, verdict, stop)
-    return AnalysisResult(spec, cubes, index, stages, report, caps)
+    return _result(spec, cubes, index, stages, report_rows(stages), reason, caps)
 
 
-def _analyze_literal(spec, cubes, index, norm, levels, caps) -> AnalysisResult:
+def _analyze_literal(spec, cubes, index, levels, caps) -> AnalysisResult:
     # imported here, so the reduced walk never loads the literal module
     from .matrices import LiteralLevel, level0_matrices, step_horizontal, step_literal
 
     rows: list[LevelRow] = []
-    verdict = reason = None
-    lits: list[LiteralLevel] = []
+    reason = None
 
     def add(lit: LiteralLevel) -> None:
-        lits.append(lit)
         rows.append(LevelRow(lit.level, "vert", len(lit.vert.row_blocks), lit.vert.ones_count()))
         if lit.horiz is not None:
             rows.append(LevelRow(lit.level, "horiz", len(lit.horiz.row_blocks), lit.horiz.ones_count()))
@@ -338,19 +340,10 @@ def _analyze_literal(spec, cubes, index, norm, levels, caps) -> AnalysisResult:
         # a horizontal stop keeps the vertical matrix built before it
         if isinstance(e.partial, LiteralLevel):
             add(e.partial)
-        verdict = "inconclusive"
         reason = str(e)
-    if not index or any(l.zero() for l in lits):
-        verdict = "empty"
-        reason = None
-    elif verdict is None:
-        # without a stop the loop above reaches the asked level
-        verdict = f"nonempty-to-level-{levels}"
-    report = LevelReport(
-        "literal", norm.side, norm.cube_count, norm.allowed_count, tuple(rows), verdict, reason
-    )
-    # literal analysis keeps no reduced level states
-    return AnalysisResult(spec, cubes, index, (), report)
+    # no chain walk; a level's horizontal ones are the next level's squares,
+    # so the rows certify the asked level
+    return _result(spec, cubes, index, (), rows, reason, caps, "literal", levels)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from operator import itemgetter
 
 from .caps import DEFAULT_CAPS, PRINTED_MAX, Caps, check_power
 from .core import CubeSet, SftSpec, _gather_table, prod, strides
-from .errors import SpecError
+from .errors import BudgetError, SpecError
 from .normalize import MODE_ALL, normalize_to_cubes
 
 
@@ -247,4 +247,7 @@ def profile_count(
             for t in succ:
                 nxt[t] = get(t, 0) + cnt
         counts = nxt
-    return sum(counts.values())
+    count = sum(counts.values())
+    if count > PRINTED_MAX:  # as in a thin box: past it, printing may pass the digit limit
+        raise BudgetError(f"profile DP count of {count.bit_length()} bits is too long to print")
+    return count

@@ -274,6 +274,9 @@ def _archive_payload(result: AnalysisResult) -> dict:
     block texts and its relation's key groups, or null."""
     spec = result.spec
     sep = "" if all(len(s) == 1 for s in spec.alphabet) else ","
+    # a separator that no symbol holds: "," or the first character after it
+    while sep and any(sep in s for s in spec.alphabet):
+        sep = chr(ord(sep) + 1)
     texts = _block_writer(spec.alphabet, sep)
     rep = result.report
     return {
@@ -383,7 +386,7 @@ def _same(a: Relation | None, b: Relation | None) -> bool:
 
 def _restore(payload: dict, text: str, caps: Caps) -> AnalysisResult:
     from .chain import DChainState, chain_report, chain_start, stage_shape
-    from .levels import AnalysisResult, LevelReport, LevelRow, report_rows, verdict_of
+    from .levels import LevelRow, _result, report_rows
     from .normalize import MODE_ALL, forbidden_side, normalize_to_cubes
 
     if not isinstance(payload, dict) or payload.get("format") != ARCHIVE_FORMAT:
@@ -483,8 +486,7 @@ def _restore(payload: dict, text: str, caps: Caps) -> AnalysisResult:
     if rows != report_rows(stages):
         raise ArchiveError("integrity check failed: report rows disagree with the stages")
     verdict, reason = _field(payload, "verdict", str), _field(payload, "reason", str, nullable=True)
-    if (verdict, reason) != verdict_of(rows, reason):
+    result = _result(spec, cubes, index, stages, rows, reason, caps)
+    if (verdict, reason) != (result.report.verdict, result.report.reason):
         raise ArchiveError(f"archive verdict {verdict!r} is not the one its stages and reason give")
-    mode = "reduced" if d == 2 else "chain"
-    report = LevelReport(mode, side, cube_count, allowed_count, tuple(rows), verdict, reason)
-    return AnalysisResult(spec, cubes, index, stages, report, caps)
+    return result

@@ -178,6 +178,97 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "_count_range: each window tested one cell early",
+        "src/sftkit/oracle.py",
+        "getters = _last_cell_getters(shape, cubes.side)",
+        "getters = _last_cell_getters(shape, cubes.side)[1:] + [None]",
+        ("tests/test_oracle.py::test_pruned_enumeration_matches_naive_count",),
+    ),
+    Mutant(
+        "_completions: the last cell's window not tested",
+        "src/sftkit/oracle.py",
+        "if get is not None and get(cur) in bad:",
+        "if get is not None and c != last and get(cur) in bad:",
+        ("tests/test_oracle.py::test_pruned_enumeration_matches_naive_count",),
+    ),
+    Mutant(
+        "profile_count: one successor memo shared by every extent",
+        "src/sftkit/oracle.py",
+        "kinds = {e: (table, _runs(e, st, b), {}) for e, table",
+        "memo = {}\n    kinds = {e: (table, _runs(e, st, b), memo) for e, table",
+        (
+            "tests/test_oracle.py::test_profile_matches_the_chain_in_three_dimensions",
+            "tests/test_oracle.py::test_profile_pins_three_dimensional_cubes",
+            "tests/test_cli.py::test_dp_counts_in_every_dimension",
+        ),
+    ),
+    Mutant(
+        "_runs: the runs before the last placed in reverse order",
+        "src/sftkit/oracle.py",
+        "pos = m * b * (len(heads) - 1 - r) - b",
+        "pos = m * b * (r + 1) - b",
+        (
+            "tests/test_oracle.py::test_profile_matches_the_chain_in_three_dimensions",
+            "tests/test_oracle.py::test_profile_pins_three_dimensional_cubes",
+            "tests/test_cli.py::test_dp_counts_in_every_dimension",
+        ),
+    ),
+    Mutant(
+        "_cut_windows: the high corner of each cube in place of the low one",
+        "src/sftkit/oracle.py",
+        "kinds = [(e, _gather_table((side,) * d, e), {})",
+        "kinds = [(e, [o + sum((side - x) * side ** (d - 1 - i) for i, x in enumerate(e))"
+        " for o in _gather_table((side,) * d, e)], {})",
+        (
+            "tests/test_oracle.py::test_profile_matches_brute_force_in_every_dimension",
+            "tests/test_oracle.py::test_oracle_self_agreement_random",
+        ),
+    ),
+    Mutant(
+        "profile_count: the state one cell short",
+        "src/sftkit/oracle.py",
+        "mask = (1 << (side - 1) * sum(st) * b) - 1",
+        "mask = (1 << ((side - 1) * sum(st) - 1) * b) - 1",
+        (
+            "tests/test_oracle.py::test_profile_matches_brute_force_in_every_dimension",
+            "tests/test_oracle.py::test_profile_sweep_matches_brute_force",
+        ),
+    ),
+    Mutant(
+        "profile_count: a full box's count past the print limit returned",
+        "src/sftkit/oracle.py",
+        "if count > PRINTED_MAX:",
+        "if False:",
+        ("tests/test_cli.py::test_full_box_dp_counts_too_long_to_print_are_budget_stops",),
+    ),
+    Mutant(
+        "verdict_of: no zero-pair test",
+        "src/sftkit/levels.py",
+        " or r.relation_count == 0",
+        "",
+        (
+            "tests/test_literal_output.py::test_literal_csv_is_pinned[lone_cube-1]",
+            "tests/test_levels.py::test_literal_ones_are_the_reduced_relation_counts",
+        ),
+    ),
+    Mutant(
+        "_result: no no-allowed-cubes rule",
+        "src/sftkit/levels.py",
+        "verdict_of(rows, reason, bool(index), level)",
+        "verdict_of(rows, reason, True, level)",
+        ("tests/test_literal_output.py::test_literal_csv_is_pinned[kill_all-1]",),
+    ),
+    Mutant(
+        "_archive_payload: the separator always a comma",
+        "src/sftkit/specio.py",
+        "    while sep and any(sep in s for s in spec.alphabet):\n        sep = chr(ord(sep) + 1)\n",
+        "",
+        (
+            "tests/test_specio.py::test_archive_separator_is_in_no_symbol[comma]",
+            "tests/test_specio.py::test_archive_separator_is_in_no_symbol[comma-dash-dot]",
+        ),
+    ),
+    Mutant(
         "main: calls the handler captured by the parser",
         "src/sftkit/cli.py",
         "return globals()[args.func.__name__](args",

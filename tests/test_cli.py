@@ -387,6 +387,19 @@ def test_undersized_counts_too_long_to_print_are_budget_stops(hs_file, capsys):
     assert capsys.readouterr().err == "budget: profile DP count 2^20000 is too long to print\n"
 
 
+def test_full_box_dp_counts_too_long_to_print_are_budget_stops(tmp_path, capsys):
+    # with the symbol 2 forbidden, an r x s box holds 2^(rs) blocks: 2^14000
+    # (PRINTED_MAX) is printed, 2^14400 is refused as a thin box's count is,
+    # by `count` and by `compare`, which takes the DP as its oracle there
+    spec = tmp_path / "no_twos.json"
+    spec.write_text(json.dumps({"dimension": 2, "symbols": ["0", "1", "2"], "forbidden": [[["2"]]]}))
+    assert main(["count", str(spec), "--engine", "dp", "--shape", "140x100"]) == 0
+    assert capsys.readouterr().out.strip() == str(2**14000)
+    for argv in (["count", "--engine", "dp", "--shape", "120x120"], ["compare", "--shapes", "120x120"]):
+        assert main([argv[0], str(spec), *argv[1:]]) == 3
+        assert capsys.readouterr().err == "budget: profile DP count of 14401 bits is too long to print\n"
+
+
 # ---------------------------------------------------------------------------
 # one subparser per call, under the whole tree's help and error text
 

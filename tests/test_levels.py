@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,12 +8,14 @@ from hypothesis import strategies as st
 from sftkit import (
     DEFAULT_CAPS,
     EmptyStateError,
+    Pattern,
     SpecError,
     analyze,
     block_allowed,
     enumerate_allowed_cubes,
     level0_matrices,
     level0_state,
+    make_spec,
     nine_window_admissible,
     normalize_to_cubes,
     reduced_step,
@@ -277,6 +280,33 @@ def test_analyze_reduced_base_horizontal_stop_keeps_vrel(hard_squares):
     rows = [(r.level, r.stage, r.block_count, r.relation_count) for r in res.report.rows]
     assert rows == [(0, "squares", 7, 41), (0, "rects", 41, None)]
     assert res.report.verdict == "inconclusive"
+
+
+_SQUARES = list(itertools.product(range(2), repeat=4))
+# with at most 4 of the 16 binary 2x2 cubes allowed, both modes reach level
+# 2 without a stop: the literal horizontal index of k^8 letter pairs fits,
+# and so does every such spec's pair work under the default max_work
+_BOTH_MODES_FIT = DEFAULT_CAPS.but(max_index=4**8)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sets(st.sampled_from(_SQUARES), max_size=4), st.integers(1, 2))
+@example({(0, 0, 0, 0)}, 2)
+@example({(1, 0, 0, 1)}, 1)  # one allowed cube, with no pair either way
+def test_literal_ones_are_the_reduced_relation_counts(allowed, level):
+    # the literal level-n matrices are the reduced level-n relations: vert
+    # ones count the squares' pairs, horiz ones the stacks' (rects') pairs
+    cells = ((0, 0), (0, 1), (1, 0), (1, 1))
+    forbidden = [Pattern.from_cells(zip(cells, q)) for q in _SQUARES if q not in allowed]
+    spec = make_spec(2, ["0", "1"], forbidden)
+    literal = analyze(spec, level, "literal", _BOTH_MODES_FIT).report
+    reduced = analyze(spec, level, "reduced", _BOTH_MODES_FIT).report
+    assert literal.reason is None and reduced.reason is None
+    relations = {(r.level, r.stage): r.relation_count for r in reduced.rows}
+    stage = {"vert": "squares", "horiz": "rects"}
+    for row in literal.rows:
+        assert row.relation_count == relations[row.level, stage[row.stage]]
+    assert literal.verdict == reduced.verdict
 
 
 @settings(max_examples=6, deadline=None)

@@ -760,6 +760,24 @@ def test_archive_round_trip_property(tmp_path_factory, run, at, by):
         load_state(str(path), _ROUND_TRIP_CAPS)
 
 
+@pytest.mark.parametrize(
+    "symbols,sep",
+    [(["ab", "c"], ","), (["a,b", "c"], "-"), (["a,b", ",-.", "c"], "/")],
+    ids=["no-comma", "comma", "comma-dash-dot"],
+)
+def test_archive_separator_is_in_no_symbol(tmp_path, capsys, symbols, sep):
+    from sftkit.cli import main
+
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"dimension": 2, "symbols": symbols, "forbidden": [[[symbols[0], symbols[0]]]]}))
+    path = tmp_path / "state.json"
+    assert main(["export-state", str(spec), "--levels", "0", "--out", str(path)]) == 0
+    exported = capsys.readouterr().out
+    assert json.loads(path.read_text())["separator"] == sep
+    assert main(["import-state", str(path)]) == 0
+    assert capsys.readouterr().out == exported
+
+
 def test_unmodified_archive_is_checked_against_its_own_body(tmp_path, hard_squares, monkeypatch):
     import sftkit.specio
 
