@@ -32,7 +32,7 @@ class Caps:
     # k_A^((l-1)*(sum of the box's strides - 1)), k_A^(s(l-1)) for r x s:
     # the cell-by-cell profile DP's states, over k_A^(l-1)
     profile_states: int = 2**20
-    # assemblies the witness search may try before giving up
+    # scanned joins the witness search may make before giving up
     witness_nodes: int = 200_000
     # worker processes for the oracle's enumeration; 1 = in-process
     threads: int = 1

@@ -1,8 +1,8 @@
 """Command-line surface.
 
-Exit codes: 0 success / nonempty-to-level-N, 2 certified empty,
-3 inconclusive (budget or exhausted search), 4 input error,
-1 comparison mismatch.
+Exit codes: 0 success / nonempty-to-level-N, 2 certified empty (an
+exhausted witness search included), 3 inconclusive (a budget stop),
+4 input error, 1 comparison mismatch.
 """
 from __future__ import annotations
 
@@ -194,10 +194,17 @@ def _cmd_compare(args, spec: SftSpec, caps: Caps) -> int:
     shapes = [s for s in args.shapes.split(",") if s]
     if not shapes:
         raise SpecError(f"--shapes {args.shapes!r} names no shape")
+    parsed = [_parse_shape(text, spec.dimension) for text in shapes]
+    if args.engine == "matrix":
+        from .chain import stage_of
+        from .normalize import forbidden_side
+
+        # a shape the engine cannot count stops before any oracle runs
+        for shape in parsed:
+            stage_of(shape, forbidden_side(spec))
     rows = []
     all_match = True
-    for text in shapes:
-        shape = _parse_shape(text, spec.dimension)
+    for text, shape in zip(shapes, parsed):
         # the oracle first, so a shape without one stops before the engine runs
         try:
             oracle = brute_force_allowed(spec, shape, caps=caps).count
@@ -284,7 +291,7 @@ _COMMANDS = (
     ),
     (
         "witness",
-        "search for one allowed square of a level",
+        "search for one allowed block of a level",
         _cmd_witness,
         (_SPEC, _LEVEL),
     ),

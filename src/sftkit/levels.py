@@ -355,86 +355,48 @@ class WitnessResult:
     block: Block | None
     nodes: int
     reason: str | None
-    # no allowed cubes at all: the absence certifies an empty space
+    # an exhausted search: the absence certifies an empty level
     empty: bool = False
 
 
-def witness_search(
-    spec: SftSpec,
-    level: int,
-    caps: Caps = DEFAULT_CAPS,
-) -> WitnessResult:
-    """Try to build one allowed square of side 2^level * l by recursive
-    2^d-corner assembly with backtracking over allowed sub-squares.
-
-    Corners are data tuples glued by `relation.join`, the last axis first.
-    Each candidate and each pair of last-axis neighbours costs one node;
-    candidates are window-scanned, and so are pairs for d <= 2. Absence is
-    not an emptiness proof: the search is budgeted and incomplete.
-    """
+def witness_search(spec: SftSpec, level: int, caps: Caps = DEFAULT_CAPS) -> WitnessResult:
+    """One allowed block of chain stage (level, d), by a lazy depth-first
+    walk of the stages: stage (0, d) yields the allowed cubes, every later
+    stage each scanned join of two blocks of the stage before it along its
+    next axis. One scanned join is one node, so a first witness of level n
+    costs 2^(d n) - 1 nodes. Every allowed block is two allowed halves, so
+    a walk exhausted without a budget stop certifies the level empty."""
     if level < 0:
         raise SpecError("level must be >= 0")
-    cubes, base, _ = spec_start(spec, caps)
-    if not base:
+    cubes, _, start = spec_start(spec, caps)
+    d, budget, spent = spec.dimension, caps.witness_nodes, 0
+    if not start.blocks:
         return WitnessResult(None, 0, "no allowed cubes: the space is empty", empty=True)
-    budget = caps.witness_nodes
-    spent = 0
-    d = spec.dimension
-    # a first witness of level n costs at least N(n) = 2^d N(n-1) + 2^(d-1) + 1
-    # nodes, N(0) = 0: a first witness per corner, the pair checks and the
-    # final scan; a level whose N is past the budget is not searched
-    least = 0
-    for _ in range(level):
-        least = 2**d * least + 2 ** (d - 1) + 1
-        if least > budget:
-            return WitnessResult(None, 0, f"node budget {budget} exhausted")
+    if 2 ** (d * level) - 1 > budget:
+        return WitnessResult(None, 0, f"node budget {budget} exhausted")
 
-    class _Out(Exception):
-        pass
-
-    def spend():
+    def blocks(n: int, i: int) -> Iterator[Sequence[int]]:
         nonlocal spent
-        spent += 1
-        if spent > budget:
-            raise _Out()
-
-    def candidates(lv: int):
-        # data tuples of the allowed cubes of side 2^lv * l found so far
-        if lv == 0:
-            yield from (b.data for b in base)
+        if n == 0:
+            yield from start.blocks.datas
             return
-        shape = stage_shape(d, cubes.side, lv - 1, d)
-        pair = shape[:-1] + (2 * shape[-1],)
-
-        def place(chosen: list):
-            if len(chosen) == 2**d:
-                datas, sub = chosen, shape
-                for axis in reversed(range(d)):
-                    datas = [join(datas[i], datas[i + 1], sub, axis) for i in range(0, len(datas), 2)]
-                    sub = sub[:axis] + (2 * sub[axis],) + sub[axis + 1 :]
-                spend()
-                if allowed_data(datas[0], sub, cubes):
-                    yield datas[0]
-                return
-            for cand in candidates(lv - 1):
-                if len(chosen) % 2 == 1:
-                    # last-axis neighbours share a seam worth checking before
-                    # recursing; higher dimensions rely on the final full check
-                    spend()
-                    if d <= 2 and not allowed_data(join(chosen[-1], cand, shape, d - 1), pair, cubes):
-                        continue
-                chosen.append(cand)
-                yield from place(chosen)
-                chosen.pop()
-
-        yield from place([])
+        below = (n, i - 1) if i > 1 else (n - 1, d)
+        shape, joined = stage_shape(d, cubes.side, *below), stage_shape(d, cubes.side, n, i)
+        for low in blocks(*below):
+            for high in blocks(*below):
+                spent += 1
+                if spent > budget:
+                    raise BudgetError(f"node budget {budget} exhausted")
+                data = join(low, high, shape, i - 1)
+                if allowed_data(data, joined, cubes):
+                    yield data
 
     try:
-        for data in candidates(level):
-            return WitnessResult(Block(stage_shape(d, cubes.side, level, d), data), spent, None)
-    except _Out:
-        return WitnessResult(None, spent, f"node budget {budget} exhausted")
-    return WitnessResult(None, spent, "search space exhausted without a witness")
+        for data in blocks(level, d):
+            return WitnessResult(Block(stage_shape(d, cubes.side, level, d), tuple(data)), spent, None)
+    except BudgetError as e:
+        return WitnessResult(None, spent, str(e))
+    return WitnessResult(None, spent, f"search space exhausted: level {level} is empty", empty=True)
 
 
 def sample_patch(stage: DChainState, seed: int) -> Block:

@@ -278,6 +278,53 @@ MUTANTS = (
             "tests/test_bench_hooks.py::test_tracer_times_the_cli_handlers_main_calls",
         ),
     ),
+    Mutant(
+        "witness_search: an exhausted search certifies nothing",
+        "src/sftkit/levels.py",
+        'level {level} is empty", empty=True)',
+        'level {level} is empty", empty=False)',
+        (
+            "tests/test_cli.py::test_witness_exhausted",
+            "tests/test_cli.py::test_witness_agrees_with_analyze_on_an_empty_level",
+            "tests/test_levels.py::test_witness_is_an_allowed_square_of_its_level",
+            "tests/test_levels.py::test_an_exhausted_witness_search_is_an_empty_chain_stage",
+        ),
+    ),
+    Mutant(
+        "witness_search: the target stage's joins yielded unscanned",
+        "src/sftkit/levels.py",
+        "if allowed_data(data, joined, cubes):",
+        "if (n, i) == (level, d) or allowed_data(data, joined, cubes):",
+        (
+            "tests/test_levels.py::test_witness_is_an_allowed_square_of_its_level",
+            "tests/test_levels.py::test_an_exhausted_witness_search_is_an_empty_chain_stage",
+        ),
+    ),
+    Mutant(
+        "witness_search: the up-front bound one node high",
+        "src/sftkit/levels.py",
+        "2 ** (d * level) - 1 > budget",
+        "2 ** (d * level) > budget",
+        ("tests/test_levels.py::test_witness_levels_past_the_least_cost_are_not_searched",),
+    ),
+    Mutant(
+        "_cmd_compare: the oracle runs before the shape check",
+        "src/sftkit/cli.py",
+        "            stage_of(shape, forbidden_side(spec))\n",
+        "            pass\n",
+        ("tests/test_cli.py::test_compare_checks_each_shape_before_any_oracle_runs",),
+    ),
+    Mutant(
+        "__getattr__: keeps what it returns in the package",
+        "src/sftkit/__init__.py",
+        '        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)\n',
+        '        value = globals()[name] = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)\n'
+        "        return value\n",
+        (
+            "tests/test_lazy_imports.py::test_every_public_name_is_the_object_of_its_home_module",
+            "tests/test_lazy_imports.py::test_a_swapped_function_is_seen_through_the_package",
+        ),
+    ),
 )
 
 

@@ -14,6 +14,7 @@ HS = {
 }
 KILL = {"dimension": 2, "symbols": ["0", "1"], "forbidden": [[["0"]], [["1"]]]}
 FULL = {"dimension": 2, "symbols": ["0", "1"], "forbidden": []}
+GOLDEN_SPECS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden", "specs")
 
 
 @pytest.fixture
@@ -149,7 +150,8 @@ def test_witness(hs_file, kill_file, capsys):
 
 
 def test_witness_exhausted(tmp_path, capsys):
-    # one allowed cube that cannot tile with itself: search exhausts, exit 3
+    # one allowed cube that cannot tile with itself: the complete search
+    # exhausts, which certifies the level empty (exit 2)
     cubes = []
     keep = (0, 1, 1, 0)
     import itertools
@@ -159,8 +161,22 @@ def test_witness_exhausted(tmp_path, capsys):
             cubes.append([[str(d[0]), str(d[1])], [str(d[2]), str(d[3])]])
     p = tmp_path / "rigid.json"
     p.write_text(json.dumps({"dimension": 2, "symbols": ["0", "1"], "forbidden": cubes}))
-    assert main(["witness", str(p), "--level", "1"]) == 3
-    assert "not an emptiness proof" in capsys.readouterr().err
+    assert main(["witness", str(p), "--level", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "absent: search space exhausted: level 1 is empty\n"
+
+
+def test_witness_agrees_with_analyze_on_an_empty_level(capsys):
+    # lone_cube's one allowed cube pairs with itself along no axis: both
+    # commands certify level 1 empty
+    lone = os.path.join(GOLDEN_SPECS, "lone_cube.json")
+    assert main(["analyze", lone, "--levels", "1"]) == 2
+    capsys.readouterr()
+    assert main(["witness", lone, "--level", "1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "level 1 is empty" in err
+    assert "not an emptiness proof" not in err
 
 
 def test_compare(hs_file, capsys):
@@ -170,6 +186,23 @@ def test_compare(hs_file, capsys):
     assert "4x4,1234,1234,true" in out
     assert main(["compare", hs_file, "--shapes", "4x2,4x4"]) == 0
     assert capsys.readouterr().out == "4x2: engine=41 oracle=41 ok\n4x4: engine=1234 oracle=1234 ok\n"
+
+
+def test_compare_checks_each_shape_before_any_oracle_runs(hs_file, monkeypatch, capsys):
+    # 18x17 is no doubling stage: the matrix engine's shape check comes
+    # before the oracles, which would run first and long
+    import sftkit.oracle
+
+    def refused(*a, **k):
+        raise AssertionError("an oracle ran")
+
+    monkeypatch.setattr(sftkit.oracle, "brute_force_allowed", refused)
+    monkeypatch.setattr(sftkit.oracle, "profile_count", refused)
+    for shapes in ("18x17", "4x2,18x17"):
+        assert main(["compare", hs_file, "--shapes", shapes]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: shape (18, 17) is not a doubling stage")
 
 
 def test_compare_past_the_brute_force_cap_keeps_an_independent_oracle(hs_file, capsys):
@@ -389,15 +422,16 @@ def test_undersized_counts_too_long_to_print_are_budget_stops(hs_file, capsys):
 
 def test_full_box_dp_counts_too_long_to_print_are_budget_stops(tmp_path, capsys):
     # with the symbol 2 forbidden, an r x s box holds 2^(rs) blocks: 2^14000
-    # (PRINTED_MAX) is printed, 2^14400 is refused as a thin box's count is,
-    # by `count` and by `compare`, which takes the DP as its oracle there
+    # (PRINTED_MAX) is printed, 2^14400 (120x120) is refused as a thin box's
+    # count is, by `count`, and 2^16384 by `compare` on the doubling stage
+    # 128x128, where it takes the DP as its oracle
     spec = tmp_path / "no_twos.json"
     spec.write_text(json.dumps({"dimension": 2, "symbols": ["0", "1", "2"], "forbidden": [[["2"]]]}))
     assert main(["count", str(spec), "--engine", "dp", "--shape", "140x100"]) == 0
     assert capsys.readouterr().out.strip() == str(2**14000)
-    for argv in (["count", "--engine", "dp", "--shape", "120x120"], ["compare", "--shapes", "120x120"]):
+    for argv, bits in ((["count", "--engine", "dp", "--shape", "120x120"], 14401), (["compare", "--shapes", "128x128"], 16385)):
         assert main([argv[0], str(spec), *argv[1:]]) == 3
-        assert capsys.readouterr().err == "budget: profile DP count of 14401 bits is too long to print\n"
+        assert capsys.readouterr().err == f"budget: profile DP count of {bits} bits is too long to print\n"
 
 
 # ---------------------------------------------------------------------------

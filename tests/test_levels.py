@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sftkit import (
+    BudgetError,
     DEFAULT_CAPS,
     EmptyStateError,
     Pattern,
@@ -24,7 +25,7 @@ from sftkit import (
     with_relations,
     witness_search,
 )
-from sftkit.chain import chain_start
+from sftkit.chain import chain_report, chain_start, spec_start
 from sftkit.levels import level_states
 
 from conftest import naive_allowed, naive_count, random_square_spec
@@ -214,8 +215,11 @@ def test_witness_checkerboard(checkerboard):
 
 def test_witness_empty_space(kill_all):
     res = witness_search(kill_all, 2)
-    assert res.block is None
+    assert res.block is None and res.empty
     assert "empty" in res.reason
+    # no allowed cube: every level is empty, however deep, at no cost
+    res = witness_search(kill_all, 1000)
+    assert (res.block, res.nodes, res.reason, res.empty) == (None, 0, "no allowed cubes: the space is empty", True)
 
 
 def test_witness_budget_exhaustion(hard_squares):
@@ -225,8 +229,8 @@ def test_witness_budget_exhaustion(hard_squares):
 
 
 def test_witness_levels_past_the_least_cost_are_not_searched(hard_squares):
-    # the all-zero square is found first, at exactly the least cost
-    # N(n) = 4 N(n-1) + 3: N(3) = 63
+    # the all-zero square is found first, at exactly the least cost of
+    # 2^(d n) - 1 scanned joins: 63 at level 3
     assert witness_search(hard_squares, 3).nodes == 63
     assert witness_search(hard_squares, 3, DEFAULT_CAPS.but(witness_nodes=63)).block is not None
     res = witness_search(hard_squares, 3, DEFAULT_CAPS.but(witness_nodes=62))
@@ -234,10 +238,10 @@ def test_witness_levels_past_the_least_cost_are_not_searched(hard_squares):
 
 
 def test_witness_search_stops_when_its_budget_runs_out_mid_search():
-    # the first witness costs 13,967 nodes; a budget of N(2) = 15 passes the
-    # up-front check and the search stops on its sixteenth node
+    # the first witness costs 6,707 nodes; a budget of 2^(2*2) - 1 = 15
+    # passes the up-front check and the search stops on its sixteenth node
     spec = random_square_spec(random.Random(6), 4, 10)
-    assert witness_search(spec, 2).nodes == 13967
+    assert witness_search(spec, 2).nodes == 6707
     res = witness_search(spec, 2, DEFAULT_CAPS.but(witness_nodes=15))
     assert (res.block, res.nodes, res.reason) == (None, 16, "node budget 15 exhausted")
 
@@ -314,16 +318,54 @@ def test_literal_ones_are_the_reduced_relation_counts(allowed, level):
 @example(11, 1)
 @example(0, 1)
 def test_witness_is_an_allowed_square_of_its_level(seed, level):
-    # at level 1 the default budget covers every 2x2 arrangement of the
-    # allowed 2x2 cubes, so the search gives up exactly when none exists
+    # at level 1 the default budget covers every join of the allowed 2x2
+    # cubes, so the search certifies emptiness exactly when no 4x4 exists
     spec = random_square_spec(random.Random(seed), 4, 12)
     res = witness_search(spec, level)
     if res.block is not None:
         assert res.block.shape == (2 << level, 2 << level)
         assert naive_allowed(res.block, spec.forbidden)
     if level == 1:
-        exhausted = res.reason == "search space exhausted without a witness"
-        assert exhausted == (naive_count(spec, (4, 4)) == 0)
+        assert res.empty == (naive_count(spec, (4, 4)) == 0)
+        assert res.empty == (res.reason == "search space exhausted: level 1 is empty")
+
+
+def _only_allowed(d: int, codes):
+    # the binary spec whose allowed 2-cubes are `codes` read as bit strings
+    cells = list(itertools.product(range(2), repeat=d))
+    allowed = {tuple((c >> k) & 1 for k in reversed(range(len(cells)))) for c in codes}
+    cubes = itertools.product(range(2), repeat=len(cells))
+    return make_spec(d, ["0", "1"], [Pattern.from_cells(zip(cells, q)) for q in cubes if q not in allowed])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from((1, 2, 3)), st.sets(st.integers(0, 255), min_size=1, max_size=6), st.integers(0, 3))
+@example(1, {0b01}, 1)  # 01 tiles with no copy of itself: level 1 is empty
+@example(2, {0b0110}, 1)  # lone_cube
+@example(3, {0b01101001}, 1)  # one 3-d checkerboard cube: empty too
+def test_an_exhausted_witness_search_is_an_empty_chain_stage(d, codes, level):
+    # the search is complete: unless its budget stops it, it certifies
+    # emptiness exactly when chain stage (n, d) is empty, and a witness it
+    # finds is an allowed block of that stage
+    spec = _only_allowed(d, {c % 2 ** 2**d for c in codes})
+    level = min(level, 4 - d)
+    caps = DEFAULT_CAPS.but(max_work=10**5, witness_nodes=20_000)
+    res = witness_search(spec, level, caps)
+    cubes, _, start = spec_start(spec, caps)
+    try:
+        stages = chain_report(start, cubes, (level, d), caps)
+    except BudgetError as e:
+        stages = e.partial
+    last = stages[-1]
+    reached = (last.level, last.stage) == (level, d)
+    if res.block is not None:
+        assert res.block.shape == (cubes.side << level,) * d
+        assert naive_allowed(res.block, spec.forbidden)
+        assert not reached or res.block in last.blocks
+    if res.block is None and not res.empty:
+        assert res.reason == "node budget 20000 exhausted"
+    elif reached or not last.blocks:
+        assert res.empty == (not last.blocks)
 
 
 @settings(max_examples=4, deadline=None)
