@@ -72,8 +72,6 @@ _EXPORTS = {
     "normalize": (
         "MODE_ALL",
         "MODE_NON_PROPER",
-        "NormalizationReport",
-        "build_report",
         "enumerate_allowed_cubes",
         "forbidden_side",
         "normalize_to_cubes",

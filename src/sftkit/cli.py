@@ -95,28 +95,21 @@ def _cmd_validate(args, spec: SftSpec, caps: Caps) -> int:
 
 
 def _cmd_normalize(args, spec: SftSpec, caps: Caps) -> int:
-    from .normalize import (
-        MODE_ALL,
-        MODE_NON_PROPER,
-        build_report,
-        enumerate_allowed_cubes,
-        normalize_to_cubes,
-    )
+    from .normalize import MODE_ALL, MODE_NON_PROPER, enumerate_allowed_cubes, normalize_to_cubes
 
     mode = MODE_ALL if args.mode == "all" else MODE_NON_PROPER
     cubes = normalize_to_cubes(spec, mode, caps)
     # allowed cubes are counted against the exact (all-extensions) set
     exact = cubes if mode == MODE_ALL else normalize_to_cubes(spec, MODE_ALL, caps)
-    allowed = enumerate_allowed_cubes(spec, exact, caps)
-    rep = build_report(spec, cubes, len(allowed))
+    allowed = len(enumerate_allowed_cubes(spec, exact, caps))
     if args.format == "csv":
         print("side,cube_count,mode,allowed_count")
-        print(f"{rep.side},{rep.cube_count},{rep.mode},{rep.allowed_count}")
+        print(f"{cubes.side},{len(cubes.cubes)},{cubes.mode},{allowed}")
     else:
-        print(f"side: {rep.side}")
-        print(f"cube_count: {rep.cube_count}")
-        print(f"mode: {rep.mode}")
-        print(f"allowed_count: {rep.allowed_count}")
+        print(f"side: {cubes.side}")
+        print(f"cube_count: {len(cubes.cubes)}")
+        print(f"mode: {cubes.mode}")
+        print(f"allowed_count: {allowed}")
     return 0
 
 
@@ -211,7 +204,8 @@ def _cmd_compare(args, spec: SftSpec, caps: Caps) -> int:
         except BudgetError as e:
             if args.engine == "dp":
                 # the DP is the engine under test, so it cannot be its own oracle
-                raise BudgetError(f"no oracle for {text} but the DP under test: {e}", e.required) from None
+                e.args = (f"no oracle for {text} but the DP under test: {e}",)
+                raise
             oracle = profile_count(spec, shape, caps=caps)
         engine = _count_with(spec, args.engine, shape, caps)
         match = engine == oracle

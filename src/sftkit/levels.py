@@ -26,13 +26,14 @@ in every dimension, or the literal matrices of `matrices.py`.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import AbstractSet, Iterator, Sequence
 
-from .caps import DEFAULT_CAPS, Caps
+from .caps import DEFAULT_CAPS, Caps, refuse
 from .chain import (
     DChainState,
     chain_relation,
@@ -363,17 +364,20 @@ def witness_search(spec: SftSpec, level: int, caps: Caps = DEFAULT_CAPS) -> Witn
     """One allowed block of chain stage (level, d), by a lazy depth-first
     walk of the stages: stage (0, d) yields the allowed cubes, every later
     stage each scanned join of two blocks of the stage before it along its
-    next axis. One scanned join is one node, so a first witness of level n
-    costs 2^(d n) - 1 nodes. Every allowed block is two allowed halves, so
-    a walk exhausted without a budget stop certifies the level empty."""
+    next axis. Each stage replays the blocks of the stage below from one
+    generator, so each join is scanned once; one scanned join is one node,
+    and a first witness of level n takes from d n nodes up. Every allowed
+    block is two allowed halves, so a walk exhausted without a budget stop
+    certifies the level empty. Levels whose 2^(d n) - 1 exceeds the node
+    budget are refused before the walk, as a depth guard: a level-n block
+    holds 2^(d n) cubes, and scanning it builds one window getter per
+    cell."""
     if level < 0:
         raise SpecError("level must be >= 0")
     cubes, _, start = spec_start(spec, caps)
     d, budget, spent = spec.dimension, caps.witness_nodes, 0
     if not start.blocks:
         return WitnessResult(None, 0, "no allowed cubes: the space is empty", empty=True)
-    if 2 ** (d * level) - 1 > budget:
-        return WitnessResult(None, 0, f"node budget {budget} exhausted")
 
     def blocks(n: int, i: int) -> Iterator[Sequence[int]]:
         nonlocal spent
@@ -382,16 +386,17 @@ def witness_search(spec: SftSpec, level: int, caps: Caps = DEFAULT_CAPS) -> Witn
             return
         below = (n, i - 1) if i > 1 else (n - 1, d)
         shape, joined = stage_shape(d, cubes.side, *below), stage_shape(d, cubes.side, n, i)
-        for low in blocks(*below):
-            for high in blocks(*below):
+        made = itertools.tee(blocks(*below), 1)[0]
+        for low in copy.copy(made):
+            for high in copy.copy(made):
                 spent += 1
-                if spent > budget:
-                    raise BudgetError(f"node budget {budget} exhausted")
+                refuse(spent, budget, "node budget {cap} exhausted")
                 data = join(low, high, shape, i - 1)
                 if allowed_data(data, joined, cubes):
                     yield data
 
     try:
+        refuse(2 ** (d * level) - 1, budget, "node budget {cap} exhausted")
         for data in blocks(level, d):
             return WitnessResult(Block(stage_shape(d, cubes.side, level, d), tuple(data)), spent, None)
     except BudgetError as e:

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 from .caps import DEFAULT_CAPS, Caps, refuse
 from .core import Block, CubeSet, concat
-from .errors import BudgetError, ShapeError
+from .errors import ShapeError
 from .relation import Relation, join, middle_join, pair_relation
 
 
@@ -277,7 +277,7 @@ def step_literal(
     goes on with `step_horizontal`.
     """
     if lvl.horiz is None:
-        raise BudgetError("horizontal matrix missing; recompute the level with compute_h")
+        raise ShapeError("horizontal matrix missing; recompute the level with compute_h")
     k = len(lvl.letters)
     check_index("vertical", k**4, caps)
     squares, vrel = _letter_squares(lvl)
@@ -319,6 +319,6 @@ def literal_vert_pairs(lvl: LiteralLevel) -> set[tuple[Block, Block]]:
 def literal_horiz_pairs(lvl: LiteralLevel) -> set[tuple[Block, Block]]:
     """Horizontal-matrix ones as (left stack, right stack) pairs."""
     if lvl.horiz is None:
-        raise BudgetError("horizontal matrix missing")
+        raise ShapeError("horizontal matrix missing")
     rb, cb = lvl.horiz.row_blocks, lvl.horiz.col_blocks
     return {(rb[r], cb[c]) for r, c in lvl.horiz.ones}

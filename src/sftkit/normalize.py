@@ -16,7 +16,6 @@ scanning set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .caps import DEFAULT_CAPS, Caps, check_power
 from .core import Block, CubeSet, Pattern, SftSpec, pattern_width, strides
@@ -24,14 +23,6 @@ from .errors import SpecError
 
 MODE_ALL = "all-extensions"
 MODE_NON_PROPER = "non-proper-only"
-
-
-@dataclass(frozen=True)
-class NormalizationReport:
-    side: int
-    cube_count: int
-    mode: str
-    allowed_count: int
 
 
 def forbidden_side(spec: SftSpec) -> int:
@@ -109,12 +100,3 @@ def enumerate_allowed_cubes(
     )
     bad = cubes.data_set()
     return tuple(c for c in iter_cubes(spec, cubes.side) if c.data not in bad)
-
-
-def build_report(spec: SftSpec, cubes: CubeSet, allowed_count: int) -> NormalizationReport:
-    return NormalizationReport(
-        side=cubes.side,
-        cube_count=len(cubes.cubes),
-        mode=cubes.mode,
-        allowed_count=allowed_count,
-    )

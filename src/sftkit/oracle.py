@@ -19,9 +19,9 @@ import os
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .caps import DEFAULT_CAPS, PRINTED_MAX, Caps, check_power
+from .caps import DEFAULT_CAPS, PRINTED_MAX, Caps, check_power, refuse
 from .core import CubeSet, SftSpec, _gather_table, prod, strides
-from .errors import BudgetError, SpecError
+from .errors import SpecError
 from .normalize import MODE_ALL, normalize_to_cubes
 
 
@@ -248,6 +248,6 @@ def profile_count(
                 nxt[t] = get(t, 0) + cnt
         counts = nxt
     count = sum(counts.values())
-    if count > PRINTED_MAX:  # as in a thin box: past it, printing may pass the digit limit
-        raise BudgetError(f"profile DP count of {count.bit_length()} bits is too long to print")
+    # as in a thin box: past it, printing may pass the digit limit
+    refuse(count, PRINTED_MAX, f"profile DP count of {count.bit_length()} bits is too long to print")
     return count

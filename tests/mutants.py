@@ -237,8 +237,8 @@ MUTANTS = (
     Mutant(
         "profile_count: a full box's count past the print limit returned",
         "src/sftkit/oracle.py",
-        "if count > PRINTED_MAX:",
-        "if False:",
+        "refuse(count, PRINTED_MAX, f\"profile DP count of",
+        "refuse(0, PRINTED_MAX, f\"profile DP count of",
         ("tests/test_cli.py::test_full_box_dp_counts_too_long_to_print_are_budget_stops",),
     ),
     Mutant(
@@ -303,9 +303,58 @@ MUTANTS = (
     Mutant(
         "witness_search: the up-front bound one node high",
         "src/sftkit/levels.py",
-        "2 ** (d * level) - 1 > budget",
-        "2 ** (d * level) > budget",
+        "refuse(2 ** (d * level) - 1, budget",
+        "refuse(2 ** (d * level), budget",
         ("tests/test_levels.py::test_witness_levels_past_the_least_cost_are_not_searched",),
+    ),
+    Mutant(
+        "witness_search: the stage below enumerated afresh for every low half",
+        "src/sftkit/levels.py",
+        "            for high in copy.copy(made):\n",
+        "            for high in blocks(*below):\n",
+        ("tests/test_levels.py::test_witness_search_scans_each_join_once",),
+    ),
+    Mutant(
+        "witness_search: no node budget inside the walk",
+        "src/sftkit/levels.py",
+        '                refuse(spent, budget, "node budget {cap} exhausted")\n',
+        "",
+        ("tests/test_levels.py::test_witness_search_stops_when_its_budget_runs_out_mid_search",),
+    ),
+    Mutant(
+        "_masks: the high-key shift off by one chunk",
+        "src/sftkit/relation.py",
+        "lo ^ ((1 << 8 * n) - 1), 8 * at",
+        "lo ^ ((1 << 8 * n) - 1), 8 * (at + chunk)",
+        ("tests/test_relation.py::test_int_coded_bytes_match_the_tuple_path",),
+    ),
+    Mutant(
+        "_masks: the high-key shift off by one cell",
+        "src/sftkit/relation.py",
+        "lo ^ ((1 << 8 * n) - 1), 8 * at",
+        "lo ^ ((1 << 8 * n) - 1), 8 * (at + 1)",
+        ("tests/test_relation.py::test_int_coded_bytes_match_the_tuple_path",),
+    ),
+    Mutant(
+        "join_pairs: the spread shift off by one axis",
+        "src/sftkit/relation.py",
+        "size, shift = 2 * len(zeros), 8 * prod(shape[axis:])",
+        "size, shift = 2 * len(zeros), 8 * prod(shape[axis + 1 :])",
+        ("tests/test_relation.py::test_int_coded_bytes_match_the_tuple_path",),
+    ),
+    Mutant(
+        "join_pairs: the spread shift off by one cell",
+        "src/sftkit/relation.py",
+        "size, shift = 2 * len(zeros), 8 * prod(shape[axis:])",
+        "size, shift = 2 * len(zeros), 8 * (prod(shape[axis:]) + 1)",
+        ("tests/test_relation.py::test_int_coded_bytes_match_the_tuple_path",),
+    ),
+    Mutant(
+        "_seam_relation: the upper slab split at the lower cut",
+        "src/sftkit/relation.py",
+        "_split(datas[ids[0]], shape, axis, extent - t)[1]",
+        "_split(datas[ids[0]], shape, axis, t)[1]",
+        ("tests/test_relation.py::test_int_coded_bytes_match_the_tuple_path",),
     ),
     Mutant(
         "_cmd_compare: the oracle runs before the shape check",

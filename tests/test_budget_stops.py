@@ -1,6 +1,9 @@
 """Every cap stop of the chain and the literal matrices, pinned: its exact
 message, the count it reports as `required`, and the type of the part built
-before it (`partial`)."""
+before it (`partial`). Every stop is raised by `caps`."""
+import ast
+import pathlib
+
 import pytest
 
 from sftkit import (
@@ -65,3 +68,15 @@ def test_cap_stop_message_required_and_partial(stop, hard_squares):
     assert str(exc.value) == message
     assert exc.value.required == required
     assert type(exc.value.partial) is partial_type
+
+
+def test_only_caps_builds_a_budget_error():
+    src = pathlib.Path(__file__).resolve().parent.parent / "src" / "sftkit"
+    builders = set()
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            # `BudgetError(...)` or `errors.BudgetError(...)`
+            name = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and getattr(name, "id", getattr(name, "attr", None)) == "BudgetError":
+                builders.add(path.name)
+    assert builders == {"caps.py"}

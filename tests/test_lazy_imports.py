@@ -100,6 +100,12 @@ def test_export_and_import_state_load_no_openssl(tmp_path):
     assert not loaded & {"hashlib", "_hashlib"}
 
 
+def test_the_package_hook_imports_a_submodule():
+    # in this process the import system has already set `sftkit.relation`,
+    # so the hook is called by name
+    assert sftkit.__getattr__("relation") is importlib.import_module("sftkit.relation")
+
+
 def test_every_public_name_is_the_object_of_its_home_module():
     for name in sftkit.__all__:
         home = importlib.import_module(f"sftkit.{sftkit._HOME[name]}")

@@ -229,21 +229,39 @@ def test_witness_budget_exhaustion(hard_squares):
 
 
 def test_witness_levels_past_the_least_cost_are_not_searched(hard_squares):
-    # the all-zero square is found first, at exactly the least cost of
-    # 2^(d n) - 1 scanned joins: 63 at level 3
-    assert witness_search(hard_squares, 3).nodes == 63
+    # the all-zero square is found first, one scanned join a stage: d n = 6
+    # at level 3; a budget below 2^(d n) - 1 = 63 refuses the level up front
+    assert witness_search(hard_squares, 3).nodes == 6
     assert witness_search(hard_squares, 3, DEFAULT_CAPS.but(witness_nodes=63)).block is not None
     res = witness_search(hard_squares, 3, DEFAULT_CAPS.but(witness_nodes=62))
     assert (res.block, res.nodes, res.reason) == (None, 0, "node budget 62 exhausted")
 
 
 def test_witness_search_stops_when_its_budget_runs_out_mid_search():
-    # the first witness costs 6,707 nodes; a budget of 2^(2*2) - 1 = 15
+    # the first witness costs 482 nodes; a budget of 2^(2*2) - 1 = 15
     # passes the up-front check and the search stops on its sixteenth node
     spec = random_square_spec(random.Random(6), 4, 10)
-    assert witness_search(spec, 2).nodes == 6707
+    assert witness_search(spec, 2).nodes == 482
     res = witness_search(spec, 2, DEFAULT_CAPS.but(witness_nodes=15))
     assert (res.block, res.nodes, res.reason) == (None, 16, "node budget 15 exhausted")
+
+
+def test_witness_search_scans_each_join_once(monkeypatch):
+    # each stage replays the blocks of the stage below, so no join is
+    # scanned twice, and every scan is one node
+    import sftkit.levels
+
+    scanned = []
+    original = sftkit.levels.allowed_data
+
+    def recorded(data, shape, cubes):
+        scanned.append((shape, bytes(data)))
+        return original(data, shape, cubes)
+
+    monkeypatch.setattr(sftkit.levels, "allowed_data", recorded)
+    res = witness_search(random_square_spec(random.Random(6), 4, 10), 2)
+    assert res.block is not None and len(scanned) == res.nodes
+    assert len(set(scanned)) == len(scanned)
 
 
 def test_sample_patch_contracts(checkerboard):

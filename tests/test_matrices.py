@@ -165,7 +165,7 @@ def test_a_vertical_only_level_has_no_horizontal_step(hard_squares):
     base = level0_matrices(enumerate_allowed_cubes(hard_squares, cubes), cubes)
     vertical_only = step_literal(base, compute_h=False)
     for read in (step_literal, literal_horiz_pairs):
-        with pytest.raises(BudgetError, match="horizontal matrix missing"):
+        with pytest.raises(ShapeError, match="horizontal matrix missing"):
             read(vertical_only)
 
 

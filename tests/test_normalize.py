@@ -11,7 +11,6 @@ from sftkit import (
     MODE_NON_PROPER,
     Pattern,
     SpecError,
-    build_report,
     enumerate_allowed_cubes,
     forbidden_side,
     make_spec,
@@ -41,8 +40,7 @@ def test_hard_squares_normalization(hard_squares):
     assert len(cubes.cubes) == 9
     index = enumerate_allowed_cubes(hard_squares, cubes)
     assert len(index) == 7
-    rep = build_report(hard_squares, cubes, len(index))
-    assert (rep.side, rep.cube_count, rep.allowed_count) == (2, 9, 7)
+    assert (cubes.side, len(cubes.cubes), cubes.mode, len(index)) == (2, 9, MODE_ALL, 7)
     # the forbidden cubes are exactly the arrangements with an adjacent 1-pair
     expect = {
         d

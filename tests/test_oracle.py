@@ -139,6 +139,27 @@ def test_threads_clamped_to_cpu_count(monkeypatch, hard_squares):
     assert sizes == [2, 2]  # an unknown core count runs in-process
 
 
+def test_workers_past_the_symbol_count_widen_the_prefix(monkeypatch, hard_squares):
+    # 8 workers over 2 symbols split the prefixes of the first 3 cells; the
+    # pool maps in-process, so no process starts
+    import contextlib
+    import types
+
+    jobs = []
+    count_range = oracle_mod._count_range
+
+    def recorded(job):
+        jobs.append(job[2:5])
+        return count_range(job)
+
+    monkeypatch.setattr(oracle_mod.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(oracle_mod, "_count_range", recorded)
+    monkeypatch.setattr(multiprocessing, "Pool", lambda n: contextlib.nullcontext(types.SimpleNamespace(map=map)))
+    assert brute_force_allowed(hard_squares, (4, 4), caps=DEFAULT_CAPS.but(threads=8)).count == 1234
+    assert jobs == [(3, i, i + 1) for i in range(8)]
+    assert brute_force_allowed(hard_squares, (4, 4)).count == 1234
+
+
 # a side-1 spec: every cell avoids the symbol 1
 NO_ONES = make_spec(2, ["0", "1"], [Pattern.from_cells([((0, 0), 1)])])
 

@@ -33,4 +33,6 @@ def test_readme_public_api_names_resolve():
 def test_test_only_names_are_gone():
     for name in ("order_key", "transpose", "permute_axes", "scan_block", "ScanResult", "occurs_in"):
         assert not hasattr(sftkit, name) and not hasattr(sftkit.core, name)
+    for name in ("NormalizationReport", "build_report"):
+        assert not hasattr(sftkit, name) and not hasattr(sftkit.normalize, name)
     assert not hasattr(sftkit.CompatMatrix, "reorder") and not hasattr(sftkit.Block, "cell")

@@ -864,6 +864,32 @@ def test_checksum_falls_back_to_hashlib(hard_squares, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("version, module", [((3, 11), "_sha256"), ((3, 12), "_sha2")])
+def test_checksum_takes_sha256_from_the_module_of_its_version(hard_squares, monkeypatch, version, module):
+    import hashlib
+    import sys
+    import types
+
+    from sftkit.specio import _checksum
+
+    bodies = _checksum_bodies(hard_squares)
+    expected = [hashlib.sha256(body.encode("utf-8")).hexdigest() for body in bodies]
+    calls = []
+
+    def sha256(data):
+        calls.append(module)
+        return hashlib.sha256(data)
+
+    # the other module's import would fail: None in sys.modules
+    for name in ("_sha2", "_sha256"):
+        monkeypatch.setitem(sys.modules, name, types.SimpleNamespace(sha256=sha256) if name == module else None)
+    monkeypatch.setattr(sys, "version_info", version)
+    digests = [_checksum(body) for body in bodies]
+    monkeypatch.undo()  # the interpreter's own version again, before pytest reports
+    assert digests == expected
+    assert calls == [module] * len(bodies)
+
+
 _HUNDRED = [*"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789", *map(chr, range(0x100, 0x126))]
 
 
