@@ -45,7 +45,7 @@ from .chain import (
 )
 from .core import Block, Blocks, CubeSet, SftSpec, allowed_data
 from .errors import BudgetError, EmptyStateError, SpecError
-from .relation import Relation, join
+from .relation import Relation, _split, join
 
 
 class StackRelation(Relation):
@@ -363,19 +363,25 @@ class WitnessResult:
 def witness_search(spec: SftSpec, level: int, caps: Caps = DEFAULT_CAPS) -> WitnessResult:
     """One allowed block of chain stage (level, d), by a lazy depth-first
     walk of the stages: stage (0, d) yields the allowed cubes, every later
-    stage each scanned join of two blocks of the stage before it along its
-    next axis. Each stage replays the blocks of the stage below from one
-    generator, so each join is scanned once; one scanned join is one node,
-    and a first witness of level n takes from d n nodes up. Every allowed
-    block is two allowed halves, so a walk exhausted without a budget stop
-    certifies the level empty. Levels whose 2^(d n) - 1 exceeds the node
-    budget are refused before the walk, as a depth guard: a level-n block
-    holds 2^(d n) cubes, and scanning it builds one window getter per
-    cell."""
+    stage each join of two blocks of the stage before it along its next
+    axis whose seam is allowed. Both halves are allowed, so only a window
+    across the seam can be forbidden, and it lies in the seam block: the
+    low block's top l-1 slabs joined to the high block's bottom l-1 slabs,
+    as `relation.pair_relation` scans below a pairing extent of 2l (for
+    l = 1 no window crosses the seam). Each low block's slab is cut once.
+    Each stage replays the blocks of the stage below from one generator,
+    so each join is tested once; one tested join is one node, and a first
+    witness of level n takes from d n nodes up. Every allowed block is two
+    allowed halves, so a walk exhausted without a budget stop certifies the
+    level empty. Levels whose 2^(d n) - 1 exceeds the node budget are
+    refused before the walk, as a depth guard: a level-n block holds
+    2^(d n) cubes, and each witness the top stage yields is joined and
+    printed whole."""
     if level < 0:
         raise SpecError("level must be >= 0")
     cubes, _, start = spec_start(spec, caps)
     d, budget, spent = spec.dimension, caps.witness_nodes, 0
+    t = cubes.side - 1
     if not start.blocks:
         return WitnessResult(None, 0, "no allowed cubes: the space is empty", empty=True)
 
@@ -385,15 +391,17 @@ def witness_search(spec: SftSpec, level: int, caps: Caps = DEFAULT_CAPS) -> Witn
             yield from start.blocks.datas
             return
         below = (n, i - 1) if i > 1 else (n - 1, d)
-        shape, joined = stage_shape(d, cubes.side, *below), stage_shape(d, cubes.side, n, i)
+        shape, axis = stage_shape(d, cubes.side, *below), i - 1
+        slab = shape[:axis] + (t,) + shape[axis + 1 :]
+        seam = shape[:axis] + (2 * t,) + shape[axis + 1 :]
         made = itertools.tee(blocks(*below), 1)[0]
         for low in copy.copy(made):
+            top = _split(low, shape, axis, shape[axis] - t)[1] if t else None
             for high in copy.copy(made):
                 spent += 1
                 refuse(spent, budget, "node budget {cap} exhausted")
-                data = join(low, high, shape, i - 1)
-                if allowed_data(data, joined, cubes):
-                    yield data
+                if not t or allowed_data(join(top, _split(high, shape, axis, t)[0], slab, axis), seam, cubes):
+                    yield join(low, high, shape, axis)
 
     try:
         refuse(2 ** (d * level) - 1, budget, "node budget {cap} exhausted")

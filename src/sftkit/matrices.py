@@ -28,6 +28,8 @@ once), and a doubled block is allowed iff its two halves and the
 half-overlapping middle block are, because a forbidden cube spans at most
 half of a doubled side. So each later step is two `relation.middle_join`
 calls, the chain's own join, over letter positions (see `step_literal`).
+The join's key groups share one index list per half key, and the step maps
+each distinct list onto column-wise positions once.
 
 Budgets: `level0_matrices` checks its horizontal index (k^2) and
 `step_literal` its vertical index (k^4) before any work, so those stops
@@ -282,9 +284,13 @@ def step_literal(
     check_index("vertical", k**4, caps)
     squares, vrel = _letter_squares(lvl)
     # each key group maps one-to-one onto column-wise positions, so the
-    # groups stay disjoint and the ones are counted without being listed
+    # groups stay disjoint and the ones are counted without being listed;
+    # the groups share one list per half key, each mapped once, by identity
+    # (vrel keeps the lists alive, so no two share an id)
     at = [_colwise_pos(k, q) for q in squares].__getitem__
-    vones = Relation(([*map(at, lows)], [*map(at, highs)]) for lows, highs in vrel.groups)
+    shared = {id(ids): ids for group in vrel.groups for ids in group}
+    mapped = {key: [*map(at, ids)] for key, ids in shared.items()}
+    vones = Relation((mapped[id(lows)], mapped[id(highs)]) for lows, highs in vrel.groups)
 
     # the next letters are the row pairs stacked, in arrangement-row-wise
     # order; the vertical index reads the same squares column-wise

@@ -29,15 +29,17 @@ of high-side indices. `pair_relation` returns those key groups as a
 so the relation's size, which is the next stage's block count, is the sum of
 the group sizes.
 
-Halves, slabs and joined blocks are cut across the row-major order whenever
-an axis before the pairing one is longer than 1. For tuples that is a cached
-`itemgetter` gather of single cells. `bytes` are read once as big-endian
-ints instead: a half or slab is keyed by the block masked to its cells
-(the upper one shifted down to coordinate 0, so it equals the lower key of
-the same cells), one block per distinct slab is split for the seam scan,
-and `join_pairs` spreads each block once into a joined block's low cells,
-shifts that spread down one chunk for the high cells, and glues a pair with
-one OR.
+Where every axis before the pairing one has length 1, halves are row-major
+slices: `_split_keys` computes the cut once and slices each block (the
+literal step's 2x2 letter squares, and every axis-0 join). Otherwise halves,
+slabs and joined blocks are cut across the row-major order. For tuples that
+is a cached `itemgetter` gather of single cells. `bytes` are read once as
+big-endian ints instead: a half or slab is keyed by the block masked to its
+cells (the upper one shifted down to coordinate 0, so it equals the lower
+key of the same cells), one block per distinct slab is split for the seam
+scan, and `join_pairs` spreads each block once into a joined block's low
+cells, shifts that spread down one chunk for the high cells, and glues a
+pair with one OR.
 """
 from __future__ import annotations
 
@@ -229,6 +231,10 @@ def _split_keys(datas: Sequence[Data], shape: Coord, axis: int, cut: int) -> Ite
     # int-coded data two masked ints, the upper one moved down to
     # coordinate 0 so that it equals the lower key of a split at
     # extent - cut of the same cells
+    if prod(shape[:axis]) == 1:
+        # every axis before `axis` has length 1: one cut, two slices a datum
+        at = cut * prod(shape[axis + 1 :])
+        return ((data[:at], data[at:]) for data in datas)
     if not _int_coded(datas, shape, axis):
         return (_split(data, shape, axis, cut) for data in datas)
     lo, hi, shift = _masks(shape, axis, cut)

@@ -293,8 +293,8 @@ MUTANTS = (
     Mutant(
         "witness_search: the target stage's joins yielded unscanned",
         "src/sftkit/levels.py",
-        "if allowed_data(data, joined, cubes):",
-        "if (n, i) == (level, d) or allowed_data(data, joined, cubes):",
+        "if not t or allowed_data(",
+        "if (n, i) == (level, d) or not t or allowed_data(",
         (
             "tests/test_levels.py::test_witness_is_an_allowed_square_of_its_level",
             "tests/test_levels.py::test_an_exhausted_witness_search_is_an_empty_chain_stage",
@@ -320,6 +320,34 @@ MUTANTS = (
         '                refuse(spent, budget, "node budget {cap} exhausted")\n',
         "",
         ("tests/test_levels.py::test_witness_search_stops_when_its_budget_runs_out_mid_search",),
+    ),
+    Mutant(
+        "witness_search: a seam one slab too thin",
+        "src/sftkit/levels.py",
+        "    t = cubes.side - 1\n",
+        "    t = cubes.side - 2\n",
+        (
+            "tests/test_levels.py::test_witness_is_an_allowed_square_of_its_level",
+            "tests/test_levels.py::test_an_exhausted_witness_search_is_an_empty_chain_stage",
+        ),
+    ),
+    Mutant(
+        "step_literal: the key-list memo ignores list identity",
+        "src/sftkit/matrices.py",
+        "    shared = {id(ids): ids for group in vrel.groups for ids in group}\n"
+        "    mapped = {key: [*map(at, ids)] for key, ids in shared.items()}\n"
+        "    vones = Relation((mapped[id(lows)], mapped[id(highs)]) for lows, highs in vrel.groups)\n",
+        "    shared = {len(ids): ids for group in vrel.groups for ids in group}\n"
+        "    mapped = {key: [*map(at, ids)] for key, ids in shared.items()}\n"
+        "    vones = Relation((mapped[len(lows)], mapped[len(highs)]) for lows, highs in vrel.groups)\n",
+        ("tests/test_matrices.py::test_step_literal_maps_each_shared_key_list_once",),
+    ),
+    Mutant(
+        "_split_keys: the slice cut lacks the trailing-axes factor",
+        "src/sftkit/relation.py",
+        "at = cut * prod(shape[axis + 1 :])",
+        "at = cut",
+        ("tests/test_relation.py::test_int_coded_bytes_match_the_tuple_path",),
     ),
     Mutant(
         "_masks: the high-key shift off by one chunk",

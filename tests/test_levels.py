@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -247,21 +248,23 @@ def test_witness_search_stops_when_its_budget_runs_out_mid_search():
 
 
 def test_witness_search_scans_each_join_once(monkeypatch):
-    # each stage replays the blocks of the stage below, so no join is
-    # scanned twice, and every scan is one node
+    # each stage replays the blocks of the stage below, so no (low, high)
+    # join of a stage is tested twice, and every test is one node: one scan
+    # of the join's seam block (seams themselves repeat across joins)
     import sftkit.levels
 
-    scanned = []
+    tested = []
     original = sftkit.levels.allowed_data
 
     def recorded(data, shape, cubes):
-        scanned.append((shape, bytes(data)))
+        stage = sys._getframe(1).f_locals  # the stage generator that tests
+        tested.append((stage["n"], stage["i"], bytes(stage["low"]), bytes(stage["high"])))
         return original(data, shape, cubes)
 
     monkeypatch.setattr(sftkit.levels, "allowed_data", recorded)
     res = witness_search(random_square_spec(random.Random(6), 4, 10), 2)
-    assert res.block is not None and len(scanned) == res.nodes
-    assert len(set(scanned)) == len(scanned)
+    assert res.block is not None and len(tested) == res.nodes
+    assert len(set(tested)) == len(tested)
 
 
 def test_sample_patch_contracts(checkerboard):

@@ -355,6 +355,23 @@ def test_step_literal_joins_the_letter_squares_once(full_shift, monkeypatch):
     assert nxt.horiz.ones_count() == 65536 and nxt.vjoin is None
 
 
+def test_step_literal_maps_each_shared_key_list_once(hard_squares):
+    # level 0 -> 1 over the full cube index: the join's 1,234 groups share
+    # 82 distinct index lists (one per half key), and the vertical ones
+    # share them the same way, each mapped onto column-wise positions once
+    caps = DEFAULT_CAPS.but(max_index=70000, max_work=10**8)
+    cubes = normalize_to_cubes(hard_squares)
+    lvl = level0_matrices(tuple(iter_cubes(hard_squares, 2)), cubes, caps)
+    nxt = step_literal(lvl, caps, compute_h=False)
+    squares, vrel = nxt.vjoin
+    groups = nxt.vert.ones.groups
+    assert len(groups) == len(vrel.groups) == 1234
+    assert len({id(ids) for group in groups for ids in group}) == 82
+    # each group is the per-pair remap of the join's group
+    at = [_colwise_pos(len(lvl.letters), q) for q in squares]
+    assert groups == tuple(([at[i] for i in lows], [at[j] for j in highs]) for lows, highs in vrel.groups)
+
+
 def test_pairs_slices_compare_and_hash_as_their_blocks():
     from sftkit.matrices import Pairs
 

@@ -4,7 +4,7 @@ import math
 import random
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import sftkit.chain
@@ -317,7 +317,7 @@ def test_middle_join_keeps_no_group_without_a_middle(case, letters, data):
 # `bytes` blocks, read as big-endian ints, against the same blocks as tuples
 
 from sftkit.core import CubeSet  # noqa: E402
-from sftkit.relation import _seam_relation, join_pairs  # noqa: E402
+from sftkit.relation import _seam_relation, _split, _split_keys, join_pairs  # noqa: E402
 
 # shapes past the gather bound, so tuples are split and joined chunk by chunk
 _WIDE = ((3, 1367), (1367, 3), (2, 41, 51), (5, 3, 275), (3, 5, 275))
@@ -369,11 +369,34 @@ def coded_cases(draw):
     return shape, axis, sorted({bytes(cells) for cells in datas}), CubeSet(side, cubes, k)
 
 
+def _unit_axes_case(shape, axis, k, side, seed):
+    # blocks of `shape` whose axes before `axis` all have length 1, cut from
+    # a random tape three blocks long along `axis`, with cubes from the tape
+    rng = random.Random(seed)
+    extent, n = shape[axis], math.prod(shape)
+    tape_shape = shape[:axis] + (3 * extent,) + shape[axis + 1 :]
+    tape = Block(tape_shape, tuple(_cells(rng, 3 * n, k, 0.3)))
+    offsets = [tuple(o if a == axis else 0 for a in range(len(shape))) for o in range(2 * extent + 1)]
+    datas = [window(tape, o, shape).data for o in offsets]
+    corners = [tuple(rng.randrange(s - side + 1) for s in tape_shape) for _ in range(3)]
+    cubes = frozenset(window(tape, corner, (side,) * len(shape)) for corner in corners)
+    return shape, axis, sorted({bytes(p) for p in datas}), CubeSet(side, cubes, k)
+
+
 @settings(max_examples=150, deadline=None)
 @given(coded_cases())
+@example(_unit_axes_case((7,), 0, 3, 2, 1))
+@example(_unit_axes_case((4, 3), 0, 2, 2, 2))
+@example(_unit_axes_case((5, 2, 3), 0, 4, 2, 3))
+@example(_unit_axes_case((1, 6), 1, 256, 1, 4))
+@example(_unit_axes_case((1, 4, 3), 1, 3, 1, 5))
 def test_int_coded_bytes_match_the_tuple_path(case):
     shape, axis, datas, cubes = case
     tuples = [tuple(p) for p in datas]
+    if math.prod(shape[:axis]) == 1:
+        # the slice cut, made once for all blocks, gives `_split`'s halves
+        for blocks, cut in itertools.product((datas, tuples), range(1, shape[axis])):
+            assert list(_split_keys(blocks, shape, axis, cut)) == [_split(p, shape, axis, cut) for p in blocks]
     rel = middle_join(datas, shape, axis)
     assert rel.groups == middle_join(tuples, shape, axis).groups
     seam = _seam_relation(datas, shape, axis, cubes)
