@@ -6,8 +6,8 @@ exhausted witness search included), 3 inconclusive (a budget stop),
 """
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .caps import Caps, DEFAULT_CAPS
@@ -20,6 +20,8 @@ from .errors import (
 )
 
 if TYPE_CHECKING:
+    import argparse
+
     from .core import SftSpec
     from .levels import LevelReport
 
@@ -27,15 +29,6 @@ if TYPE_CHECKING:
 # its name in this module when it runs, so a function swapped here is the one
 # called. Each handler imports the engine it runs when it runs, so a process
 # loads only the modules of its command.
-
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("table", "csv"), default="table")
-    p.add_argument("--threads", type=int, default=1, help="worker processes for the oracle")
-    p.add_argument("--max-cubes", type=int, default=DEFAULT_CAPS.max_cubes)
-    p.add_argument("--max-index", type=int, default=DEFAULT_CAPS.max_index)
-    p.add_argument("--max-blocks", type=int, default=DEFAULT_CAPS.max_blocks)
-    p.add_argument("--max-work", type=int, default=DEFAULT_CAPS.max_work)
 
 
 def _caps_of(args) -> Caps:
@@ -243,6 +236,15 @@ def _arg(*flags, **kwargs) -> tuple[tuple[str, ...], dict]:
     return flags, kwargs
 
 
+# every command's flags, after its own arguments
+_COMMON = (
+    _arg("--format", choices=("table", "csv"), default="table"),
+    _arg("--threads", type=int, default=1, help="worker processes for the oracle"),
+    _arg("--max-cubes", type=int, default=DEFAULT_CAPS.max_cubes),
+    _arg("--max-index", type=int, default=DEFAULT_CAPS.max_index),
+    _arg("--max-blocks", type=int, default=DEFAULT_CAPS.max_blocks),
+    _arg("--max-work", type=int, default=DEFAULT_CAPS.max_work),
+)
 _SPEC = _arg("spec")
 _LEVEL = _arg("--level", type=int, required=True)
 _LEVELS = _arg("--levels", type=int, required=True)
@@ -318,6 +320,8 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI's parser. When `command` names a subcommand, only its
     subparser is built; the usage line still lists every subcommand, so
     help and error text are those of the whole tree."""
+    import argparse
+
     ap = argparse.ArgumentParser(
         prog="sftkit",
         description="Decide desk-scale questions about shifts of finite type.",
@@ -327,16 +331,65 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True, metavar=every if chosen else None)
     for name, text, handler, arguments in chosen or _COMMANDS:
         p = sub.add_parser(name, help=text)
-        for flags, kwargs in arguments:
+        for flags, kwargs in arguments + _COMMON:
             p.add_argument(*flags, **kwargs)
-        _add_common(p)
         p.set_defaults(func=handler)
     return ap
 
 
+def _parse_plain(argv) -> SimpleNamespace | None:
+    """The namespace `build_parser(argv[0]).parse_args(argv)` returns, read
+    straight from the command table; None for an argv it does not read.
+
+    It reads a command name, one positional and `--flag value` pairs
+    (a repeated flag keeps its last value), through the flag's own `type`,
+    `choices`, default and required mark. Anything else is argparse's to
+    read, refuse or explain: help, unknown or abbreviated flags,
+    `--flag=value`, `--`, a token that is empty or starts with `-` where a
+    value or the positional goes, a value its type or choices refuse, a
+    missing required flag, and a positional count other than one."""
+    command = next((c for c in _COMMANDS if argv and c[0] == argv[0]), None)
+    if command is None:
+        return None
+    name, _, handler, arguments = command
+    flags = {}
+    positional = None
+    for names, kwargs in arguments + _COMMON:
+        if names[0].startswith("-"):
+            flags[names[0]] = kwargs
+        else:
+            positional = names[0]
+    values = {}
+    given = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            given.append(token)
+            continue
+        kwargs = flags.get(token)
+        value = next(tokens, "")
+        if kwargs is None or not value or value.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(value)
+        except ValueError:
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[token] = value
+    if len(given) != 1 or not given[0]:
+        return None
+    args = {"command": name, positional: given[0]}
+    for flag, kwargs in flags.items():
+        if flag not in values and kwargs.get("required"):
+            return None
+        args[flag[2:].replace("-", "_")] = values.get(flag, kwargs.get("default"))
+    return SimpleNamespace(**args, func=handler)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = _parse_plain(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         from .specio import load_spec_file
 

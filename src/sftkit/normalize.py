@@ -16,6 +16,7 @@ scanning set.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from .caps import DEFAULT_CAPS, Caps, check_power
 from .core import Block, CubeSet, Pattern, SftSpec, pattern_width, strides
@@ -32,24 +33,26 @@ def forbidden_side(spec: SftSpec) -> int:
     return max(pattern_width(p) for p in spec.forbidden)
 
 
-def _occurrences_with_boundary(cube_shape, p: Pattern):
-    """Yield (offset, touches_boundary) for one pattern inside one cube shape."""
-    ext = p.extents
-    side = cube_shape[0]
-    for off in itertools.product(*[range(s - e + 1) for s, e in zip(cube_shape, ext)]):
-        touches = any(
-            off[i] + c[i] in (0, side - 1)
-            for c, _ in p.cells
-            for i in range(len(cube_shape))
-        )
-        yield off, touches
+def _offsets(side: int, p: Pattern, boundary_only: bool):
+    """Each offset of pattern `p` inside a side-l cube; with `boundary_only`,
+    only those where some cell of `p` lies on the cube's boundary."""
+    for off in itertools.product(*[range(side - e + 1) for e in p.extents]):
+        if not boundary_only or any(
+            o + c in (0, side - 1) for coord, _ in p.cells for o, c in zip(off, coord)
+        ):
+            yield off
+
+
+def _cube_datas(spec: SftSpec, side: int):
+    """The data of every side-l cube over the alphabet, in row-major
+    dictionary order: the one candidate walk of normalization."""
+    return itertools.product(range(spec.alphabet_size), repeat=side**spec.dimension)
 
 
 def iter_cubes(spec: SftSpec, side: int):
     """All side-l cubes over the alphabet, in row-major dictionary order."""
     shape = (side,) * spec.dimension
-    cells = side**spec.dimension
-    for data in itertools.product(range(spec.alphabet_size), repeat=cells):
+    for data in _cube_datas(spec, side):
         yield Block(shape, data)
 
 
@@ -68,22 +71,23 @@ def normalize_to_cubes(
     )
     shape = (side,) * spec.dimension
     st = strides(shape)
-    # pre-resolve each pattern's cell offsets per placement
-    placements = []
+    # one getter per pattern placement, reading the placed cells of a cube's
+    # data, and the symbols it must read for the pattern to occur there
+    checks = []
     for p in spec.forbidden:
-        for off, touches in _occurrences_with_boundary(shape, p):
-            if mode == MODE_NON_PROPER and not touches:
-                continue
+        syms = tuple(sym for _, sym in p.cells)
+        for off in _offsets(side, p, mode == MODE_NON_PROPER):
             base = sum(o * s for o, s in zip(off, st))
-            placements.append(
-                tuple((base + sum(c * s for c, s in zip(coord, st)), sym) for coord, sym in p.cells)
-            )
-    cubes = []
-    for cube in iter_cubes(spec, side):
-        data = cube.data
-        if any(all(data[i] == sym for i, sym in pl) for pl in placements):
-            cubes.append(cube)
-    return CubeSet(side, frozenset(cubes), spec.alphabet_size, mode)
+            at = [base + sum(c * s for c, s in zip(coord, st)) for coord, _ in p.cells]
+            # a one-index getter returns the symbol, not a 1-tuple
+            checks.append((itemgetter(*at), syms if len(syms) > 1 else syms[0]))
+    bad = []
+    for data in _cube_datas(spec, side):
+        for get, want in checks:
+            if get(data) == want:
+                bad.append(data)
+                break
+    return CubeSet(side, frozenset(Block(shape, data) for data in bad), spec.alphabet_size, mode)
 
 
 def enumerate_allowed_cubes(
@@ -98,5 +102,6 @@ def enumerate_allowed_cubes(
         caps.max_cubes,
         "enumeration needs {count} candidate cubes; raise max_cubes to at least {count}",
     )
+    shape = (cubes.side,) * spec.dimension
     bad = cubes.data_set()
-    return tuple(c for c in iter_cubes(spec, cubes.side) if c.data not in bad)
+    return tuple(Block(shape, data) for data in _cube_datas(spec, cubes.side) if data not in bad)

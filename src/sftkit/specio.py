@@ -72,7 +72,7 @@ def _is_sparse_pattern(node, dimension: int) -> bool:
         and len(cell) == 2
         and isinstance(cell[0], list)
         and len(cell[0]) == dimension
-        and all(isinstance(c, int) for c in cell[0])
+        and all(_is_int(c) for c in cell[0])
         and isinstance(cell[1], str)
         for cell in node
     )

@@ -392,6 +392,40 @@ MUTANTS = (
         ("tests/test_cli.py::test_compare_checks_each_shape_before_any_oracle_runs",),
     ),
     Mutant(
+        "_parse_plain: no choices check",
+        "src/sftkit/cli.py",
+        '        if "choices" in kwargs and value not in kwargs["choices"]:\n',
+        "        if False:\n",
+        ("tests/test_cli.py::test_the_table_leaves_every_other_argv_to_argparse[unknown-choice]",),
+    ),
+    Mutant(
+        "_parse_plain: a missing required flag takes its default",
+        "src/sftkit/cli.py",
+        '        if flag not in values and kwargs.get("required"):\n',
+        "        if False:\n",
+        (
+            "tests/test_cli.py::test_the_table_leaves_every_other_argv_to_argparse[missing-levels]",
+            "tests/test_cli.py::test_the_table_leaves_every_other_argv_to_argparse[missing-shape]",
+        ),
+    ),
+    Mutant(
+        "normalize_to_cubes: a single-cell placement is compared to a 1-tuple",
+        "src/sftkit/normalize.py",
+        "syms if len(syms) > 1 else syms[0]",
+        "syms",
+        (
+            "tests/test_normalize.py::test_single_cell_pattern",
+            "tests/test_normalize.py::test_non_proper_strictly_smaller_at_l3",
+        ),
+    ),
+    Mutant(
+        "_is_sparse_pattern: boolean coordinates",
+        "src/sftkit/specio.py",
+        "all(_is_int(c) for c in cell[0])",
+        "all(isinstance(c, int) for c in cell[0])",
+        ("tests/test_specio.py::test_parse_refuses_boolean_sparse_coordinates",),
+    ),
+    Mutant(
         "__getattr__: keeps what it returns in the package",
         "src/sftkit/__init__.py",
         '        return getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)\n',

@@ -581,3 +581,142 @@ def test_dp_counts_in_every_dimension(capsys):
     ]
     assert main(["count", os.path.join(specs, "d1.json"), "--engine", "dp", "--shape", "40"]) == 0
     assert capsys.readouterr().out.strip() == "267914296"
+
+
+# ---------------------------------------------------------------------------
+# a plain argv is read from the command table, and argparse reads the rest
+
+import contextlib  # noqa: E402
+import io  # noqa: E402
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from sftkit.cli import _COMMON, _parse_plain  # noqa: E402
+
+
+def _argparse_vars(argv):
+    """argparse's namespace for `argv` as a dict, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(build_parser(argv[0] if argv else None).parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _options(arguments):
+    return [(flags[0], kwargs) for flags, kwargs in arguments + _COMMON if flags[0].startswith("-")]
+
+
+def _good_value(kwargs):
+    if "choices" in kwargs:
+        return st.sampled_from(kwargs["choices"])
+    if kwargs.get("type") is int:
+        return st.integers(0, 10**6).map(str) | st.sampled_from((" 7", "+3", "1_000"))
+    return st.sampled_from(("4x4", "a.json", "x y", "2x2,4x2"))
+
+
+_BAD_VALUES = ("", "-1", "-x", "q", "1.5", "bogus", "--", "-h", "=1")
+
+
+@st.composite
+def _plain_argvs(draw):
+    """A command, its one positional and every required flag with a value
+    its type and choices take, in any order, some common flags repeated."""
+    name, _, _, arguments = draw(st.sampled_from(_COMMANDS))
+    options = _options(arguments)
+    chosen = [o for o in options if o[1].get("required")]
+    chosen += draw(st.lists(st.sampled_from(options), max_size=4))
+    pieces = [[draw(st.sampled_from(("x.json", "spec", "a b", "7")))]]
+    pieces += [[flag, draw(_good_value(kwargs))] for flag, kwargs in chosen]
+    return [name, *(token for piece in draw(st.permutations(pieces)) for token in piece)]
+
+
+@st.composite
+def _any_argvs(draw):
+    """A plain argv with some of its pieces spoiled: abbreviated, `=`-joined,
+    unknown or valueless flags, bad ints, unknown choices, a dropped
+    required flag, zero or two positionals, `-h`, `--`, negative numbers
+    and empty strings."""
+    argv = draw(_plain_argvs())
+    options = _options(next(c[3] for c in _COMMANDS if c[0] == argv[0]))
+    for _ in range(draw(st.integers(1, 3))):
+        flag, kwargs = draw(st.sampled_from(options))
+        value = draw(_good_value(kwargs))
+        spoilt = draw(
+            st.one_of(
+                st.integers(3, len(flag) - 1).map(lambda n: [flag[:n], value]),
+                st.sampled_from(_BAD_VALUES).map(lambda bad: [flag, bad]),
+                st.sampled_from(
+                    ([f"{flag}={value}"], [flag], ["--bogus", value], ["-h"], ["--help"], ["--"], [""],
+                     ["-3"], ["y.json"])
+                ),
+            )
+        )
+        at = draw(st.integers(1, len(argv)))
+        argv[at:at] = spoilt
+    if draw(st.booleans()):
+        # drop a token: a positional, a flag or a value
+        del argv[draw(st.integers(1, len(argv) - 1))]
+    if draw(st.booleans()):
+        argv[0] = draw(st.sampled_from(("", "bogus", "-h", "analyse")))
+    return argv
+
+
+@given(_plain_argvs())
+@settings(max_examples=300, deadline=None)
+def test_the_table_reads_a_plain_argv_as_argparse_does(argv):
+    plain = _parse_plain(argv)
+    assert plain is not None, argv
+    assert vars(plain) == _argparse_vars(argv)
+
+
+@given(_any_argvs())
+@settings(max_examples=500, deadline=None)
+def test_the_table_declines_what_argparse_refuses(argv):
+    plain = _parse_plain(argv)
+    parsed = _argparse_vars(argv)
+    if parsed is None:
+        assert plain is None, argv
+    elif plain is not None:
+        assert vars(plain) == parsed
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "x", "--levels", "1", "--mode", "bogus"],
+        ["analyze", "x"],
+        ["count", "x", "--engine", "dp"],
+        ["analyze", "x", "--lev", "1"],
+        ["analyze", "x", "--levels=1"],
+        ["analyze", "x", "--levels", "q"],
+        ["analyze", "x", "--levels", "-1"],
+        ["analyze", "x", "--levels"],
+        ["analyze", "x", "y", "--levels", "1"],
+        ["analyze", "--levels", "1"],
+        ["analyze", "", "--levels", "1"],
+        ["analyze", "x", "--levels", "1", "-h"],
+        ["analyze", "--", "x", "--levels", "1"],
+        ["analyse", "x", "--levels", "1"],
+        [],
+    ],
+    ids=[
+        "unknown-choice", "missing-levels", "missing-shape", "abbreviated", "joined", "bad-int",
+        "negative", "no-value", "two-positionals", "no-positional", "empty", "help", "dashes",
+        "unknown-command", "empty-argv",
+    ],
+)
+def test_the_table_leaves_every_other_argv_to_argparse(argv):
+    assert _parse_plain(argv) is None
+
+
+def test_a_plain_argv_builds_no_argument_parser(hs_file, monkeypatch, capsys):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an ArgumentParser was built")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", refuse)
+    assert main(["analyze", hs_file, "--levels", "1", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "1,squares,1234,,nonempty-to-level-1"
+    with pytest.raises(AssertionError, match="an ArgumentParser was built"):
+        main(["analyze", hs_file, "--levels", "1", "--mode", "bogus"])

@@ -23,7 +23,8 @@ ENGINE = {f"sftkit.{m}" for m in ("chain", "levels", "matrices", "oracle", "rela
 _PROBE = """\
 import json, sys
 {body}
-loaded = [m for m in sys.modules if m.startswith("sftkit") or m in ("hashlib", "_hashlib", "multiprocessing")]
+costly = ("hashlib", "_hashlib", "multiprocessing", "argparse")
+loaded = [m for m in sys.modules if m.startswith("sftkit") or m in costly]
 print(json.dumps(sorted(loaded)))
 """
 
@@ -75,6 +76,20 @@ def test_reduced_analyze_loads_neither_the_literal_module_nor_the_oracle():
     assert out[-1].endswith("nonempty-to-level-1")
     assert "sftkit.levels" in loaded
     assert not loaded & {"sftkit.matrices", "sftkit.oracle", "hashlib", "multiprocessing"}
+
+
+def test_a_plain_argv_loads_no_argparse():
+    out, loaded = _command("analyze", HARD_SQUARES, "--levels", "1")
+    assert out[-1] == "verdict: nonempty-to-level-1"
+    assert "argparse" not in loaded
+
+
+@pytest.mark.parametrize("extra", [["-h"], ["--bogus"]], ids=["help", "unknown-flag"])
+def test_help_and_unknown_flags_load_argparse(extra):
+    body = "import sftkit\ntry:\n    sftkit.cli.main(sys.argv[1:])\nexcept SystemExit:\n    pass"
+    out, loaded = _fresh(body, "analyze", HARD_SQUARES, "--levels", "1", *extra)
+    assert "argparse" in loaded
+    assert bool(out) == (extra == ["-h"])
 
 
 def test_literal_analyze_loads_matrices_and_prints_the_eager_rows():

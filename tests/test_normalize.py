@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sftkit import (
     Block,
@@ -16,8 +18,9 @@ from sftkit import (
     make_spec,
     normalize_to_cubes,
 )
+from sftkit.normalize import iter_cubes
 
-from conftest import naive_allowed_set, naive_count, random_square_spec
+from conftest import naive_allowed_set, naive_cell, naive_count, naive_occurs, random_square_spec
 
 
 def test_empty_forbidden_set(full_shift):
@@ -173,3 +176,48 @@ def test_check_power_decides_before_building_the_power():
     assert (str(exc.value), exc.value.required) == (f"2^{10**18}", None)
     with pytest.raises(BudgetError, match=r"^3\^\(a 16610-bit number\)$"):
         check_power(3, 10**5000, 10**6, "{count}")
+
+
+# (dimension, symbols, largest side) with at most 512 candidate cubes
+_SIZES = ((1, 2, 4), (1, 3, 3), (2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 1))
+
+
+@st.composite
+def _specs_and_modes(draw):
+    # cells anywhere in the side-l box, so patterns are gapped, thinner than
+    # the side on some axes, or a single cell
+    d, k, side = draw(st.sampled_from(_SIZES))
+    cell = st.tuples(st.tuples(*[st.integers(0, side - 1)] * d), st.integers(0, k - 1))
+    pattern = st.lists(cell, min_size=1, max_size=3, unique_by=lambda c: c[0]).map(Pattern.from_cells)
+    forbidden = draw(st.lists(pattern, min_size=1, max_size=3))
+    spec = make_spec(d, [str(s) for s in range(k)], forbidden)
+    return spec, draw(st.sampled_from((MODE_ALL, MODE_NON_PROPER)))
+
+
+def _occurs_on_the_boundary(cube: Block, cells) -> bool:
+    """Does the pattern occur in the cube with a cell on its boundary?"""
+    side = cube.shape[0]
+    for off in itertools.product(range(side), repeat=len(cube.shape)):
+        placed = [(tuple(o + c for o, c in zip(off, coord)), sym) for coord, sym in cells]
+        if (
+            all(max(at) < side for at, _ in placed)
+            and all(naive_cell(cube, at) == sym for at, sym in placed)
+            and any(0 in at or side - 1 in at for at, _ in placed)
+        ):
+            return True
+    return False
+
+
+@given(_specs_and_modes())
+@settings(max_examples=150, deadline=None)
+def test_cube_set_is_the_cubes_that_hold_a_pattern(spec_and_mode):
+    spec, mode = spec_and_mode
+    cubes = normalize_to_cubes(spec, mode)
+    occurs = naive_occurs if mode == MODE_ALL else _occurs_on_the_boundary
+    every = list(iter_cubes(spec, cubes.side))
+    held = {c.data for c in every if any(occurs(c, list(p.cells)) for p in spec.forbidden)}
+    assert {c.data for c in cubes.cubes} == held
+    assert all(c.shape == (cubes.side,) * spec.dimension for c in cubes.cubes)
+    index = enumerate_allowed_cubes(spec, cubes)
+    assert [c.data for c in index] == sorted({c.data for c in every} - held)
+    assert all(c.shape == every[0].shape for c in index)

@@ -42,6 +42,20 @@ def test_parse_sparse_vertical_domino():
     assert spec.forbidden == (Pattern.from_cells([((0, 0), 1), ((1, 0), 1)]),)
 
 
+def test_parse_refuses_boolean_sparse_coordinates(tmp_path, capsys):
+    # JSON true is not a coordinate, as it is not a dimension: read as a
+    # sparse cell it would make this a vertical domino
+    doc = {"dimension": 2, "symbols": ["0", "1"], "forbidden": [[[[True, 0], "1"], [[0, 0], "1"]]]}
+    with pytest.raises(FormatError, match=r"^forbidden\[0\]: expected a symbol at depth 2$"):
+        parse_spec(doc)
+    from sftkit.cli import main
+
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(doc))
+    assert main(["validate", str(path)]) == 4
+    assert capsys.readouterr().err == "error: forbidden[0]: expected a symbol at depth 2\n"
+
+
 def test_parse_sparse_anchors_translation():
     spec = parse_spec(
         {"dimension": 2, "symbols": ["0", "1"], "forbidden": [[[[4, 7], "1"], [[5, 7], "1"]]]}
@@ -323,14 +337,15 @@ def test_archive_loader_enumerates_the_cubes_once(tmp_path, hard_squares, monkey
     path = tmp_path / "state.json"
     save_state(analyze(hard_squares, 1), str(path))
     calls = []
-    real = sftkit.normalize.iter_cubes
+    real = sftkit.normalize._cube_datas
 
     def counted(*a, **k):
         calls.append(a)
         return real(*a, **k)
 
+    # the candidate walk that `iter_cubes` and the normalizer share
     for module in (sftkit.normalize, sftkit.specio):
-        monkeypatch.setattr(module, "iter_cubes", counted, raising=False)
+        monkeypatch.setattr(module, "_cube_datas", counted, raising=False)
     load_state(str(path))
     assert len(calls) == 1
 
