@@ -19,7 +19,7 @@ class Caps:
     max_cubes: int = 10**6
     # longest matrix index the literal pipeline will materialize
     max_index: int = 10**4
-    # largest allowed-square set a reduced step may emit
+    # most blocks a built chain stage may hold (`chain.check_next_stage`)
     max_blocks: int = 10**7
     # most cells (blocks times cells per block) a built chain stage may hold
     max_cells: int = 10**8

@@ -389,7 +389,14 @@ def _parse_plain(argv) -> SimpleNamespace | None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = _parse_plain(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
+    try:
+        args = _parse_plain(argv) or build_parser(argv[0] if argv else None).parse_args(argv)
+    except SystemExit as e:
+        # argparse refuses an argv with exit 2, the certified-empty code;
+        # help exits 0
+        if e.code:
+            raise SystemExit(4) from None
+        raise
     try:
         from .specio import load_spec_file
 

@@ -45,35 +45,7 @@ from .chain import (
 )
 from .core import Block, Blocks, CubeSet, SftSpec, allowed_data
 from .errors import BudgetError, EmptyStateError, SpecError
-from .relation import Relation, _split, join
-
-
-class StackRelation(Relation):
-    """hrel as a view over the stacks' relation: stack x is the x-th sorted
-    vrel pair, and (x, y) reads as the two pairs end to end. The 4-tuples
-    iterate sorted, from per-stack successor lists off the key groups; two
-    views compare as lists, and anything else goes through `Relation`."""
-
-    __slots__ = ("vrel",)
-
-    def __init__(self, vrel: AbstractSet[tuple[int, int]], stacks: Relation):
-        super().__init__(stacks.groups)
-        self.vrel = sorted(vrel)
-
-    def __iter__(self) -> Iterator[tuple[int, int, int, int]]:
-        vrel = self.vrel
-        succ: list[list[int]] = [[] for _ in vrel]
-        for lows, highs in self.groups:
-            for x in lows:
-                succ[x] += highs
-        return iter([vrel[x] + vrel[y] for x, ys in enumerate(succ) for y in sorted(ys)])
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, StackRelation):
-            return len(self) == len(other) and list(self) == list(other)
-        return super().__eq__(other)
-
-    __hash__ = Relation.__hash__
+from .relation import _split, join
 
 
 @dataclass(frozen=True)
@@ -81,10 +53,11 @@ class LevelState(DChainState):
     """A doubling level: chain stage (n, 2), whose blocks are the level's
     `squares` and whose relation is `vrel`, the (upper, lower) index pairs
     whose stack is allowed. `stacks` is stage (n+1, 1), kept once its
-    relation is computed; `hrel` reads that relation as (a, b, c, d), stack
-    a-over-b beside stack c-over-d (a `StackRelation`). vrel and hrel are
-    None until computed. `cubes` is the forbidden set the relations are
-    decided against, and not part of a state's value.
+    relation is computed, and `hrel` is that relation: (x, y) puts stack y
+    beside stack x, where stack x is the x-th sorted vrel pair, upper
+    square over lower square. vrel and hrel are None until computed.
+    `cubes` is the forbidden set the relations are decided against, and
+    not part of a state's value.
     """
 
     stacks: DChainState | None = None
@@ -102,10 +75,9 @@ class LevelState(DChainState):
     def vrel(self) -> AbstractSet[tuple[int, int]] | None:
         return self.relation
 
-    @cached_property
-    def hrel(self) -> StackRelation | None:
-        # built once a state: the view sorts every vrel pair
-        return None if self.stacks is None else StackRelation(self.relation, self.stacks.relation)
+    @property
+    def hrel(self) -> AbstractSet[tuple[int, int]] | None:
+        return None if self.stacks is None else self.stacks.relation
 
 
 def level0_state(allowed_cubes: Sequence[Block], cubes: CubeSet, caps: Caps = DEFAULT_CAPS) -> LevelState:
@@ -146,8 +118,10 @@ def reduced_step(state: LevelState, caps: Caps = DEFAULT_CAPS) -> LevelState:
 def nine_window_admissible(q: Block, prev: LevelState) -> bool:
     """Direct form of the admission rule for a doubled square: all aligned
     half-step windows must be allowed squares of the previous level.
-    Equivalent to membership of (a,b,c,d) in the previous hrel. A reference
-    oracle, kept apart from `relation.join`/`middle_join` on purpose."""
+    For q with left stack a-over-b and right stack c-over-d, equivalent to
+    membership in the previous hrel of (x, y), the positions of (a, b) and
+    (c, d) among the sorted vrel pairs. A reference oracle, kept apart from
+    `relation.join`/`middle_join` on purpose."""
     side = prev.side
     half = side // 2
     members = {b.data for b in prev.squares}
@@ -404,7 +378,8 @@ def witness_search(spec: SftSpec, level: int, caps: Caps = DEFAULT_CAPS) -> Witn
                     yield join(low, high, shape, axis)
 
     try:
-        refuse(2 ** (d * level) - 1, budget, "node budget {cap} exhausted")
+        # by bit length: 2^(b+1) - 1 is past any budget of b bits
+        refuse(2 ** min(d * level, budget.bit_length() + 1) - 1, budget, "node budget {cap} exhausted")
         for data in blocks(level, d):
             return WitnessResult(Block(stage_shape(d, cubes.side, level, d), tuple(data)), spent, None)
     except BudgetError as e:

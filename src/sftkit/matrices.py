@@ -28,8 +28,9 @@ once), and a doubled block is allowed iff its two halves and the
 half-overlapping middle block are, because a forbidden cube spans at most
 half of a doubled side. So each later step is two `relation.middle_join`
 calls, the chain's own join, over letter positions (see `step_literal`).
-The join's key groups share one index list per half key, and the step maps
-each distinct list onto column-wise positions once.
+Every matrix keeps its ones as the join's key groups (`relation.Relation`):
+the groups share one index list per half key, and each distinct list is
+mapped onto matrix positions once.
 
 Budgets: `level0_matrices` checks its horizontal index (k^2) and
 `step_literal` its vertical index (k^4) before any work, so those stops
@@ -40,7 +41,7 @@ also on its index past `max_index`, with that level as `partial`.
 """
 from __future__ import annotations
 
-from collections.abc import Sequence, Set
+from collections.abc import Callable, Hashable, Sequence, Set
 from dataclasses import dataclass, field, replace
 
 from .caps import DEFAULT_CAPS, Caps, refuse
@@ -135,10 +136,10 @@ class Pairs(Sequence[Block]):
 class CompatMatrix:
     """Sparse boolean matrix over ordered block indices.
 
-    `ones` is the set of (row, col) positions holding a 1. `step_literal`
-    keeps its vertical ones as a `relation.Relation`, one (rows, cols)
-    key group per middle-join key, so `ones_count` lists no pair; the other
-    matrices hold a frozenset. Both iterate, compare and combine as sets.
+    `ones` is the set of (row, col) positions holding a 1. The pipeline's
+    matrices hold a `relation.Relation`, one (rows, cols) key group per join
+    key, so `ones_count` lists no pair; it iterates, compares and combines
+    as a set.
 
     The constructor checks that each index holds distinct blocks and that
     every one lies inside the shape. It skips those O(n) scans when both
@@ -178,12 +179,11 @@ class CompatMatrix:
 class LiteralLevel:
     """One literal level: letters plus the vertical/horizontal matrices.
 
-    `letters` are the level squares in arrangement-row-wise order; `pair_ones`
-    mirrors the horizontal matrix as ((a,b),(c,d)) letter-position pairs.
-    `horiz` is None (and `pair_ones` empty) when the step stopped at the
-    vertical matrix; such a level made by `step_literal` keeps in `vjoin`
-    its squares as 2x2 blocks of the previous level's letters and their
-    vertical key groups, which `step_horizontal` goes on from.
+    `letters` are the level squares in arrangement-row-wise order. `horiz`
+    is None when the step stopped at the vertical matrix; such a level made
+    by `step_literal` keeps in `vjoin` its squares as 2x2 blocks of the
+    previous level's letters and their vertical key groups, which
+    `step_horizontal` goes on from.
     """
 
     level: int
@@ -191,8 +191,15 @@ class LiteralLevel:
     letters: Sequence[Block]
     vert: CompatMatrix
     horiz: CompatMatrix | None
-    pair_ones: frozenset[tuple[tuple[int, int], tuple[int, int]]]
     vjoin: tuple[list, Relation] | None = field(default=None, compare=False, repr=False)
+
+    @property
+    def pair_ones(self) -> Relation:
+        """The horizontal ones as ((a, b), (c, d)) letter-position pairs,
+        stack a-over-b beside stack c-over-d, in the horizontal matrix's
+        key groups; empty when `horiz` is None."""
+        n = len(self.letters)
+        return Relation() if self.horiz is None else _mapped(self.horiz.ones, lambda x: divmod(x, n))
 
     def zero(self) -> bool:
         return self.vert.is_zero() or (self.horiz is not None and self.horiz.is_zero())
@@ -216,12 +223,12 @@ def level0_matrices(
     side = cubes.side
     square = (side, side)
     datas = [b.data for b in letters]
-    pairs = list(pair_relation(datas, square, 0, cubes))
-    vert = CompatMatrix(letters, letters, frozenset(pairs))
-    part = LiteralLevel(0, side, letters, vert, None, frozenset())
+    vert = CompatMatrix(letters, letters, pair_relation(datas, square, 0, cubes))
+    part = LiteralLevel(0, side, letters, vert, None)
     _check_stack_pairs(part, caps)
 
     # horizontal entries need both column stacks allowed, so only scan those
+    pairs = list(vert.ones)
     stacks = [join(datas[i], datas[j], square, 0) for i, j in pairs]
     return _with_horizontal(part, pairs, pair_relation(stacks, (2 * side, side), 1, cubes))
 
@@ -249,14 +256,23 @@ def _check_stack_pairs(part: LiteralLevel, caps: Caps) -> None:
     refuse(part.vert.ones_count() ** 2, caps.max_work, message, part)
 
 
-def _with_horizontal(part: LiteralLevel, stacks: Sequence[tuple[int, int]], hpairs) -> LiteralLevel:
-    # stacks[x] is stack x's (top, bottom) letters; hpairs its (left, right) pairs
+def _mapped(rel: Relation, at: Callable[[int], Hashable]) -> Relation:
+    # `rel` with each index x read as at(x). at is one-to-one, so the groups
+    # stay disjoint and the ones are counted without being listed; the
+    # groups share one list per half key, each mapped once, by identity
+    # (rel keeps the lists alive, so no two share an id)
+    shared = {id(ids): ids for group in rel.groups for ids in group}
+    mapped = {key: [*map(at, ids)] for key, ids in shared.items()}
+    return Relation((mapped[id(lows)], mapped[id(highs)]) for lows, highs in rel.groups)
+
+
+def _with_horizontal(part: LiteralLevel, stacks: Sequence[tuple[int, int]], hrel: Relation) -> LiteralLevel:
+    # stacks[x] is stack x's (top, bottom) letters, at position top*n + bottom
+    # of the stack index; hrel pairs the stacks (left, right)
     n = len(part.letters)
-    pair_ones = frozenset((stacks[x], stacks[y]) for x, y in hpairs)
-    hones = frozenset((a * n + b, c * n + d) for (a, b), (c, d) in pair_ones)
     rects = Pairs(part.letters)
-    horiz = CompatMatrix(rects, rects, hones)
-    return replace(part, horiz=horiz, pair_ones=pair_ones, vjoin=None)
+    hones = _mapped(hrel, [a * n + b for a, b in stacks].__getitem__)
+    return replace(part, horiz=CompatMatrix(rects, rects, hones), vjoin=None)
 
 
 def _letter_squares(lvl: LiteralLevel):
@@ -283,21 +299,14 @@ def step_literal(
     k = len(lvl.letters)
     check_index("vertical", k**4, caps)
     squares, vrel = _letter_squares(lvl)
-    # each key group maps one-to-one onto column-wise positions, so the
-    # groups stay disjoint and the ones are counted without being listed;
-    # the groups share one list per half key, each mapped once, by identity
-    # (vrel keeps the lists alive, so no two share an id)
-    at = [_colwise_pos(k, q) for q in squares].__getitem__
-    shared = {id(ids): ids for group in vrel.groups for ids in group}
-    mapped = {key: [*map(at, ids)] for key, ids in shared.items()}
-    vones = Relation((mapped[id(lows)], mapped[id(highs)]) for lows, highs in vrel.groups)
+    vones = _mapped(vrel, [_colwise_pos(k, q) for q in squares].__getitem__)
 
     # the next letters are the row pairs stacked, in arrangement-row-wise
     # order; the vertical index reads the same squares column-wise
     letters = Pairs(Pairs(lvl.letters, 1), 0)
     index = Pairs(Pairs(lvl.letters, 0), 1)
     vert = CompatMatrix(index, index, vones)
-    part = LiteralLevel(lvl.level + 1, 2 * lvl.side, letters, vert, None, frozenset(), (squares, vrel))
+    part = LiteralLevel(lvl.level + 1, 2 * lvl.side, letters, vert, None, (squares, vrel))
     return step_horizontal(lvl, part, caps) if compute_h else part
 
 

@@ -118,6 +118,8 @@ def parse_spec(doc) -> SftSpec:
             doc = json.loads(doc)
         except json.JSONDecodeError as e:
             raise FormatError(f"invalid JSON at line {e.lineno}, column {e.colno}: {e.msg}") from None
+        except ValueError as e:  # e.g. an integer past the interpreter's digit limit
+            raise FormatError(f"invalid JSON: {e}") from None
         except RecursionError:
             raise FormatError("invalid JSON: nested too deeply") from None
     if not isinstance(doc, dict):

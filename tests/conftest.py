@@ -65,6 +65,16 @@ def naive_allowed_set(spec: SftSpec, shape) -> set:
     }
 
 
+def hrel_quads(level) -> set:
+    """A d=2 level's `hrel` read as (a, b, c, d): stack a-over-b beside
+    stack c-over-d, each stack decoded from its block data through the
+    level's squares."""
+    sq = level.squares.datas
+    upper_lower = {sq[a] + sq[b]: (a, b) for a, b in level.vrel}
+    stacks = [upper_lower[data] for data in level.stacks.blocks.datas]
+    return {stacks[x] + stacks[y] for x, y in level.hrel}
+
+
 def with_target(result):
     """`result` with its walk stepped into the target, so that `save_state`
     writes the target stage too, as archives were written before they

@@ -303,8 +303,8 @@ MUTANTS = (
     Mutant(
         "witness_search: the up-front bound one node high",
         "src/sftkit/levels.py",
-        "refuse(2 ** (d * level) - 1, budget",
-        "refuse(2 ** (d * level), budget",
+        "refuse(2 ** min(d * level, budget.bit_length() + 1) - 1, budget",
+        "refuse(2 ** min(d * level, budget.bit_length() + 1), budget",
         ("tests/test_levels.py::test_witness_levels_past_the_least_cost_are_not_searched",),
     ),
     Mutant(
@@ -332,15 +332,48 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "step_literal: the key-list memo ignores list identity",
+        "_mapped: the key-list memo ignores list identity",
         "src/sftkit/matrices.py",
-        "    shared = {id(ids): ids for group in vrel.groups for ids in group}\n"
+        "    shared = {id(ids): ids for group in rel.groups for ids in group}\n"
         "    mapped = {key: [*map(at, ids)] for key, ids in shared.items()}\n"
-        "    vones = Relation((mapped[id(lows)], mapped[id(highs)]) for lows, highs in vrel.groups)\n",
-        "    shared = {len(ids): ids for group in vrel.groups for ids in group}\n"
+        "    return Relation((mapped[id(lows)], mapped[id(highs)]) for lows, highs in rel.groups)\n",
+        "    shared = {len(ids): ids for group in rel.groups for ids in group}\n"
         "    mapped = {key: [*map(at, ids)] for key, ids in shared.items()}\n"
-        "    vones = Relation((mapped[len(lows)], mapped[len(highs)]) for lows, highs in vrel.groups)\n",
+        "    return Relation((mapped[len(lows)], mapped[len(highs)]) for lows, highs in rel.groups)\n",
         ("tests/test_matrices.py::test_step_literal_maps_each_shared_key_list_once",),
+    ),
+    Mutant(
+        "_mapped: the highs mapped through the lows' positions",
+        "src/sftkit/matrices.py",
+        "(mapped[id(lows)], mapped[id(highs)])",
+        "(mapped[id(lows)], mapped[id(lows)])",
+        (
+            "tests/test_levels.py::test_literal_reduced_equivalence_small",
+            "tests/test_matrices.py::test_step_literal_horizontal_matches_reduced",
+            "tests/test_matrices.py::test_step_literal_maps_each_shared_key_list_once",
+        ),
+    ),
+    Mutant(
+        "_with_horizontal: stack a-over-b at position b * n + a",
+        "src/sftkit/matrices.py",
+        "[a * n + b for a, b in stacks]",
+        "[b * n + a for a, b in stacks]",
+        (
+            "tests/test_matrices.py::test_step_literal_horizontal_matches_reduced",
+            "tests/test_acceptance.py::test_criterion_4_literal_reduced_equivalence",
+        ),
+    ),
+    Mutant(
+        "hrel: the squares' own relation in place of the stacks'",
+        "src/sftkit/levels.py",
+        "else self.stacks.relation",
+        "else self.relation",
+        (
+            "tests/test_levels.py::test_level0_hard_squares",
+            "tests/test_levels.py::test_every_relation_the_engine_hands_out_is_a_relation[hard_squares]",
+            "tests/test_walk.py::test_level0_relations_against_naive_oracle",
+            "tests/test_specio.py::test_hrel_view_keeps_the_set_contract",
+        ),
     ),
     Mutant(
         "_split_keys: the slice cut lacks the trailing-axes factor",

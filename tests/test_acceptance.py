@@ -32,7 +32,7 @@ from sftkit import (
 from sftkit.cli import main as cli_main
 from sftkit.normalize import iter_cubes
 
-from conftest import random_square_spec
+from conftest import hrel_quads, random_square_spec
 
 
 @contextmanager
@@ -113,7 +113,7 @@ def _equiv_one_spec(spec, caps):
         (pos0[full[a].data], pos0[full[b].data], pos0[full[c].data], pos0[full[d].data])
         for (a, b), (c, d) in lit0.pair_ones
     }
-    assert mapped_h == set(st0.hrel)
+    assert mapped_h == hrel_quads(st0)
 
     # literal next vertical matrix vs vrel at level 1
     lvl1 = with_relations(reduced_step(st0, caps), caps, need_hrel=False)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -165,6 +166,16 @@ def test_witness_exhausted(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "absent: search space exhausted: level 1 is empty\n"
+
+
+def test_witness_refuses_a_deep_level_at_once(capsys):
+    # 2^(2 * 10^11) - 1 nodes: refused by its bit length, without the power
+    # of 2.5e10 bytes being built
+    hs = os.path.join(GOLDEN_SPECS, "hard_squares.json")
+    start = time.perf_counter()
+    assert main(["witness", hs, "--level", "100000000000"]) == 3
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == "absent: node budget 200000 exhausted (not an emptiness proof)\n"
 
 
 def test_witness_agrees_with_analyze_on_an_empty_level(capsys):
@@ -449,11 +460,18 @@ def _exit_text(parse, argv, capsys):
     return e.value.code, out.out, out.err
 
 
+def _as_main(exit_text):
+    # main exits 4 where argparse refuses an argv with 2 (2 is the
+    # certified-empty code); help exits 0 in both
+    code, out, err = exit_text
+    return {0: 0, 2: 4}[code], out, err
+
+
 @pytest.mark.parametrize("name", [c[0] for c in _COMMANDS])
 def test_one_subparser_speaks_like_the_whole_tree(name, monkeypatch, capsys):
     whole = build_parser().parse_args
     for argv in ([name, "-h"], [name], [name, "x", "--bogus"], [name, "x", "--threads", "q"]):
-        assert _exit_text(main, argv, capsys) == _exit_text(whole, argv, capsys)
+        assert _exit_text(main, argv, capsys) == _as_main(_exit_text(whole, argv, capsys))
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -469,7 +487,7 @@ def test_one_subparser_speaks_like_the_whole_tree(name, monkeypatch, capsys):
 @pytest.mark.parametrize("argv", [[], ["-h"], ["bogus"]])
 def test_top_level_text_is_the_whole_tree(argv, capsys):
     code, out, err = _exit_text(main, argv, capsys)
-    assert (code, out, err) == _exit_text(build_parser().parse_args, argv, capsys)
+    assert (code, out, err) == _as_main(_exit_text(build_parser().parse_args, argv, capsys))
     assert "{validate,normalize,analyze,count,sample,witness,compare,export-state,import-state}" in out + err
 
 

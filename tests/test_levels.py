@@ -29,7 +29,7 @@ from sftkit import (
 from sftkit.chain import chain_report, chain_start, spec_start
 from sftkit.levels import level_states
 
-from conftest import naive_allowed, naive_count, random_square_spec
+from conftest import hrel_quads, naive_allowed, naive_count, random_square_spec
 
 
 def _base(spec, caps=DEFAULT_CAPS):
@@ -57,6 +57,31 @@ def test_reduced_step_counts_and_soundness(hard_squares):
     assert all(a.data < b.data for a, b in zip(nxt.squares, nxt.squares[1:]))
 
 
+@pytest.mark.parametrize("name", ["full_shift", "hard_squares"])
+def test_every_relation_the_engine_hands_out_is_a_relation(name, request):
+    from sftkit.relation import Relation
+
+    spec = request.getfixturevalue(name)
+    index, cubes = _base(spec)
+    walk = analyze(spec, 1).walk
+    assert walk[-1].relation is not None
+    assert all(type(st.relation) is Relation for st in walk if st.relation is not None)
+    # level 1's horizontal relations only for the full shift: hard squares'
+    # level-1 stacks are past the caps
+    h1 = name == "full_shift"
+    caps = DEFAULT_CAPS.but(max_work=10**8, max_index=70000)
+    st0 = level0_state(index, cubes)
+    lvl1 = with_relations(reduced_step(st0), caps, need_hrel=h1)
+    lit0 = level0_matrices(index, cubes, caps)
+    lit1 = step_literal(lit0, caps, compute_h=h1)
+    rels = [st0.vrel, st0.hrel, lvl1.vrel, lit0.vert.ones, lit0.horiz.ones, lit0.pair_ones, lit1.vert.ones]
+    if h1:
+        rels += [lvl1.hrel, lit1.horiz.ones, lit1.pair_ones]
+    assert all(type(rel) is Relation for rel in rels)
+    assert st0.hrel is st0.stacks.relation
+    assert lvl1.hrel is (lvl1.stacks.relation if h1 else None)
+
+
 def test_checkerboard_relations(checkerboard):
     index, cubes = _base(checkerboard)
     st = level0_state(index, cubes)
@@ -75,6 +100,7 @@ def test_nine_window_rule_matches_hrel(checkerboard):
     from sftkit import assemble
 
     sq = lvl1.squares
+    quads = hrel_quads(lvl1)
     admitted = set()
     for a in range(len(sq)):
         for b in range(len(sq)):
@@ -83,9 +109,9 @@ def test_nine_window_rule_matches_hrel(checkerboard):
                     q = assemble([[sq[a], sq[c]], [sq[b], sq[d]]])
                     if nine_window_admissible(q, lvl1):
                         admitted.add(q)
-                        assert (a, b, c, d) in lvl1.hrel
+                        assert (a, b, c, d) in quads
                     else:
-                        assert (a, b, c, d) not in lvl1.hrel
+                        assert (a, b, c, d) not in quads
     assert admitted == set(lvl2.squares)
 
 
@@ -176,7 +202,7 @@ def test_literal_reduced_equivalence_small(checkerboard, full_shift):
         # base matrices against base relations, as letter-position tuples
         assert lit.vert.ones == st0.vrel
         lit_h = {(a, b, c, d) for (a, b), (c, d) in lit.pair_ones}
-        assert lit_h == set(st0.hrel)
+        assert lit_h == hrel_quads(st0)
         # vertical ones at the next level against vrel_1
         lvl1 = with_relations(reduced_step(st0), DEFAULT_CAPS.but(max_work=10**8))
         nxt = step_literal(lit, DEFAULT_CAPS.but(max_work=10**8, max_index=70000))
@@ -191,7 +217,7 @@ def test_literal_reduced_equivalence_small(checkerboard, full_shift):
             (letter_map[a], letter_map[b], letter_map[c], letter_map[d])
             for (a, b), (c, d) in nxt.pair_ones
         }
-        assert lit_h1 == set(lvl1.hrel)
+        assert lit_h1 == hrel_quads(lvl1)
 
 
 def test_witness_hard_squares(hard_squares):

@@ -26,7 +26,7 @@ from sftkit import (
 from sftkit.matrices import _colwise_pos, _rowwise_pos
 from sftkit.normalize import iter_cubes
 
-from conftest import random_square_spec
+from conftest import hrel_quads, random_square_spec
 
 
 def test_otimes_annihilation():
@@ -274,7 +274,7 @@ def _check_step(spec, full_index, max_index=70000):
     stack_pos = {sq[a].data + sq[b].data: (a, b) for a, b in lvl1.vrel}
     rects = nxt.horiz.row_blocks
     mapped = {stack_pos[rects[x].data] + stack_pos[rects[y].data] for x, y in nxt.horiz.ones}
-    assert mapped == set(lvl1.hrel)
+    assert mapped == hrel_quads(lvl1)
     n = len(nxt.letters)
     assert nxt.horiz.ones == {(a * n + b, c * n + d) for (a, b), (c, d) in nxt.pair_ones}
     return True

@@ -56,6 +56,20 @@ def test_parse_refuses_boolean_sparse_coordinates(tmp_path, capsys):
     assert capsys.readouterr().err == "error: forbidden[0]: expected a symbol at depth 2\n"
 
 
+def test_parse_refuses_a_coordinate_past_the_int_digit_limit(tmp_path, capsys):
+    # a 5,001-digit coordinate fails in the JSON decoder, past the
+    # interpreter's 4,300-digit limit on int conversion: a format error
+    text = '{"dimension": 2, "symbols": ["0", "1"], "forbidden": [[[[0, 1%s], "1"]]]}' % ("0" * 5000)
+    with pytest.raises(FormatError, match=r"^invalid JSON: .*5001 digits"):
+        parse_spec(text)
+    from sftkit.cli import main
+
+    path = tmp_path / "long.json"
+    path.write_text(text)
+    assert main(["validate", str(path)]) == 4
+    assert capsys.readouterr().err.startswith("error: invalid JSON: Exceeds the limit")
+
+
 def test_parse_sparse_anchors_translation():
     spec = parse_spec(
         {"dimension": 2, "symbols": ["0", "1"], "forbidden": [[[[4, 7], "1"], [[5, 7], "1"]]]}
@@ -925,25 +939,29 @@ def test_archive_square_with_an_unknown_symbol_is_refused(tmp_path, hard_squares
 
 
 def test_hrel_view_keeps_the_set_contract(hard_squares, monkeypatch):
-    from sftkit.levels import StackRelation
+    from sftkit.relation import Relation
 
     res = analyze(hard_squares, 1)
     state = res.levels[0]
     view = state.hrel
-    assert isinstance(view, StackRelation)
-    tuples = frozenset(view)
-    some = next(iter(tuples))
-    fewer = tuples - {some}
-    # len, iteration and view-to-view equality list the tuples without a set
+    # hrel is the stacks' own relation: (x, y) puts stack y beside stack x,
+    # and stack x is the x-th sorted vrel pair, upper square over lower
+    assert view is state.stacks.relation and type(view) is Relation
+    sq = state.squares.datas
+    assert list(state.stacks.blocks.datas) == [sq[a] + sq[b] for a, b in sorted(state.vrel)]
+    pairs = frozenset(view)
+    some = next(iter(pairs))
+    fewer = pairs - {some}
+    # len and iteration read the key groups without a set
     with monkeypatch.context() as m:
-        m.setattr(StackRelation, "pairs", lambda self: pytest.fail("frozenset built"))
-        assert len(view) == len(tuples) == 1234
-        assert list(view) == sorted(tuples)
-        assert view == analyze(hard_squares, 1).levels[0].hrel
-    assert view == tuples and tuples == view
-    assert not (view != tuples) and not (tuples != view)
+        m.setattr(Relation, "pairs", lambda self: pytest.fail("frozenset built"))
+        assert len(view) == len(pairs) == 1234
+        assert sum(1 for _ in view) == 1234
+    assert view == analyze(hard_squares, 1).levels[0].hrel
+    assert view == pairs and pairs == view
+    assert not (view != pairs) and not (pairs != view)
     assert view != fewer and fewer != view
-    assert hash(view) == hash(tuples)
-    assert some in view and (len(state.squares), 0, 0, 0) not in view
+    assert hash(view) == hash(pairs)
+    assert some in view and (len(state.stacks.blocks), 0) not in view
     assert type(view & fewer) is frozenset and view & fewer == fewer
-    assert type(view | fewer) is frozenset and view | fewer == tuples
+    assert type(view | fewer) is frozenset and view | fewer == pairs

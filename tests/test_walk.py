@@ -20,7 +20,7 @@ from sftkit import (
 )
 from sftkit.chain import chain_report
 
-from conftest import naive_allowed, naive_count, random_square_spec
+from conftest import hrel_quads, naive_allowed, naive_count, random_square_spec
 
 
 def test_analyze_refuses_a_relation_before_building_its_stage(full_shift):
@@ -42,7 +42,7 @@ def test_level0_relations_against_naive_oracle(seed):
     res = analyze(spec, 1)
     lvl0 = res.levels[0]
     sq = lvl0.squares
-    for a, b, c, d in lvl0.hrel:
+    for a, b, c, d in hrel_quads(lvl0):
         assert naive_allowed(assemble([[sq[a], sq[c]], [sq[b], sq[d]]]), spec.forbidden)
     assert len(lvl0.vrel) == naive_count(spec, (4, 2))
     assert len(lvl0.hrel) == len(res.levels[1].squares) == naive_count(spec, (4, 4))
