@@ -56,6 +56,7 @@ _EXPORTS = {
         "nine_window_admissible",
         "reduced_step",
         "sample_patch",
+        "sample_walk",
         "with_relations",
         "witness_search",
     ),

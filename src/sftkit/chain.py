@@ -18,10 +18,12 @@ current stage set.
 
 Relations are `relation.Relation` key groups, so a stage's block count is
 the size of the relation below it, read without listing a pair. A stage is
-built only when something reads its blocks: the walk behind `analyze` and
-`count --engine matrix` stops one stage short of its target and counts the
-target from the last relation. Every stage that is built is first held to
-`max_blocks` and `max_cells`.
+built only when something reads its blocks: the walk behind `analyze`,
+`count --engine matrix`, `export-state` and `sample` stops one stage short
+of its target; the first three count the target from the last relation,
+and `sample` draws its block by rank from it (`relation.nth_join`). Every
+stage that is built, or drawn from unbuilt, is first held to `max_blocks`
+and `max_cells`.
 """
 from __future__ import annotations
 

@@ -148,14 +148,15 @@ def _cmd_count(args, spec: SftSpec, caps: Caps) -> int:
 
 def _cmd_sample(args, spec: SftSpec, caps: Caps) -> int:
     from .chain import chain_report, spec_start
-    from .levels import sample_patch
+    from .levels import sample_walk
     from .specio import render_block
 
     if args.level < 0:
         raise SpecError("level must be >= 0")
     cubes, _, start = spec_start(spec, caps)
-    st = chain_report(start, cubes, (args.level, spec.dimension), caps)[-1]
-    print(render_block(sample_patch(st, args.seed), spec.alphabet))
+    # a stage past the base is drawn from the last relation and never built
+    st = chain_report(start, cubes, (args.level, spec.dimension), caps, build_target=False)[-1]
+    print(render_block(sample_walk(st, args.seed, caps), spec.alphabet))
     return 0
 
 

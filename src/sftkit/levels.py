@@ -39,13 +39,14 @@ from .chain import (
     chain_relation,
     chain_report,
     chain_start,
+    check_next_stage,
     d_chain_step,
     spec_start,
     stage_shape,
 )
 from .core import Block, Blocks, CubeSet, SftSpec, allowed_data
 from .errors import BudgetError, EmptyStateError, SpecError
-from .relation import _split, join
+from .relation import _split, join, nth_join
 
 
 @dataclass(frozen=True)
@@ -398,3 +399,22 @@ def sample_patch(stage: DChainState, seed: int) -> Block:
     if not stage.blocks:
         raise EmptyStateError(f"no allowed blocks at level {stage.level}")
     return stage.blocks[random.Random(seed).randrange(len(stage.blocks))]
+
+
+def sample_walk(last: DChainState, seed: int, caps: Caps = DEFAULT_CAPS) -> Block:
+    """`sample_patch` of the stage a walk was asked for, from the walk's
+    `last` stage. A stage without its relation (level 0, or the empty
+    full-cube stage a walk ends on) is drawn from itself. Otherwise the
+    asked stage is the one the relation would build: it is refused by the
+    caps as a built stage is, and its block of the same rank, k =
+    randrange(len(relation)), is joined from the relation's key groups
+    (`relation.nth_join`) without building the stage."""
+    rel = last.relation
+    if rel is None:
+        return sample_patch(last, seed)
+    check_next_stage(last, caps)
+    if not rel:
+        raise EmptyStateError(f"no allowed blocks at level {last.next_stage()[0]}")
+    shape, axis = last.shape, last.next_axis()
+    data = nth_join(last.blocks.datas, rel, shape, axis, random.Random(seed).randrange(len(rel)))
+    return Block(shape[:axis] + (2 * shape[axis],) + shape[axis + 1 :], tuple(data))

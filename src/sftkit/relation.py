@@ -4,8 +4,8 @@ Each level of the doubling construction is built from the one below by one
 operation: join two blocks of a complete allowed set along one axis, and
 keep the pair if the joined block is allowed. `join` glues two flat
 row-major data, `bytes` or tuples, into data of the same type (`join_pairs`
-glues every pair a relation keeps); `pair_relation` decides which pairs to
-keep.
+glues every pair a relation keeps, and `nth_join` only the one of rank k in
+sorted order); `pair_relation` decides which pairs to keep.
 
 When the pairing extent is at least 2l, a forbidden cube spans at most half
 of it, so every cube window of a joined block lies inside the low block,
@@ -181,6 +181,57 @@ def join_pairs(
             p = datas[i]
             out += [glue(p, q) for q in his]
     return out
+
+
+def nth_join(datas: Sequence[Data], rel: Relation, shape: Coord, axis: int, k: int) -> Data:
+    """`sorted(join_pairs(datas, rel, shape, axis))[k]` for sorted, distinct
+    `datas`, without listing a pair.
+
+    With chunks of prod(shape[axis:]) cells, a joined datum is p's chunk 0,
+    q's chunk 0, p's chunk 1, q's chunk 1, and so on; the chunks all have
+    one length, so the joined data sort as those chunk sequences do. Each
+    step fixes one chunk: it splits every group's lows (a p chunk) or
+    highs (a q chunk) by the chunk's value, counts the pairs each value
+    keeps, and walks the values in order to the one whose pairs hold rank
+    k. An index list shared by several groups is split once a step. The
+    steps end when one pair is left, and that pair is joined."""
+    if not 0 <= k < len(rel):
+        raise IndexError(f"join rank {k} out of range for {len(rel)} pairs")
+    chunk = prod(shape[axis:])
+    groups = [g for g in rel.groups if g[0] and g[1]]
+    left = len(rel)
+    for step in range(2 * prod(shape[:axis])):
+        if left == 1:
+            break
+        side = step % 2
+        at = step // 2 * chunk
+        # each distinct list on the split side, and the pairs a member of it makes
+        lists: dict[int, Sequence[int]] = {}
+        weight: dict[int, int] = defaultdict(int)
+        for g in groups:
+            lists[id(g[side])] = g[side]
+            weight[id(g[side])] += len(g[1 - side])
+        parts: dict[int, dict[Data, list[int]]] = {}
+        counts: dict[Data, int] = defaultdict(int)
+        for key, ids in lists.items():
+            part = parts[key] = defaultdict(list)
+            for i in ids:
+                part[datas[i][at : at + chunk]].append(i)
+            w = weight[key]
+            for value, sub in part.items():
+                counts[value] += len(sub) * w
+        for value in sorted(counts):
+            left = counts[value]
+            if k < left:
+                break
+            k -= left
+        groups = [
+            (sub, g[1]) if side == 0 else (g[0], sub)
+            for g in groups
+            if (sub := parts[id(g[side])].get(value))
+        ]
+    (i,), (j,) = groups[0]
+    return join(datas[i], datas[j], shape, axis)
 
 
 @lru_cache(maxsize=None)

@@ -174,6 +174,8 @@ def load_spec_file(path: str) -> SftSpec:
             text = fh.read()
     except OSError as e:
         raise FormatError(f"cannot read {path}: {e}") from None
+    except UnicodeDecodeError as e:
+        raise FormatError(f"{path} is not UTF-8 text: {e}") from None
     return parse_spec(text)
 
 

@@ -40,6 +40,15 @@ class Mutant(NamedTuple):
     tests: tuple[str, ...]  # pytest node ids, from the repository root
 
 
+# the draw of `sample` by rank: the property, the draw against the built
+# stage, and two golden captures (an axis-1 and an axis-0 draw)
+_NTH_JOIN_TESTS = (
+    "tests/test_relation.py::test_nth_join_is_the_kth_sorted_join",
+    "tests/test_levels.py::test_sample_walk_draws_what_sample_patch_draws_from_the_built_stage",
+    "tests/test_golden.py::test_golden_output[sample-hard_squares-1]",
+    "tests/test_golden.py::test_golden_output[sample-d1-3]",
+)
+
 MUTANTS = (
     Mutant(
         "middle_join: no middle-membership test",
@@ -47,6 +56,27 @@ MUTANTS = (
         " for lo, hi in middles if lo in by_hi and hi in by_lo)",
         " for lo, hi in middles)",
         ("tests/test_relation.py::test_middle_join_keeps_no_group_without_a_middle",),
+    ),
+    Mutant(
+        "nth_join: chunk values walked unsorted",
+        "src/sftkit/relation.py",
+        "for value in sorted(counts):",
+        "for value in counts:",
+        _NTH_JOIN_TESTS,
+    ),
+    Mutant(
+        "nth_join: the rank is not lowered past a value's pairs",
+        "src/sftkit/relation.py",
+        "k -= left",
+        "pass",
+        _NTH_JOIN_TESTS,
+    ),
+    Mutant(
+        "nth_join: the q chunk read before the p chunk",
+        "src/sftkit/relation.py",
+        "side = step % 2",
+        "side = 1 - step % 2",
+        _NTH_JOIN_TESTS,
     ),
     Mutant(
         "_seam_relation: no seam-block scan",

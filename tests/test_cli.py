@@ -7,6 +7,7 @@ import time
 import pytest
 
 from sftkit.cli import main
+from sftkit.relation import join_pairs
 
 HS = {
     "dimension": 2,
@@ -141,6 +142,39 @@ def test_sample_d1(tmp_path, capsys):
     assert main(["sample", str(p), "--level", "1", "--seed", "3"]) == 0
     out = capsys.readouterr().out.strip()
     assert len(out) == 4 and "11" not in out
+
+
+def test_sample_builds_only_the_stage_below_the_asked_one(hs_file, monkeypatch, capsys):
+    # hard squares level 1 is drawn from the relation of its 41 stacks,
+    # stage (1, 1): its 1,234 squares are never joined
+    import sftkit.chain
+
+    joined = []
+
+    def counted(*args):
+        out = join_pairs(*args)
+        joined.append(len(out))
+        return out
+
+    monkeypatch.setattr(sftkit.chain, "join_pairs", counted)
+    assert main(["sample", hs_file, "--level", "1", "--seed", "7"]) == 0
+    assert joined == [41]
+    assert len(capsys.readouterr().out.splitlines()) == 4
+
+
+def test_sample_refuses_the_unbuilt_stage_by_its_blocks(hs_file, capsys):
+    # the asked stage is held to --max-blocks as if it were built
+    assert main(["sample", hs_file, "--level", "1", "--seed", "7", "--max-blocks", "1000"]) == 3
+    assert capsys.readouterr() == ("", "budget: next stage would hold 1234 blocks (cap 1000)\n")
+
+
+def test_a_spec_that_is_not_utf8_is_a_format_error(tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"dimension": 2, "symbols": ["\xff"], "forbidden": []}')
+    assert main(["validate", str(p)]) == 4
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    assert err.startswith(f"error: {p} is not UTF-8 text:")
 
 
 def test_witness(hs_file, kill_file, capsys):

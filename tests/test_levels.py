@@ -26,8 +26,8 @@ from sftkit import (
     with_relations,
     witness_search,
 )
-from sftkit.chain import chain_report, chain_start, spec_start
-from sftkit.levels import level_states
+from sftkit.chain import chain_report, chain_start, d_chain_step, spec_start
+from sftkit.levels import level_states, sample_walk
 
 from conftest import hrel_quads, naive_allowed, naive_count, random_square_spec
 
@@ -314,6 +314,53 @@ def test_sample_patch_empty(kill_all):
     res = analyze(kill_all, 0)
     with pytest.raises(EmptyStateError):
         sample_patch(res.levels[0], 0)
+
+
+def _drawn(spec, level, seed, caps, build):
+    # the block of stage (level, d) that `sample` prints for `seed`, drawn
+    # from the built stage or from the walk stopped one stage short; a stop
+    # as its type and text
+    cubes, _, start = spec_start(spec, caps)
+    try:
+        walk = chain_report(start, cubes, (level, spec.dimension), caps, build_target=build)
+        return sample_patch(walk[-1], seed) if build else sample_walk(walk[-1], seed, caps)
+    except (BudgetError, EmptyStateError) as e:
+        return type(e), str(e)
+
+
+def test_sample_walk_draws_what_sample_patch_draws_from_the_built_stage(
+    hard_squares, checkerboard, d1_no_adjacent_ones, kill_all
+):
+    # "10" is the one allowed cube of `alternate`, and no length-4 block is
+    # allowed: its level-1 relation is empty and its level 1 too
+    pairs = ((0, 0), (1, 1), (0, 1))
+    alternate = make_spec(1, ["0", "1"], [Pattern.from_cells([((0,), a), ((1,), b)]) for a, b in pairs])
+    cases = [(hard_squares, 2), (checkerboard, 3), (d1_no_adjacent_ones, 3), (kill_all, 1), (alternate, 2)]
+    stops = set()
+    for (spec, top), blocks in itertools.product(cases, (1000, DEFAULT_CAPS.max_blocks)):
+        caps = DEFAULT_CAPS.but(max_blocks=blocks)
+        for level, seed in itertools.product(range(top + 1), (0, 1, 7, 12345)):
+            drawn = _drawn(spec, level, seed, caps, build=False)
+            assert drawn == _drawn(spec, level, seed, caps, build=True)
+            if isinstance(drawn, tuple):
+                stops.add(drawn)
+    assert stops == {
+        (BudgetError, "next stage would hold 1234 blocks (cap 1000)"),
+        (BudgetError, "next stage would hold 2584 blocks (cap 1000)"),
+        (BudgetError, "chain relation needs 1200889414201 pair checks (cap 10000000)"),
+        (EmptyStateError, "no allowed blocks at level 0"),
+        (EmptyStateError, "no allowed blocks at level 1"),
+    }
+
+
+def test_sample_walk_refuses_the_asked_stage_by_its_cells(hard_squares):
+    # stage (1, 2) of hard squares would hold 1,234 blocks of 16 cells
+    cubes, _, start = spec_start(hard_squares)
+    last = chain_report(start, cubes, (1, 2), build_target=False)[-1]
+    with pytest.raises(BudgetError) as exc:
+        sample_walk(last, 7, DEFAULT_CAPS.but(max_cells=19743))
+    assert str(exc.value) == "next stage needs 19744 cells (cap 19743)"
+    assert sample_walk(last, 7, DEFAULT_CAPS.but(max_cells=19744)) == sample_patch(d_chain_step(last, cubes), 7)
 
 
 def test_analyze_literal_work_stop_keeps_vertical_level(full_shift):

@@ -12,6 +12,7 @@ from sftkit import (
     DEFAULT_CAPS,
     ShapeError,
     block_allowed,
+    concat,
     enumerate_allowed_cubes,
     level0_matrices,
     level0_state,
@@ -275,8 +276,11 @@ def _check_step(spec, full_index, max_index=70000):
     rects = nxt.horiz.row_blocks
     mapped = {stack_pos[rects[x].data] + stack_pos[rects[y].data] for x, y in nxt.horiz.ones}
     assert mapped == hrel_quads(lvl1)
-    n = len(nxt.letters)
-    assert nxt.horiz.ones == {(a * n + b, c * n + d) for (a, b), (c, d) in nxt.pair_ones}
+    # read back as stack pairs, every horizontal one puts two stacks side by
+    # side in an allowed square
+    pairs = literal_horiz_pairs(nxt)
+    assert len(pairs) == len(nxt.horiz.ones)
+    assert all(block_allowed(concat(left, right, 1), cubes) for left, right in pairs)
     return True
 
 

@@ -4,6 +4,7 @@ import math
 import random
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -416,3 +417,39 @@ def test_relation_against_other_types_and_repr():
     assert rel != [(0, 2), (1, 2), (3, 0), (3, 1)]
     assert rel == {(0, 2), (1, 2), (3, 0), (3, 1)}
     assert repr(rel) == "Relation(4 pairs in 2 groups)"
+
+
+# ---------------------------------------------------------------------------
+# the k-th joined block in sorted order, drawn from the key groups
+
+from sftkit.relation import Relation, nth_join  # noqa: E402
+
+
+def _scaled(case, factor):
+    # the same blocks and cubes as tuples with every symbol times `factor`:
+    # the same order, over more than 256 symbols when factor * k > 256
+    shape, axis, datas, cubes = case
+    scaled = frozenset(Block(c.shape, tuple(factor * x for x in c.data)) for c in cubes.cubes)
+    blocks = [tuple(factor * x for x in p) for p in datas]
+    return blocks, CubeSet(cubes.side, scaled, factor * cubes.alphabet_size)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coded_cases())
+@example(_unit_axes_case((7,), 0, 3, 2, 1))
+@example(_unit_axes_case((5, 2, 3), 0, 4, 2, 3))
+@example(_unit_axes_case((1, 4, 3), 1, 3, 1, 5))
+def test_nth_join_is_the_kth_sorted_join(case):
+    shape, axis, datas, cubes = case
+    n = len(datas)
+    for blocks, cset in ((datas, cubes), _scaled(case, 1), _scaled(case, 300)):
+        assert blocks == sorted(blocks)
+        # one list on both sides, as the seam join keeps it for cubes of side 1
+        ids = list(range(n))
+        every = Relation([(ids, ids)])
+        for rel in (middle_join(blocks, shape, axis), _seam_relation(blocks, shape, axis, cset), every):
+            want = sorted(join_pairs(blocks, rel, shape, axis))
+            assert [nth_join(blocks, rel, shape, axis, k) for k in range(len(rel))] == want
+            for k in (-1, len(rel)):
+                with pytest.raises(IndexError):
+                    nth_join(blocks, rel, shape, axis, k)
