@@ -88,13 +88,13 @@ def _cmd_validate(args, spec: SftSpec, caps: Caps) -> int:
 
 
 def _cmd_normalize(args, spec: SftSpec, caps: Caps) -> int:
-    from .normalize import MODE_ALL, MODE_NON_PROPER, enumerate_allowed_cubes, normalize_to_cubes
+    from .normalize import MODE_ALL, MODE_NON_PROPER, normalize_to_cubes
 
     mode = MODE_ALL if args.mode == "all" else MODE_NON_PROPER
     cubes = normalize_to_cubes(spec, mode, caps)
     # allowed cubes are counted against the exact (all-extensions) set
     exact = cubes if mode == MODE_ALL else normalize_to_cubes(spec, MODE_ALL, caps)
-    allowed = len(enumerate_allowed_cubes(spec, exact, caps))
+    allowed = len(exact.allowed)
     if args.format == "csv":
         print("side,cube_count,mode,allowed_count")
         print(f"{cubes.side},{len(cubes.cubes)},{cubes.mode},{allowed}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import operator
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
 from operator import itemgetter
@@ -305,12 +305,16 @@ def make_spec(
 
 @dataclass(frozen=True)
 class CubeSet:
-    """The normalized forbidden set: every member is an l-cube."""
+    """The normalized forbidden set: every member is an l-cube. A set
+    from `normalize_to_cubes` also lists, as `allowed`, the data of every
+    other l-cube in row-major dictionary order; one built by hand has
+    `allowed` None and scans all the same."""
 
     side: int
     cubes: frozenset[Block]
     alphabet_size: int
     mode: str = "all-extensions"
+    allowed: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         for c in self.cubes:

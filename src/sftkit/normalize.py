@@ -81,27 +81,25 @@ def normalize_to_cubes(
             at = [base + sum(c * s for c, s in zip(coord, st)) for coord, _ in p.cells]
             # a one-index getter returns the symbol, not a 1-tuple
             checks.append((itemgetter(*at), syms if len(syms) > 1 else syms[0]))
-    bad = []
+    # a candidate that some placement hits is forbidden, any other allowed
+    bad, allowed = [], []
     for data in _cube_datas(spec, side):
         for get, want in checks:
             if get(data) == want:
                 bad.append(data)
                 break
-    return CubeSet(side, frozenset(Block(shape, data) for data in bad), spec.alphabet_size, mode)
+        else:
+            allowed.append(data)
+    return CubeSet(side, frozenset(Block(shape, data) for data in bad), spec.alphabet_size, mode, tuple(allowed))
 
 
 def enumerate_allowed_cubes(
     spec: SftSpec, cubes: CubeSet, caps: Caps = DEFAULT_CAPS
 ) -> tuple[Block, ...]:
     """The canonical block index: all l-cubes not in the forbidden set,
-    sorted by row-major dictionary order. May be empty (which certifies an
-    empty shift space)."""
-    check_power(
-        spec.alphabet_size,
-        cubes.side**spec.dimension,
-        caps.max_cubes,
-        "enumeration needs {count} candidate cubes; raise max_cubes to at least {count}",
-    )
+    sorted by row-major dictionary order, as `normalize_to_cubes` listed
+    them. May be empty (which certifies an empty shift space)."""
+    if cubes.allowed is None:
+        raise SpecError("a cube set built by hand lists no allowed cubes; take one from normalize_to_cubes")
     shape = (cubes.side,) * spec.dimension
-    bad = cubes.data_set()
-    return tuple(Block(shape, data) for data in _cube_datas(spec, cubes.side) if data not in bad)
+    return tuple(Block(shape, data) for data in cubes.allowed)

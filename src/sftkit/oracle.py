@@ -156,13 +156,9 @@ def _cut_windows(spec: SftSpec, cubes: CubeSet, b: int) -> dict:
     the low bits) and grouped as {code of all cells but the last: the
     symbols that last cell may take}."""
     side, d = cubes.side, spec.dimension
-    bad = cubes.data_set()
     low = (1 << b) - 1
     kinds = [(e, _gather_table((side,) * d, e), {}) for e in itertools.product(range(1, side + 1), repeat=d)]
-    # one pass over the candidates, keeping no allowed cube
-    for data in itertools.product(range(spec.alphabet_size), repeat=side**d):
-        if data in bad:
-            continue
+    for data in cubes.allowed:
         for _, offsets, groups in kinds:
             code = 0
             for o in offsets:

@@ -65,7 +65,8 @@ class Relation(Set):
     admits every (i, j) with i in lows and j in highs. The groups are
     disjoint, so `len` is the sum of |lows|*|highs| and lists no pair.
     Iteration yields the pairs; membership, equality and hashing compare a
-    frozenset of them, built on first use.
+    frozenset of them, built on first use, except that two relations with
+    equal groups are equal at once.
     """
 
     __slots__ = ("groups", "_len", "_pairs")
@@ -94,6 +95,8 @@ class Relation(Set):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Relation):
+            if self.groups == other.groups:
+                return True
             other = other.pairs()
         if not isinstance(other, Set):
             return NotImplemented

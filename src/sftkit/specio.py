@@ -32,7 +32,7 @@ import json
 import sys
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .caps import DEFAULT_CAPS, Caps, check_power
+from .caps import DEFAULT_CAPS, Caps
 from .core import (
     MAX_DIMENSION,
     Block,
@@ -389,9 +389,9 @@ def _same(a: Relation | None, b: Relation | None) -> bool:
 
 
 def _restore(payload: dict, text: str, caps: Caps) -> AnalysisResult:
-    from .chain import DChainState, chain_report, chain_start, stage_shape
+    from .chain import DChainState, chain_report, spec_start, stage_shape
     from .levels import LevelRow, _result, report_rows
-    from .normalize import MODE_ALL, forbidden_side, normalize_to_cubes
+    from .normalize import MODE_ALL, forbidden_side
 
     if not isinstance(payload, dict) or payload.get("format") != ARCHIVE_FORMAT:
         raise ArchiveError("not a state archive")
@@ -422,7 +422,7 @@ def _restore(payload: dict, text: str, caps: Caps) -> AnalysisResult:
     if mode != MODE_ALL:
         raise ArchiveError(f"archive normalization mode {mode!r} is not {MODE_ALL!r}")
     try:
-        check_power(spec.alphabet_size, side**spec.dimension, caps.max_cubes, "")
+        cubes, index, start = spec_start(spec, caps)
     except BudgetError:
         raise ArchiveError(
             f"rebuilding the archive's cubes needs more than {caps.max_cubes} candidates (max_cubes)"
@@ -446,19 +446,12 @@ def _restore(payload: dict, text: str, caps: Caps) -> AnalysisResult:
         want = archived[-1].next_stage()
     if not archived:
         raise ArchiveError("archive holds no stages")
-    # stage 0 must be the complement of the spec's forbidden cubes among
-    # all k^(l^d) cubes, checked without listing that complement
-    index = tuple(archived[0].blocks)
-    index_data = {b.data for b in index}
-    total = spec.alphabet_size ** (side**d)
-    if total - len(index_data) != cube_count or len(index) != allowed_count:
+    # the archive's counts must fit its own stage 0, which must be the
+    # spec's allowed cubes
+    base, total = archived[0].blocks, spec.alphabet_size ** (side**d)
+    if total - len(set(base.datas)) != cube_count or len(base) != allowed_count:
         raise ArchiveError("integrity check failed: counts disagree with content")
-    cubes = normalize_to_cubes(spec, MODE_ALL, caps)
-    if (
-        len(index_data) != len(index)
-        or not index_data.isdisjoint(cubes.data_set())
-        or len(index) + len(cubes.cubes) != total
-    ):
+    if base != start.blocks:
         raise ArchiveError("archive index is not the spec's set of allowed cubes")
     rows = []
     for i, row in enumerate(_field(payload, "report_rows", list)):
@@ -474,7 +467,7 @@ def _restore(payload: dict, text: str, caps: Caps) -> AnalysisResult:
     last = archived[-1]
     build = last.relation is None
     target = (last.level, last.stage) if build else last.next_stage()
-    stages = chain_report(chain_start(index, cubes), cubes, target, caps, build_target=build)
+    stages = chain_report(start, cubes, target, caps, build_target=build)
     # the walk proves every block it makes allowed, so only an archived
     # block it did not make is scanned, to name a forged forbidden one
     same = len(stages) == len(archived)

@@ -482,6 +482,41 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "normalize_to_cubes: every candidate listed as allowed, the forbidden ones too",
+        "src/sftkit/normalize.py",
+        "        else:\n            allowed.append(data)\n",
+        "        allowed.append(data)\n",
+        (
+            "tests/test_normalize.py::test_cube_set_is_the_cubes_that_hold_a_pattern",
+            "tests/test_normalize.py::test_hard_squares_normalization",
+            "tests/test_cli.py::test_normalize_csv",
+        ),
+    ),
+    Mutant(
+        "_cut_windows: the first allowed cube left out",
+        "src/sftkit/oracle.py",
+        "    for data in cubes.allowed:\n",
+        "    for data in cubes.allowed[1:]:\n",
+        (
+            "tests/test_oracle.py::test_profile_matches_brute_force_in_every_dimension",
+            "tests/test_oracle.py::test_profile_matches_brute_force",
+        ),
+    ),
+    Mutant(
+        "_restore: archived stage 0 not compared with the spec's allowed cubes",
+        "src/sftkit/specio.py",
+        "    if base != start.blocks:\n",
+        "    if False:\n",
+        ("tests/test_specio.py::test_archive_index_forgeries_keep_their_messages",),
+    ),
+    Mutant(
+        "Relation.__eq__: equal group counts taken for equal groups",
+        "src/sftkit/relation.py",
+        "            if self.groups == other.groups:\n",
+        "            if len(self.groups) == len(other.groups):\n",
+        ("tests/test_relation.py::test_relations_with_equal_groups_are_equal_without_their_pairs",),
+    ),
+    Mutant(
         "_is_sparse_pattern: boolean coordinates",
         "src/sftkit/specio.py",
         "all(_is_int(c) for c in cell[0])",

@@ -18,6 +18,7 @@ from sftkit import (
     make_spec,
     normalize_to_cubes,
 )
+from sftkit.core import CubeSet
 from sftkit.normalize import iter_cubes
 
 from conftest import naive_allowed_set, naive_cell, naive_count, naive_occurs, random_square_spec
@@ -221,3 +222,29 @@ def test_cube_set_is_the_cubes_that_hold_a_pattern(spec_and_mode):
     index = enumerate_allowed_cubes(spec, cubes)
     assert [c.data for c in index] == sorted({c.data for c in every} - held)
     assert all(c.shape == every[0].shape for c in index)
+    assert cubes.allowed == tuple(c.data for c in index)
+
+
+def test_a_hand_built_cube_set_lists_no_allowed_cubes(hard_squares):
+    cubes = normalize_to_cubes(hard_squares)
+    by_hand = CubeSet(cubes.side, cubes.cubes, cubes.alphabet_size)
+    # the list is no part of the set's value: both scan alike and compare equal
+    assert by_hand.allowed is None and by_hand == cubes
+    with pytest.raises(SpecError, match="built by hand"):
+        enumerate_allowed_cubes(hard_squares, by_hand)
+
+
+def test_analyze_walks_the_candidate_cubes_once(hard_squares, monkeypatch):
+    import sftkit.normalize
+    from sftkit import analyze
+
+    calls = []
+    real = sftkit.normalize._cube_datas
+
+    def counted(*a, **k):
+        calls.append(a)
+        return real(*a, **k)
+
+    monkeypatch.setattr(sftkit.normalize, "_cube_datas", counted)
+    analyze(hard_squares, 1)
+    assert len(calls) == 1

@@ -419,6 +419,21 @@ def test_relation_against_other_types_and_repr():
     assert repr(rel) == "Relation(4 pairs in 2 groups)"
 
 
+def test_relations_with_equal_groups_are_equal_without_their_pairs(monkeypatch):
+    from sftkit.relation import Relation
+
+    groups = [((0, 1), (2,)), ((3,), (0, 1))]
+    a, b = Relation(groups), Relation(groups)
+    # as many groups, fewer pairs
+    assert a != Relation([((0,), (2,)), ((3,), (0, 1))])
+
+    def no_pairs(self):
+        raise AssertionError("the pairs were listed")
+
+    monkeypatch.setattr(Relation, "pairs", no_pairs)
+    assert a == b and not a != b
+
+
 # ---------------------------------------------------------------------------
 # the k-th joined block in sorted order, drawn from the key groups
 

@@ -338,9 +338,9 @@ def test_archive_cube_rebuild_is_capped_before_it_runs(tmp_path, hard_squares, m
     path = _resigned(tmp_path, analyze(hard_squares, 0), wide_spec)
 
     def no_rebuild(*a, **k):
-        raise AssertionError("iter_cubes ran")
+        raise AssertionError("the candidate walk ran")
 
-    monkeypatch.setattr(sftkit.normalize, "iter_cubes", no_rebuild)
+    monkeypatch.setattr(sftkit.normalize, "_cube_datas", no_rebuild)
     assert "max_cubes" in _load_error(path)
 
 
