@@ -9,12 +9,13 @@ whose first i axes have length 2^n*l and whose remaining axes have length
 doubling level n (`levels.LevelState`) and stage (n+1, 1) its vertical stacks.
 
 Admission of a concatenated pair is `relation.pair_relation` along the
-pairing axis: during the first cycle the pairing extent equals l, so the
-half-overlap covering argument does not apply; each block is window-scanned
-once and each distinct pair of seam slabs (the l-1 cells on either side of
-the seam) once, a seam-slab join. From the second cycle on a pair is kept
-iff the half-overlapping middle block along the pairing axis belongs to the
-current stage set.
+pairing axis. A pair is kept iff the half-overlapping middle block along
+the pairing axis belongs to the current stage set, once the pairing extent
+is at least 2(l-1): from the second cycle on, and in the first cycle too
+for l = 2 (extent l = 2). For l = 1 every pair is kept. Only the first
+cycle for l >= 3 is a seam-slab join: each block is window-scanned once
+and each distinct pair of seam slabs (the l-1 cells on either side of the
+seam) once.
 
 Relations are `relation.Relation` key groups, so a stage's block count is
 the size of the relation below it, read without listing a pair. A stage is

@@ -10,19 +10,22 @@ Every level is read off a walk's stages by `level_states`. Relations are
 built only when the next level is asked for, as `relation.Relation` key
 groups whose sizes give the block counts of the stages above them;
 `analyze` never builds the level it only counts (see `AnalysisResult`).
-Level 0 uses the seam-slab join of `relation.pair_relation` (one window
-scan per cube and per distinct pair of seam slabs); from level 1 on,
-everything reduces to set lookups:
+Level 0 pairs by `relation.pair_relation`'s first-cycle rule: every pair
+for l = 1, the middle-square lookups below for l = 2, and for l >= 3 the
+seam-slab join (one window scan per cube and per distinct pair of seam
+slabs); from level 1 on, everything reduces to set lookups:
 
 * a stack A-over-B is allowed iff A, B and the half-overlapping middle
   square (bottom half of A on top half of B) are allowed;
 * a side-by-side square of two stacks is allowed iff both stacks and the
   seam-straddling middle stack are.
 
-Both reductions are exact because a forbidden cube spans at most half of a
-level-(n>=1) side, so every cube window lies inside one of the aligned
-half-step windows those lookups certify. `analyze` reports one chain walk
-in every dimension, or the literal matrices of `matrices.py`.
+Both reductions are exact because a cube window across a seam reaches at
+most l-1 cells into either half, which is at most half of a level-(n>=1)
+side, and of a level-0 side for l = 2; so every cube window lies inside
+one of the aligned half-step windows those lookups certify. `analyze`
+reports one chain walk in every dimension, or the literal matrices of
+`matrices.py`.
 """
 from __future__ import annotations
 
@@ -342,8 +345,8 @@ def witness_search(spec: SftSpec, level: int, caps: Caps = DEFAULT_CAPS) -> Witn
     axis whose seam is allowed. Both halves are allowed, so only a window
     across the seam can be forbidden, and it lies in the seam block: the
     low block's top l-1 slabs joined to the high block's bottom l-1 slabs,
-    as `relation.pair_relation` scans below a pairing extent of 2l (for
-    l = 1 no window crosses the seam). Each low block's slab is cut once.
+    as `relation.seam_relation` scans it (for l = 1 no window crosses the
+    seam). Each low block's slab is cut once.
     Each stage replays the blocks of the stage below from one generator,
     so each join is tested once; one tested join is one node, and a first
     witness of level n takes from d n nodes up. Every allowed block is two

@@ -22,9 +22,10 @@ pair row pairs along axis 0 (`Pairs(Pairs(letters, 1), 0)`, row-wise),
 and the vertical index pairs stacks along axis 1
 (`Pairs(Pairs(letters, 0), 1)`, column-wise).
 
-Entries are exact: the level-0 matrices are `relation.pair_relation`
+Entries are exact: the level-0 matrices are `relation.seam_relation`
 seam-slab joins (each block and each distinct seam slab pair window-scanned
-once), and a doubled block is allowed iff its two halves and the
+once), which hold for an index with forbidden cubes or a subset of the
+allowed ones, and a doubled block is allowed iff its two halves and the
 half-overlapping middle block are, because a forbidden cube spans at most
 half of a doubled side. So each later step is two `relation.middle_join`
 calls, the chain's own join, over letter positions (see `step_literal`).
@@ -47,7 +48,7 @@ from dataclasses import dataclass, field, replace
 from .caps import DEFAULT_CAPS, Caps, refuse
 from .core import Block, CubeSet, concat
 from .errors import ShapeError
-from .relation import Relation, join, middle_join, pair_relation
+from .relation import Relation, join, middle_join, seam_relation
 
 
 def otimes(p: Sequence[Sequence[int]], m: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -223,14 +224,14 @@ def level0_matrices(
     side = cubes.side
     square = (side, side)
     datas = [b.data for b in letters]
-    vert = CompatMatrix(letters, letters, pair_relation(datas, square, 0, cubes))
+    vert = CompatMatrix(letters, letters, seam_relation(datas, square, 0, cubes))
     part = LiteralLevel(0, side, letters, vert, None)
     _check_stack_pairs(part, caps)
 
     # horizontal entries need both column stacks allowed, so only scan those
     pairs = list(vert.ones)
     stacks = [join(datas[i], datas[j], square, 0) for i, j in pairs]
-    return _with_horizontal(part, pairs, pair_relation(stacks, (2 * side, side), 1, cubes))
+    return _with_horizontal(part, pairs, seam_relation(stacks, (2 * side, side), 1, cubes))
 
 
 def _rowwise_pos(k: int, q: tuple[int, int, int, int]) -> int:

@@ -7,27 +7,34 @@ row-major data, `bytes` or tuples, into data of the same type (`join_pairs`
 glues every pair a relation keeps, and `nth_join` only the one of rank k in
 sorted order); `pair_relation` decides which pairs to keep.
 
-When the pairing extent is at least 2l, a forbidden cube spans at most half
-of it, so every cube window of a joined block lies inside the low block,
-the high block, or the middle block made of the low block's high part and
-the high block's low part. The pair is then allowed iff that middle block is
-a member of the set: `middle_join`, a hash join on the halves. It needs no
-cube set, so the literal step of `matrices.py` runs it over letter positions.
+With cubes of side l and t = l-1, a cube window that crosses the seam of
+two blocks joined along an axis of extent e reaches at most t cells into
+either block. So every window of the joined block lies inside the low
+block, the high block, or the middle block made of the low block's high
+part and the high block's low part (cut at e // 2) iff e // 2 >= t. For a
+complete allowed set, from a pairing extent of 2t on, a pair is then
+allowed iff that middle block is a member of the set: `middle_join`, a
+hash join on the halves. It needs no cube set, so the literal step of
+`matrices.py` runs it over letter positions. For l = 1 no window crosses
+the seam, and every pair of allowed blocks is kept. `pair_relation` picks
+among these rules for a complete allowed set, and so for every chain stage.
 
-Below that extent (the first doubling cycle) the middle block need not be a
-member of any known set, but the same three-way split still holds with a
-thinner middle: a cube window that crosses the seam sees only the low
-block's top l-1 slabs and the high block's bottom l-1 slabs. So each block
-is window-scanned once, the allowed ones are grouped by those two seam
-slabs, and each distinct slab pair is scanned once as a seam block of
-extent 2(l-1); a passing slab pair admits every block pair that carries it.
+Below 2t (only the first doubling cycle, for l >= 3), or over blocks that
+are not a complete allowed set (the level-0 literal matrices), the middle
+block need not be a member of any known set, but the same three-way split
+still holds with a thinner middle: a cube window that crosses the seam
+sees only the low block's top t slabs and the high block's bottom t slabs.
+So `seam_relation` window-scans each block once, groups the allowed ones
+by those two seam slabs, and scans each distinct slab pair once as a seam
+block of extent 2t; a passing slab pair admits every block pair that
+carries it.
 
-Either way every kept pair is a product: for one matched key (a middle
-block, or a passing seam slab pair), a list of low-side indices times a list
-of high-side indices. `pair_relation` returns those key groups as a
-`Relation` and never lists the pairs itself. Each pair has exactly one key,
-so the relation's size, which is the next stage's block count, is the sum of
-the group sizes.
+In every case each kept pair is a product: for one matched key (a middle
+block, a passing seam slab pair, or for l = 1 the one key), a list of
+low-side indices times a list of high-side indices. The kernel returns
+those key groups as a `Relation` and never lists the pairs itself. Each
+pair has exactly one key, so the relation's size, which is the next
+stage's block count, is the sum of the group sizes.
 
 Where every axis before the pairing one has length 1, halves are row-major
 slices: `_split_keys` computes the cut once and slices each block (the
@@ -66,7 +73,9 @@ class Relation(Set):
     disjoint, so `len` is the sum of |lows|*|highs| and lists no pair.
     Iteration yields the pairs; membership, equality and hashing compare a
     frozenset of them, built on first use, except that two relations with
-    equal groups are equal at once.
+    equal groups are equal at once. Equality also compares the sizes, so a
+    relation whose groups repeat a pair equals no relation of distinct
+    groups.
     """
 
     __slots__ = ("groups", "_len", "_pairs")
@@ -95,9 +104,10 @@ class Relation(Set):
 
     def __eq__(self, other) -> bool:
         if isinstance(other, Relation):
-            if self.groups == other.groups:
-                return True
-            other = other.pairs()
+            # the sizes differ when either side's groups repeat a pair
+            return self.groups == other.groups or (
+                self._len == other._len and self.pairs() == other.pairs()
+            )
         if not isinstance(other, Set):
             return NotImplemented
         return self._len == len(other) and self.pairs() == other
@@ -296,11 +306,18 @@ def _split_keys(datas: Sequence[Data], shape: Coord, axis: int, cut: int) -> Ite
     return (((v := from_bytes(data, "big")) & lo, (v & hi) << shift) for data in datas)
 
 
-def _seam_relation(
+def seam_relation(
     datas: Sequence[Data], shape: Coord, axis: int, cubes: CubeSet
 ) -> Relation:
-    # the seam block is the low block's top t = l-1 slabs joined to the
-    # high block's bottom t slabs
+    """Index pairs (i, j) such that `datas[i]` joined to `datas[j]` along
+    `axis`, `datas[i]` on the low side, is an allowed block, for any blocks
+    of `shape` whose axes are all at least the cube side l (a forbidden one
+    pairs with nothing).
+
+    Each block is window-scanned once, and each distinct seam block (the low
+    block's top t = l-1 slabs joined to the high block's bottom t slabs)
+    once: n + H*G scans for H distinct top and G distinct bottom slabs.
+    """
     t = cubes.side - 1
     allowed = [i for i, data in enumerate(datas) if allowed_data(data, shape, cubes)]
     if t == 0:
@@ -336,15 +353,20 @@ def pair_relation(
     """Index pairs (i, j) such that `datas[i]` joined to `datas[j]` along
     `axis`, `datas[i]` on the low side, is an allowed block.
 
-    Every datum is a block of `shape` whose axes are all at least the cube
-    side. For a pairing extent of at least twice the cube side, `datas` must
-    be the complete set of allowed blocks of `shape`; below it, `datas` may
-    be any blocks (a forbidden one pairs with nothing), and the work is one
-    scan per block plus one per distinct seam slab pair.
+    `datas` must be the complete set of allowed blocks of `shape`, whose
+    axes are all at least the cube side l, as every chain stage is. With
+    t = l-1, the cheapest exact rule is taken: for l = 1 every pair is
+    kept; from a pairing extent of 2t on, `middle_join`; below it (only the
+    first cycle, for l >= 3), `seam_relation`.
     """
-    if shape[axis] < 2 * cubes.side:
-        return _seam_relation(datas, shape, axis, cubes)
-    return middle_join(datas, shape, axis)
+    t = cubes.side - 1
+    if t == 0:
+        # every cube is one cell, so two allowed blocks join to an allowed one
+        every = list(range(len(datas)))
+        return Relation([(every, every)] if every else ())
+    if shape[axis] >= 2 * t:
+        return middle_join(datas, shape, axis)
+    return seam_relation(datas, shape, axis, cubes)
 
 
 def middle_join(datas: Sequence[Data], shape: Coord, axis: int) -> Relation:

@@ -382,10 +382,11 @@ def _key_groups(items: list, bound: int, where: str) -> Relation:
     return Relation(map(tuple, items))
 
 
-def _same(a: Relation | None, b: Relation | None) -> bool:
-    # an archived relation against the derived one, as the key groups
-    # save_state writes
-    return a is b if a is None or b is None else a.groups == b.groups
+def _same(archived: Relation | None, derived: Relation | None) -> bool:
+    # an archived relation against the derived one, by the pairs they admit:
+    # archives keep whatever key groups the kernel of their day wrote, and
+    # an archived pair repeated across groups miscounts its size
+    return archived is derived if archived is None or derived is None else archived == derived
 
 
 def _restore(payload: dict, text: str, caps: Caps) -> AnalysisResult:

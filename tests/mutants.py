@@ -79,14 +79,52 @@ MUTANTS = (
         _NTH_JOIN_TESTS,
     ),
     Mutant(
-        "_seam_relation: no seam-block scan",
+        "seam_relation: no seam-block scan",
         "src/sftkit/relation.py",
         "if allowed_data(join(hi, lo, slab, axis), seam, cubes)",
         "if True",
         (
-            "tests/test_chain.py::test_d1_no_adjacent_ones",
-            "tests/test_chain.py::test_d2_chain_reproduces_reduced",
+            "tests/test_relation.py::test_first_cycle_scans_follow_distinct_seam_slabs",
+            "tests/test_literal_output.py::test_literal_csv_is_pinned[hard_squares-1]",
             "tests/test_relation.py::test_pair_relation_seam_slabs",
+        ),
+    ),
+    # the output is the same, so only the count of window scans tells
+    Mutant(
+        "pair_relation: the middle join only from twice the cube side",
+        "src/sftkit/relation.py",
+        "    if shape[axis] >= 2 * t:",
+        "    if shape[axis] >= 2 * cubes.side:",
+        ("tests/test_relation.py::test_first_cycle_makes_no_window_scan_for_cubes_of_side_2",),
+    ),
+    Mutant(
+        "pair_relation: the middle join one extent early",
+        "src/sftkit/relation.py",
+        "    if shape[axis] >= 2 * t:",
+        "    if shape[axis] >= 2 * t - 1:",
+        (
+            "tests/test_relation.py::test_pair_relation_on_complete_allowed_sets",
+            "tests/test_relation.py::test_first_cycle_scans_follow_distinct_seam_slabs",
+        ),
+    ),
+    Mutant(
+        "pair_relation: the l = 1 group drops a block",
+        "src/sftkit/relation.py",
+        "every = list(range(len(datas)))",
+        "every = list(range(1, len(datas)))",
+        (
+            "tests/test_relation.py::test_pair_relation_on_complete_allowed_sets",
+            "tests/test_golden.py::test_golden_output[analyze-full_shift-1]",
+        ),
+    ),
+    Mutant(
+        "Relation.__eq__: the sizes not compared",
+        "src/sftkit/relation.py",
+        "self._len == other._len and self.pairs() == other.pairs()",
+        "self.pairs() == other.pairs()",
+        (
+            "tests/test_relation.py::test_relation_equality_is_symmetric_when_a_pair_repeats",
+            "tests/test_specio.py::test_archive_relation_that_repeats_a_pair_is_refused",
         ),
     ),
     Mutant(
@@ -152,6 +190,16 @@ MUTANTS = (
             "tests/test_specio.py::test_checksum_falls_back_to_hashlib",
             "tests/test_data_stages.py::test_wide_alphabet_cli[names]",
             "tests/test_golden.py::test_kept_archive_imports_to_its_export_report[export-hard_squares-1]",
+        ),
+    ),
+    Mutant(
+        "_same: the relations compared by their key groups",
+        "src/sftkit/specio.py",
+        "else archived == derived\n",
+        "else archived.groups == derived.groups\n",
+        (
+            "tests/test_specio.py::test_archive_of_seam_join_groups_still_imports",
+            "tests/test_specio.py::test_archive_that_holds_its_target_stage_still_imports",
         ),
     ),
     Mutant(
@@ -441,7 +489,7 @@ MUTANTS = (
         ("tests/test_relation.py::test_int_coded_bytes_match_the_tuple_path",),
     ),
     Mutant(
-        "_seam_relation: the upper slab split at the lower cut",
+        "seam_relation: the upper slab split at the lower cut",
         "src/sftkit/relation.py",
         "_split(datas[ids[0]], shape, axis, extent - t)[1]",
         "_split(datas[ids[0]], shape, axis, t)[1]",
@@ -512,8 +560,8 @@ MUTANTS = (
     Mutant(
         "Relation.__eq__: equal group counts taken for equal groups",
         "src/sftkit/relation.py",
-        "            if self.groups == other.groups:\n",
-        "            if len(self.groups) == len(other.groups):\n",
+        "            return self.groups == other.groups or (\n",
+        "            return len(self.groups) == len(other.groups) or (\n",
         ("tests/test_relation.py::test_relations_with_equal_groups_are_equal_without_their_pairs",),
     ),
     Mutant(

@@ -15,7 +15,7 @@ import pytest
 import sftkit.matrices
 from sftkit import DEFAULT_CAPS, BudgetError, analyze, enumerate_allowed_cubes, level0_matrices, normalize_to_cubes
 from sftkit.cli import main
-from sftkit.relation import pair_relation
+from sftkit.relation import seam_relation
 
 SPECS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data", "golden", "specs")
 HEAD = "level,stage,block_count,relation_count,verdict\n"
@@ -84,9 +84,9 @@ def no_level0_horizontal_pass(monkeypatch):
     # symbol it would list 38,445,598 ones, so the test fails fast instead
     def vertical_only(datas, shape, axis, cubes):
         assert axis == 0, "the horizontal pass ran past its max_work stop"
-        return pair_relation(datas, shape, axis, cubes)
+        return seam_relation(datas, shape, axis, cubes)
 
-    monkeypatch.setattr(sftkit.matrices, "pair_relation", vertical_only)
+    monkeypatch.setattr(sftkit.matrices, "seam_relation", vertical_only)
 
 
 @pytest.mark.parametrize("level", [1, 2])

@@ -5,14 +5,14 @@ import random
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import sftkit.chain
 import sftkit.relation
-from sftkit import Block, Pattern, concat, make_spec, normalize_to_cubes, window
+from sftkit import Block, Pattern, concat, make_spec, normalize_to_cubes, parse_spec, window
 from sftkit.cli import main
-from sftkit.relation import join, pair_relation
+from sftkit.relation import join, pair_relation, seam_relation
 
 from conftest import naive_allowed, naive_allowed_set
 
@@ -65,7 +65,7 @@ def _naive_relation(datas, shape, axis, spec):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 10**6), st.integers(1, 2), st.data())
 def test_pair_relation_scan_branch(seed, dimension, data):
-    # pairing extent below twice the cube side: any blocks, scanned
+    # the seam join over any blocks, forbidden ones among them
     spec = _random_spec(seed, dimension)
     cubes = normalize_to_cubes(spec)
     shape = (cubes.side,) * dimension
@@ -73,7 +73,7 @@ def test_pair_relation_scan_branch(seed, dimension, data):
     cells = cubes.side**dimension
     datas = list({tuple(rng.randrange(2) for _ in range(cells)) for _ in range(12)})
     axis = data.draw(st.integers(0, dimension - 1))
-    got = pair_relation(datas, shape, axis, cubes)
+    got = seam_relation(datas, shape, axis, cubes)
     assert got == _naive_relation(datas, shape, axis, spec)
 
 
@@ -95,14 +95,15 @@ def test_pair_relation_join_branch(seed, dimension, data):
 
 
 # ---------------------------------------------------------------------------
-# the seam-slab branch (pairing extent below twice the cube side)
+# the seam join, over any blocks of a pairing extent in [l, 2l)
 
 
-def _spec_of_side(rng: random.Random, dimension: int, side: int):
-    """Binary spec of random forbidden patterns of width at most `side`,
-    one of them exactly `side` wide, so the cube side is `side`."""
+def _spec_of_side(rng: random.Random, dimension: int, side: int, count: int = 0):
+    """Binary spec of `count` (else 1-4) random forbidden patterns of width
+    at most `side`, one of them exactly `side` wide, so the cube side is
+    `side`."""
     pats = []
-    for n in range(rng.randint(1, 4)):
+    for n in range(count or rng.randint(1, 4)):
         ext = [rng.randint(1, side) for _ in range(dimension)]
         if n == 0:
             ext[rng.randrange(dimension)] = side
@@ -165,7 +166,7 @@ def test_pair_relation_seam_slabs(case):
     assert cubes.side * 2 > shape[axis]
     scan, calls = _counted(sftkit.relation.allowed_data)
     with mock.patch.object(sftkit.relation, "allowed_data", scan):
-        got = pair_relation(datas, shape, axis, cubes)
+        got = seam_relation(datas, shape, axis, cubes)
     assert got == _naive_relation(datas, shape, axis, spec)
     # one scan per block, plus one per distinct seam slab pair
     his, los = _slab_counts(datas, shape, axis, cubes.side)
@@ -177,14 +178,27 @@ def test_pair_relation_seam_slabs_on_a_cube_index_with_forbidden_cubes(hard_squa
     cubes = normalize_to_cubes(hard_squares)
     for shape, axis, step in (((2, 2), 0, 1), ((2, 2), 1, 1), ((4, 2), 1, 7), ((2, 4), 0, 7)):
         blocks = list(itertools.product(range(2), repeat=shape[0] * shape[1]))[::step]
-        got = pair_relation(blocks, shape, axis, cubes)
+        got = seam_relation(blocks, shape, axis, cubes)
         assert got == _naive_relation(blocks, shape, axis, hard_squares)
 
 
+# no two 1s within distance 2 along a row or a column: cube side 3
+SPREAD_ONES = {
+    "dimension": 2,
+    "symbols": ["0", "1"],
+    "forbidden": [
+        [["1", "1"]],
+        [["1"], ["1"]],
+        [[[0, 0], "1"], [[0, 2], "1"]],
+        [[[0, 0], "1"], [[2, 0], "1"]],
+    ],
+}
+
+
 def test_first_cycle_scans_follow_distinct_seam_slabs(tmp_path, monkeypatch, capsys):
-    spec = {"dimension": 2, "symbols": ["0", "1"], "forbidden": [[["1", "1"]], [["1"], ["1"]]]}
-    path = tmp_path / "hs.json"
-    path.write_text(json.dumps(spec))
+    # for l = 3 the first cycle pairs at extent 3, below 2(l-1) = 4
+    path = tmp_path / "spread.json"
+    path.write_text(json.dumps(SPREAD_ONES))
     scan, calls = _counted(sftkit.relation.allowed_data)
     monkeypatch.setattr(sftkit.relation, "allowed_data", scan)
     relations = []
@@ -197,13 +211,84 @@ def test_first_cycle_scans_follow_distinct_seam_slabs(tmp_path, monkeypatch, cap
 
     monkeypatch.setattr(sftkit.chain, "pair_relation", pair)
     assert main(["analyze", str(path), "--levels", "1", "--format", "csv"]) == 0
-    assert "1,squares,1234," in capsys.readouterr().out
+    # 739 and 259,651 are `profile_count` of 6x3 and 6x6
+    assert "0,rects,739,259651," in capsys.readouterr().out
     # the vertical relation of the cubes and the horizontal one of the stacks
     assert len(relations) == 2
     for n, (his, los), scans in relations:
         assert scans <= n + his * los
-    # an all-pairs scan makes 7^2 + 41^2 = 1730 of them
-    assert len(calls) < 200
+    # an all-pairs scan makes 34^2 + 739^2 = 547,277 of them
+    assert len(calls) < 20000
+
+
+def test_first_cycle_makes_no_window_scan_for_cubes_of_side_2(tmp_path, monkeypatch, capsys):
+    # for l = 2 every pairing extent is at least 2(l-1) = 2, so every
+    # relation of the walk is a middle join
+    spec = {"dimension": 2, "symbols": ["0", "1"], "forbidden": [[["1", "1"]], [["1"], ["1"]]]}
+    path = tmp_path / "hs.json"
+    path.write_text(json.dumps(spec))
+    scan, calls = _counted(sftkit.relation.allowed_data)
+    monkeypatch.setattr(sftkit.relation, "allowed_data", scan)
+    assert main(["analyze", str(path), "--levels", "1", "--format", "csv"]) == 0
+    assert "1,squares,1234," in capsys.readouterr().out
+    assert calls == []
+
+
+# complete allowed sets: (cube side l, dimension, pairing extent) at the
+# extents 2(l-1), l and 2l, in blocks of at most 12 cells, since
+# `naive_allowed_set` tests every one of the 2^cells blocks
+_COMPLETE = [
+    (side, d, extent)
+    for side in (1, 2, 3)
+    for d in (1, 2, 3)
+    for extent in sorted({max(side, 2 * (side - 1)), side, 2 * side})
+    if extent * side ** (d - 1) <= 12
+]
+
+
+def _spec_of_symbols(rng: random.Random, dimension: int):
+    """Spec over three symbols that forbids one or two of them: cube side 1,
+    and two or one allowed symbols a cell."""
+    gone = rng.sample(range(3), rng.randint(1, 2))
+    return make_spec(dimension, ["0", "1", "2"], [Pattern.from_cells([((0,) * dimension, s)]) for s in gone])
+
+
+@st.composite
+def complete_cases(draw):
+    """A spec of cube side l drawn from `_COMPLETE`, and a block shape whose
+    pairing axis has that case's extent and whose other axes are l."""
+    side, dimension, extent = draw(st.sampled_from(_COMPLETE))
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if side == 1:
+        spec = _spec_of_symbols(rng, dimension)
+    else:
+        spec = _spec_of_side(rng, dimension, side, draw(st.integers(1, 8)))
+    axis = draw(st.integers(0, dimension - 1))
+    return spec, tuple(extent if a == axis else side for a in range(dimension)), axis
+
+
+# l = 3 at extent 3 = 2(l-1) - 1: the window over cells 2-4 of a join lies
+# in neither block nor in the middle block a cut at 1 would make
+_GAP_ONES = {"dimension": 1, "symbols": ["0", "1"], "forbidden": [[[[0], "1"], [[2], "1"]]]}
+_NO_TWOS = {"dimension": 2, "symbols": ["0", "1", "2"], "forbidden": [[["2"]]]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(complete_cases())
+@example((parse_spec(_GAP_ONES), (3,), 0))
+@example((parse_spec(SPREAD_ONES), (3, 3), 0))
+@example((parse_spec(SPREAD_ONES), (3, 3), 1))
+@example((parse_spec(_NO_TWOS), (2, 1), 0))
+def test_pair_relation_on_complete_allowed_sets(case):
+    spec, shape, axis = case
+    cubes = normalize_to_cubes(spec)
+    datas = sorted(naive_allowed_set(spec, shape))
+    # the naive relation joins and scans all n^2 pairs
+    assume(len(datas) <= 64)
+    rel = pair_relation(datas, shape, axis, cubes)
+    _assert_groups_count_pairs(rel, _naive_relation(datas, shape, axis, spec))
+    # the chain's `bytes` blocks take the same rule and keep the same groups
+    assert pair_relation([bytes(p) for p in datas], shape, axis, cubes).groups == rel.groups
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +307,7 @@ def _assert_groups_count_pairs(rel, naive):
 @given(seam_cases())
 def test_grouped_relation_size_on_the_seam_branch(case):
     spec, shape, axis, datas = case
-    rel = pair_relation(datas, shape, axis, normalize_to_cubes(spec))
+    rel = seam_relation(datas, shape, axis, normalize_to_cubes(spec))
     _assert_groups_count_pairs(rel, _naive_relation(datas, shape, axis, spec))
 
 
@@ -318,7 +403,7 @@ def test_middle_join_keeps_no_group_without_a_middle(case, letters, data):
 # `bytes` blocks, read as big-endian ints, against the same blocks as tuples
 
 from sftkit.core import CubeSet  # noqa: E402
-from sftkit.relation import _seam_relation, _split, _split_keys, join_pairs  # noqa: E402
+from sftkit.relation import _split, _split_keys, join_pairs  # noqa: E402
 
 # shapes past the gather bound, so tuples are split and joined chunk by chunk
 _WIDE = ((3, 1367), (1367, 3), (2, 41, 51), (5, 3, 275), (3, 5, 275))
@@ -400,8 +485,8 @@ def test_int_coded_bytes_match_the_tuple_path(case):
             assert list(_split_keys(blocks, shape, axis, cut)) == [_split(p, shape, axis, cut) for p in blocks]
     rel = middle_join(datas, shape, axis)
     assert rel.groups == middle_join(tuples, shape, axis).groups
-    seam = _seam_relation(datas, shape, axis, cubes)
-    assert seam.groups == _seam_relation(tuples, shape, axis, cubes).groups
+    seam = seam_relation(datas, shape, axis, cubes)
+    assert seam.groups == seam_relation(tuples, shape, axis, cubes).groups
     every = list(itertools.product(range(len(datas)), repeat=2))
     for pairs in (rel, seam, every):
         joined = join_pairs(datas, pairs, shape, axis)
@@ -434,6 +519,16 @@ def test_relations_with_equal_groups_are_equal_without_their_pairs(monkeypatch):
     assert a == b and not a != b
 
 
+def test_relation_equality_is_symmetric_when_a_pair_repeats():
+    from sftkit.relation import Relation
+
+    # the same one pair, listed twice on the left: two sizes, one pair set
+    repeated, once = Relation([([1, 1], [2])]), Relation([([1], [2])])
+    assert len(repeated) == 2 and len(once) == 1
+    assert repeated != once and once != repeated
+    assert not repeated == once and not once == repeated
+
+
 # ---------------------------------------------------------------------------
 # the k-th joined block in sorted order, drawn from the key groups
 
@@ -462,7 +557,7 @@ def test_nth_join_is_the_kth_sorted_join(case):
         # one list on both sides, as the seam join keeps it for cubes of side 1
         ids = list(range(n))
         every = Relation([(ids, ids)])
-        for rel in (middle_join(blocks, shape, axis), _seam_relation(blocks, shape, axis, cset), every):
+        for rel in (middle_join(blocks, shape, axis), seam_relation(blocks, shape, axis, cset), every):
             want = sorted(join_pairs(blocks, rel, shape, axis))
             assert [nth_join(blocks, rel, shape, axis, k) for k in range(len(rel))] == want
             for k in (-1, len(rel)):

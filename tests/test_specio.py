@@ -415,6 +415,21 @@ def test_archive_relations_are_rederived(tmp_path, hard_squares):
     assert "are not the ones the spec gives" in _load_error(_resigned(tmp_path, res, _drop_a_pair))
 
 
+def test_archive_relation_that_repeats_a_pair_is_refused(tmp_path, hard_squares):
+    res = analyze(hard_squares, 1)
+
+    def repeat_a_pair(p):
+        # stage 0's first pair again, in a group of its own, with the
+        # report rows raised to the count the groups now give
+        stage = p["stages"][0]
+        (i, *_), (j, *_) = stage["relation"][0]
+        stage["relation"].append([[i], [j]])
+        p["report_rows"][0][3] += 1
+        p["report_rows"][1][2] += 1
+
+    assert "are not the ones the spec gives" in _load_error(_resigned(tmp_path, res, repeat_a_pair))
+
+
 def test_archive_next_level_is_rederived(tmp_path, hard_squares):
     from sftkit import assemble
 
@@ -622,6 +637,12 @@ def test_loaded_levels_are_the_derived_ones_and_step_on_their_stacks(tmp_path, h
 
 _DATA = os.path.join(os.path.dirname(__file__), "data")
 _LEGACY = os.path.join(_DATA, "legacy", "hard_squares-1-with-target.state.json")
+_SEAM_GROUPS = os.path.join(_DATA, "legacy", "hard_squares-1-seam-groups.state.json")
+
+
+def _golden_case(name: str) -> dict:
+    with open(os.path.join(_DATA, "golden", "cases.json"), encoding="utf-8") as fh:
+        return json.load(fh)[name]
 
 
 def test_archive_that_holds_its_target_stage_still_imports(hard_squares, capsys):
@@ -632,14 +653,28 @@ def test_archive_that_holds_its_target_stage_still_imports(hard_squares, capsys)
     with open(_LEGACY, encoding="utf-8") as fh:
         stages = json.load(fh)["stages"]
     assert [(st["level"], st["stage"], len(st["blocks"])) for st in stages] == [(0, 2, 7), (1, 1, 41), (1, 2, 1234)]
-    with open(os.path.join(_DATA, "golden", "cases.json"), encoding="utf-8") as fh:
-        want = json.load(fh)["export-hard_squares-1"]
+    want = _golden_case("export-hard_squares-1")
     capsys.readouterr()
     assert main(["import-state", _LEGACY, "--format", "csv"]) == want["exit"]
     assert capsys.readouterr().out == want["stdout"]
     loaded, res = load_state(_LEGACY), analyze(hard_squares, 1)
     assert loaded.walk == res.stages and loaded.stages == res.stages
     assert loaded.levels == res.levels
+
+
+def test_archive_of_seam_join_groups_still_imports(hard_squares, capsys):
+    # export-state's bytes for hard squares at --levels 1 while the first
+    # cycle was a seam join: the same pairs as today's, in other key groups
+    from sftkit.cli import main
+
+    with open(_SEAM_GROUPS, encoding="utf-8") as fh:
+        archived = [st["relation"] for st in json.load(fh)["stages"]]
+    derived = [st.relation for st in analyze(hard_squares, 1).walk]
+    assert archived != [[[list(lows), list(highs)] for lows, highs in rel.groups] for rel in derived]
+    want = _golden_case("export-hard_squares-1")
+    capsys.readouterr()
+    assert main(["import-state", _SEAM_GROUPS, "--format", "csv"]) == want["exit"]
+    assert capsys.readouterr().out == want["stdout"]
 
 
 def test_export_and_import_never_build_the_target_stage(tmp_path, monkeypatch, capsys):
