@@ -92,18 +92,18 @@ def stage_of(shape: Coord, side: int) -> tuple[int, int]:
 def chain_start(allowed_cubes: Sequence[Block], cubes: CubeSet) -> DChainState:
     """The base stage. Its data type, `bytes` unless the alphabet has more
     than 256 symbols, is kept by every stage the walk joins from it."""
-    d = cubes.dimension if cubes.dimension else (allowed_cubes[0].dimension if allowed_cubes else 1)
-    kind = data_type(cubes.alphabet_size)
-    blocks = Blocks((cubes.side,) * d, sorted(kind(b.data) for b in allowed_cubes))
-    return DChainState(d, 0, d, blocks, None)
+    d, kind = cubes.dimension, data_type(cubes.alphabet_size)
+    return DChainState(d, 0, d, Blocks((cubes.side,) * d, sorted(kind(b.data) for b in allowed_cubes)), None)
 
 
-def spec_start(spec: SftSpec, caps: Caps = DEFAULT_CAPS) -> tuple[CubeSet, tuple[Block, ...], DChainState]:
-    """The entry of every walk: the spec's forbidden cubes, its allowed
-    cubes and the base stage they make."""
+def spec_start(spec: SftSpec, caps: Caps = DEFAULT_CAPS) -> tuple[CubeSet, Blocks, DChainState]:
+    """The entry of every walk: the spec's cube set, its allowed cubes and
+    the base stage they make, with no sort: the search lists the cubes in
+    row-major dictionary order, the sorted order of their data as `bytes` too."""
     cubes = normalize_to_cubes(spec, MODE_ALL, caps)
     index = enumerate_allowed_cubes(spec, cubes, caps)
-    return cubes, index, chain_start(index, cubes)
+    d = cubes.dimension
+    return cubes, index, DChainState(d, 0, d, Blocks(index.shape, map(data_type(cubes.alphabet_size), index.datas)), None)
 
 
 def _check_pairs(n: int, caps: Caps) -> None:

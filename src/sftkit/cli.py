@@ -97,10 +97,10 @@ def _cmd_normalize(args, spec: SftSpec, caps: Caps) -> int:
     allowed = len(exact.allowed)
     if args.format == "csv":
         print("side,cube_count,mode,allowed_count")
-        print(f"{cubes.side},{len(cubes.cubes)},{cubes.mode},{allowed}")
+        print(f"{cubes.side},{cubes.forbidden_count},{cubes.mode},{allowed}")
     else:
         print(f"side: {cubes.side}")
-        print(f"cube_count: {len(cubes.cubes)}")
+        print(f"cube_count: {cubes.forbidden_count}")
         print(f"mode: {cubes.mode}")
         print(f"allowed_count: {allowed}")
     return 0

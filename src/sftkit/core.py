@@ -305,32 +305,27 @@ def make_spec(
 
 @dataclass(frozen=True)
 class CubeSet:
-    """The normalized forbidden set: every member is an l-cube. A set
-    from `normalize_to_cubes` also lists, as `allowed`, the data of every
-    other l-cube in row-major dictionary order; one built by hand has
-    `allowed` None and scans all the same."""
+    """The normalized forbidden set, held as the l-cubes it allows:
+    `allowed` lists their data, in row-major dictionary order for a set
+    from `normalize_to_cubes`, and every other side-l cube of `dimension`
+    axes over the alphabet is forbidden. `allowed_set` is the window
+    scanner's lookup set and `forbidden_count` is k^(l^d) - |allowed|."""
 
     side: int
-    cubes: frozenset[Block]
+    allowed: tuple[tuple[int, ...], ...]
     alphabet_size: int
+    dimension: int
     mode: str = "all-extensions"
-    allowed: tuple[tuple[int, ...], ...] | None = field(default=None, compare=False, repr=False)
+    allowed_set: frozenset[tuple[int, ...]] = field(init=False, compare=False, repr=False)
+    forbidden_count: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        for c in self.cubes:
-            if c.shape != (self.side,) * c.dimension:
-                raise SpecError(f"cube of shape {c.shape} in a side-{self.side} set")
-        # the scanner's lookup set, built once per instance
-        object.__setattr__(self, "_data_set", frozenset(c.data for c in self.cubes))
-
-    @property
-    def dimension(self) -> int:
-        for c in self.cubes:
-            return c.dimension
-        return 0  # empty set carries no dimension of its own
-
-    def data_set(self) -> frozenset[tuple[int, ...]]:
-        return self._data_set
+        cells = self.side**self.dimension
+        if set(map(len, self.allowed)) - {cells}:
+            raise SpecError(f"a side-{self.side} cube of dimension {self.dimension} has {cells} cells")
+        ok = frozenset(self.allowed)
+        object.__setattr__(self, "allowed_set", ok)
+        object.__setattr__(self, "forbidden_count", self.alphabet_size**cells - len(ok))
 
 
 @lru_cache(maxsize=None)
@@ -347,28 +342,29 @@ def _window_getters(src_shape: Coord, side: int) -> tuple[itemgetter, ...]:
 
 
 def allowed_data(data: Sequence[int], shape: Coord, cubes: CubeSet) -> bool:
-    """Scan every l-window of a raw data tuple against the forbidden cubes.
+    """Scan every l-window of a raw data tuple: a window is refused iff it
+    is not one of the allowed cubes.
 
     Fast path shared by the engine and the oracle; assumes all axes >= l.
     """
-    bad = cubes.data_set()
-    if not bad:
+    if not cubes.forbidden_count:
         return True
+    ok = cubes.allowed_set
     if cubes.side == 1:
-        return not any((v,) in bad for v in data)
+        return all((v,) in ok for v in data)
     for window_of in _window_getters(shape, cubes.side):
-        if window_of(data) in bad:
+        if window_of(data) not in ok:
             return False
     return True
 
 
 def block_allowed(b: Block, cubes: CubeSet) -> bool:
-    """True iff no l-window of the block equals a forbidden cube; a block
+    """True iff every l-window of the block is an allowed cube; a block
     with an axis shorter than the cube side holds none and is allowed.
     A reference oracle, kept apart from `relation.join`/`middle_join` on purpose."""
     if any(sym >= cubes.alphabet_size for sym in b.data):
         raise SpecError("block uses symbols outside the cube set's alphabet")
-    if cubes.dimension and b.dimension != cubes.dimension:
+    if b.dimension != cubes.dimension:
         raise SpecError(
             f"block dimension {b.dimension} does not match cube dimension {cubes.dimension}"
         )

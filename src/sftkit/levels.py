@@ -187,7 +187,7 @@ class AnalysisResult:
 
     spec: SftSpec
     cubes: CubeSet
-    index: tuple[Block, ...]
+    index: Blocks
     walk: tuple[DChainState, ...]
     report: LevelReport
     caps: Caps = field(default=DEFAULT_CAPS, compare=False, repr=False)
@@ -258,7 +258,7 @@ def _result(spec, cubes, index, walk, rows, reason, caps, mode=None, level=None)
     walk's mode ("reduced" in 2-d, else "chain") unless `mode` is given."""
     verdict, reason = verdict_of(rows, reason, bool(index), level)
     mode = mode or ("reduced" if spec.dimension == 2 else "chain")
-    report = LevelReport(mode, cubes.side, len(cubes.cubes), len(index), tuple(rows), verdict, reason)
+    report = LevelReport(mode, cubes.side, cubes.forbidden_count, len(index), tuple(rows), verdict, reason)
     return AnalysisResult(spec, cubes, index, walk, report, caps)
 
 

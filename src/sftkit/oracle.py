@@ -43,7 +43,7 @@ def _last_cell_getters(shape: tuple[int, ...], side: int) -> list:
     ]
 
 
-def _completions(cur: list, start: int, ka: int, getters: list, bad) -> int:
+def _completions(cur: list, start: int, ka: int, getters: list, ok) -> int:
     """How many ways the cells from `start` on complete the prefix held in
     `cur`, depth first; the windows ending before `start` are not tested."""
     last = len(cur) - 1
@@ -56,7 +56,7 @@ def _completions(cur: list, start: int, ka: int, getters: list, bad) -> int:
         get = getters[c]
         for a in todo[c]:
             cur[c] = a
-            if get is not None and get(cur) in bad:
+            if get is not None and get(cur) not in ok:
                 continue  # every completion holds this window
             if c == last:
                 count += 1
@@ -75,19 +75,19 @@ def _count_range(args) -> int:
     so the counts of disjoint ranges add up."""
     shape, ka, m, lo, hi, cubes = args
     n = prod(shape)
-    bad = cubes.data_set()
-    if not bad or any(s < cubes.side for s in shape):
+    if not cubes.forbidden_count or any(s < cubes.side for s in shape):
         return (hi - lo) * ka ** (n - m)  # nothing can be forbidden, so every candidate is allowed
+    ok = cubes.allowed_set
     if cubes.side == 1:
-        bad = {a for (a,) in bad}
+        ok = {a for (a,) in ok}
     getters = _last_cell_getters(shape, cubes.side)
     cur = [0] * n
     count = 0
     for prefix in range(lo, hi):
         for c in range(m - 1, -1, -1):
             prefix, cur[c] = divmod(prefix, ka)
-        if not any(get is not None and get(cur) in bad for get in getters[:m]):
-            count += _completions(cur, m, ka, getters, bad)
+        if not any(get is not None and get(cur) not in ok for get in getters[:m]):
+            count += _completions(cur, m, ka, getters, ok)
     return count
 
 

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from sftkit import Block, Pattern, SftSpec, make_spec
+from sftkit import MODE_ALL, Block, Pattern, SftSpec, make_spec
+from sftkit.core import CubeSet
 
 
 # ---------------------------------------------------------------------------
@@ -63,6 +64,38 @@ def naive_allowed_set(spec: SftSpec, shape) -> set:
         for data in itertools.product(range(spec.alphabet_size), repeat=cells)
         if naive_allowed(Block(tuple(shape), data), spec.forbidden)
     }
+
+
+def scan_cubes(spec: SftSpec, mode: str = MODE_ALL) -> tuple[list, list]:
+    """The candidate scan that the normalizer's search is held to: every
+    cube of the spec's side over its alphabet, in row-major dictionary
+    order, split into the allowed and the forbidden data. A cube is
+    forbidden when some placement of a pattern inside it reads the
+    pattern's symbols; with `mode` non-proper-only, only a placement with a
+    cell on the cube's boundary counts."""
+    d, k = spec.dimension, spec.alphabet_size
+    side = max((max(p.extents) for p in spec.forbidden), default=1)
+    placements = []
+    for p in spec.forbidden:
+        for off in itertools.product(*[range(side - e + 1) for e in p.extents]):
+            cells = [(tuple(o + c for o, c in zip(off, coord)), sym) for coord, sym in p.cells]
+            if mode == MODE_ALL or any(0 in at or side - 1 in at for at, _ in cells):
+                placements.append([(sum(c * side ** (d - 1 - i) for i, c in enumerate(at)), sym) for at, sym in cells])
+    allowed, forbidden = [], []
+    for data in itertools.product(range(k), repeat=side**d):
+        hit = any(all(data[i] == sym for i, sym in pl) for pl in placements)
+        (forbidden if hit else allowed).append(data)
+    return allowed, forbidden
+
+
+def cube_set(side: int, forbidden, k: int, d: int, universe=None) -> CubeSet:
+    """A hand-built `CubeSet` that forbids the cubes whose data `forbidden`
+    lists and allows every other cube of `universe`, by default every
+    side-l cube over k symbols in row-major dictionary order."""
+    if universe is None:
+        universe = itertools.product(range(k), repeat=side**d)
+    bad = set(forbidden)
+    return CubeSet(side, tuple(x for x in universe if x not in bad), k, d)
 
 
 def hrel_quads(level) -> set:

@@ -265,8 +265,8 @@ MUTANTS = (
     Mutant(
         "_completions: the last cell's window not tested",
         "src/sftkit/oracle.py",
-        "if get is not None and get(cur) in bad:",
-        "if get is not None and c != last and get(cur) in bad:",
+        "if get is not None and get(cur) not in ok:",
+        "if get is not None and c != last and get(cur) not in ok:",
         ("tests/test_oracle.py::test_pruned_enumeration_matches_naive_count",),
     ),
     Mutant(
@@ -530,15 +530,49 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "normalize_to_cubes: every candidate listed as allowed, the forbidden ones too",
+        "_search: every candidate listed as allowed, the forbidden ones too",
         "src/sftkit/normalize.py",
-        "        else:\n            allowed.append(data)\n",
-        "        allowed.append(data)\n",
+        "                if get(cur) in hit:\n",
+        "                if False:\n",
         (
             "tests/test_normalize.py::test_cube_set_is_the_cubes_that_hold_a_pattern",
             "tests/test_normalize.py::test_hard_squares_normalization",
             "tests/test_cli.py::test_normalize_csv",
         ),
+    ),
+    Mutant(
+        "normalize_to_cubes: a placement tested at its first cell, not its last",
+        "src/sftkit/normalize.py",
+        "checks[max(at)].append(",
+        "checks[min(at)].append(",
+        (
+            "tests/test_normalize.py::test_cube_set_is_the_cubes_that_hold_a_pattern",
+            "tests/test_normalize.py::test_hard_squares_normalization",
+        ),
+    ),
+    Mutant(
+        "normalize_to_cubes: the boundary-only filter applied in all-extensions mode",
+        "src/sftkit/normalize.py",
+        "_offsets(side, p, mode == MODE_NON_PROPER)",
+        "_offsets(side, p, True)",
+        (
+            "tests/test_normalize.py::test_cube_set_is_the_cubes_that_hold_a_pattern",
+            "tests/test_normalize.py::test_non_proper_strictly_smaller_at_l3",
+        ),
+    ),
+    Mutant(
+        "allowed_data: the forbids-nothing fast path taken with one cube forbidden",
+        "src/sftkit/core.py",
+        "    if not cubes.forbidden_count:\n",
+        "    if cubes.forbidden_count <= 1:\n",
+        ("tests/test_core.py::test_block_allowed_one_forbidden_cube",),
+    ),
+    Mutant(
+        "_count_range: membership tested against the forbidden cubes, as the old set held them",
+        "src/sftkit/oracle.py",
+        "    ok = cubes.allowed_set\n",
+        "    ok = frozenset(itertools.product(range(ka), repeat=cubes.side ** len(shape))) - cubes.allowed_set\n",
+        ("tests/test_oracle.py::test_pruned_enumeration_matches_naive_count",),
     ),
     Mutant(
         "_cut_windows: the first allowed cube left out",

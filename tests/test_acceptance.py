@@ -54,7 +54,7 @@ def test_criterion_1_hard_square_suite(hard_squares):
         cubes = normalize_to_cubes(hard_squares)
         index = enumerate_allowed_cubes(hard_squares, cubes)
         assert cubes.side == 2
-        assert len(cubes.cubes) == 9
+        assert cubes.forbidden_count == 9
         assert len(index) == 7
 
         st0 = level0_state(index, cubes)

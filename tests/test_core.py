@@ -17,11 +17,12 @@ from sftkit import (
     block_allowed,
     concat,
     make_spec,
+    normalize_to_cubes,
     pattern_width,
     window,
 )
 
-from conftest import naive_occurs
+from conftest import cube_set, naive_occurs
 
 
 def test_pattern_width_single_cell():
@@ -110,20 +111,39 @@ def test_concat_axes():
     assert concat(a, b, 1) == Block((2, 4), (0, 1, 4, 5, 2, 3, 6, 7))
 
 
-HARD_CUBES = CubeSet(
+HARD_CUBES = cube_set(
     2,
-    frozenset(
-        Block((2, 2), data)
+    (
+        data
         for data in itertools.product(range(2), repeat=4)
         if (data[0] and data[1]) or (data[2] and data[3]) or (data[0] and data[2]) or (data[1] and data[3])
     ),
+    2,
     2,
 )
 
 
 def test_block_allowed_empty_cube_set():
-    empty = CubeSet(1, frozenset(), 2)
+    empty = cube_set(1, (), 2, 2)
+    assert empty.forbidden_count == 0
     assert block_allowed(Block((3, 3), (1,) * 9), empty)
+
+
+def test_block_allowed_one_forbidden_cube():
+    # one cube of the sixteen is forbidden: the scan is not skipped
+    lone = cube_set(2, [(1, 1, 1, 1)], 2, 2)
+    assert lone.forbidden_count == 1
+    assert block_allowed(Block((2, 3), (1, 1, 0, 1, 0, 1)), lone)
+    assert not block_allowed(Block((2, 3), (0, 1, 1, 0, 1, 1)), lone)
+
+
+def test_a_cube_set_that_forbids_nothing_keeps_its_dimension(full_shift):
+    # the full shift forbids no cube, and its set still knows it has 2 axes
+    cubes = normalize_to_cubes(full_shift)
+    assert (cubes.dimension, cubes.forbidden_count) == (2, 0)
+    assert block_allowed(Block((2, 2), (0, 1, 1, 0)), cubes)
+    with pytest.raises(SpecError, match="block dimension 3 does not match cube dimension 2"):
+        block_allowed(Block((2, 2, 2), (0,) * 8), cubes)
 
 
 def test_block_allowed_hard_squares():
@@ -155,7 +175,7 @@ SQUARE = Block((2, 2), (0, 0, 0, 0))
         (lambda: assemble([[SQUARE, SQUARE], [SQUARE]]), ShapeError, "grid is not rectangular"),
         (lambda: assemble([[[Block((1,), (0,))]]]), ShapeError, "grid depth must equal block dimension"),
         (lambda: concat(SQUARE, Block((1, 2), (0, 0)), 0), ShapeError, "mixed block shapes (2, 2) vs (1, 2)"),
-        (lambda: CubeSet(2, frozenset({Block((1, 2), (0, 0))}), 2), SpecError, "cube of shape (1, 2) in a side-2 set"),
+        (lambda: CubeSet(2, ((0, 0),), 2, 2), SpecError, "a side-2 cube of dimension 2 has 4 cells"),
         (lambda: block_allowed(Block((2, 2, 2), (0,) * 8), HARD_CUBES), SpecError, "block dimension 3 does not match"),
     ],
     ids=["mixed-pattern-cells", "window-offset", "ragged-grid", "deep-grid", "concat-shapes", "cube-shape", "block-dimension"],
@@ -206,7 +226,7 @@ def cube_sets_and_blocks(draw):
     cells = side * side
     all_cubes = list(itertools.product(range(ka), repeat=cells))
     chosen = draw(st.sets(st.sampled_from(all_cubes), max_size=min(8, len(all_cubes))))
-    cubes = CubeSet(side, frozenset(Block((side, side), d) for d in chosen), ka)
+    cubes = cube_set(side, chosen, ka, 2)
     shape = (draw(st.integers(side, 6)), draw(st.integers(side, 6)))
     n = shape[0] * shape[1]
     data = tuple(draw(st.integers(0, ka - 1)) for _ in range(n))
@@ -217,10 +237,11 @@ def cube_sets_and_blocks(draw):
 @settings(max_examples=80, deadline=None)
 def test_block_allowed_matches_naive_scanner(case):
     cubes, blk = case
+    forbidden = set(itertools.product(range(cubes.alphabet_size), repeat=cubes.side**2)) - set(cubes.allowed)
     want = not any(
-        naive_occurs(blk, [((r, c), cube.data[r * cubes.side + c])
+        naive_occurs(blk, [((r, c), cube[r * cubes.side + c])
                            for r in range(cubes.side) for c in range(cubes.side)])
-        for cube in cubes.cubes
+        for cube in forbidden
     )
     assert block_allowed(blk, cubes) == want
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from sftkit import (
     Block,
     BudgetError,
-    CubeSet,
     DEFAULT_CAPS,
     ShapeError,
     block_allowed,
@@ -27,7 +26,7 @@ from sftkit import (
 from sftkit.matrices import _colwise_pos, _rowwise_pos
 from sftkit.normalize import iter_cubes
 
-from conftest import hrel_quads, random_square_spec
+from conftest import cube_set, hrel_quads, random_square_spec
 
 
 def test_otimes_annihilation():
@@ -130,13 +129,7 @@ def test_step_literal_zero_when_no_squares():
     # only the cube 01/10 is allowed; it cannot sit on top of itself, so
     # there are no allowed 2l-squares and the next matrix is zero
     keep = (0, 1, 1, 0)
-    cubes = CubeSet(
-        2,
-        frozenset(
-            Block((2, 2), d) for d in itertools.product(range(2), repeat=4) if d != keep
-        ),
-        2,
-    )
+    cubes = cube_set(2, (d for d in itertools.product(range(2), repeat=4) if d != keep), 2, 2)
     lvl = level0_matrices((Block((2, 2), keep),), cubes)
     assert lvl.vert.is_zero() and lvl.horiz.is_zero()
     nxt = step_literal(lvl)
@@ -329,7 +322,7 @@ def test_compat_matrix_scans_every_index_but_pairs(hard_squares):
     ]
     index, _ = _index_and_cubes(hard_squares)
     with pytest.raises(ShapeError, match="duplicate"):
-        CompatMatrix(index + index[:1], index, frozenset())
+        CompatMatrix((*index, index[0]), index, frozenset())
     with pytest.raises(ShapeError, match="outside"):
         CompatMatrix(index, index, frozenset({(0, len(index))}))
     # a Pairs index is duplicate-free by construction and is not scanned:

@@ -18,15 +18,21 @@ from sftkit import (
     make_spec,
     normalize_to_cubes,
 )
-from sftkit.core import CubeSet
+from sftkit.core import Blocks
 from sftkit.normalize import iter_cubes
 
-from conftest import naive_allowed_set, naive_cell, naive_count, naive_occurs, random_square_spec
+from conftest import cube_set, naive_allowed_set, naive_cell, naive_count, naive_occurs, random_square_spec, scan_cubes
+
+
+def _forbidden(cubes) -> set:
+    """The cubes a set forbids: every candidate it does not list."""
+    every = itertools.product(range(cubes.alphabet_size), repeat=cubes.side**cubes.dimension)
+    return set(every) - set(cubes.allowed)
 
 
 def test_empty_forbidden_set(full_shift):
     cubes = normalize_to_cubes(full_shift)
-    assert cubes.side == 1 and not cubes.cubes
+    assert cubes.side == 1 and cubes.forbidden_count == 0 and scan_cubes(full_shift)[1] == []
     index = enumerate_allowed_cubes(full_shift, cubes)
     assert [b.data for b in index] == [(0,), (1,)]
 
@@ -35,23 +41,25 @@ def test_single_cell_pattern():
     spec = make_spec(2, ["0", "1"], [Pattern.from_cells([((0, 0), 1)])])
     cubes = normalize_to_cubes(spec)
     assert cubes.side == 1
-    assert {c.data for c in cubes.cubes} == {(1,)}
+    assert _forbidden(cubes) == {(1,)}
+    assert (list(cubes.allowed), [(1,)]) == scan_cubes(spec)
 
 
 def test_hard_squares_normalization(hard_squares):
     cubes = normalize_to_cubes(hard_squares)
     assert cubes.side == 2
-    assert len(cubes.cubes) == 9
+    assert cubes.forbidden_count == 9
     index = enumerate_allowed_cubes(hard_squares, cubes)
     assert len(index) == 7
-    assert (cubes.side, len(cubes.cubes), cubes.mode, len(index)) == (2, 9, MODE_ALL, 7)
+    assert (cubes.side, cubes.forbidden_count, cubes.mode, len(index)) == (2, 9, MODE_ALL, 7)
     # the forbidden cubes are exactly the arrangements with an adjacent 1-pair
     expect = {
         d
         for d in itertools.product(range(2), repeat=4)
         if (d[0] and d[1]) or (d[2] and d[3]) or (d[0] and d[2]) or (d[1] and d[3])
     }
-    assert {c.data for c in cubes.cubes} == expect
+    assert _forbidden(cubes) == expect
+    assert (list(cubes.allowed), sorted(expect)) == scan_cubes(hard_squares)
 
 
 def test_kill_all_leaves_nothing(kill_all):
@@ -65,7 +73,8 @@ def test_forbidden_cube_appears_verbatim():
     for _ in range(10):
         spec = random_square_spec(rng)
         cubes = normalize_to_cubes(spec)
-        bad = {c.data for c in cubes.cubes}
+        bad = _forbidden(cubes)
+        assert sorted(bad) == scan_cubes(spec)[1]
         for p in spec.forbidden:
             # full-support width-l patterns are l-cubes themselves
             data = tuple(sym for _, sym in sorted(p.cells))
@@ -78,9 +87,9 @@ def test_non_proper_subset_and_same_counts_at_l2():
         spec = random_square_spec(rng)
         allc = normalize_to_cubes(spec, MODE_ALL)
         nonp = normalize_to_cubes(spec, MODE_NON_PROPER)
-        assert nonp.cubes <= allc.cubes
+        assert _forbidden(nonp) <= _forbidden(allc)
         # every cell of a 2-cube is on its boundary, so the modes coincide
-        assert nonp.cubes == allc.cubes
+        assert nonp.allowed == allc.allowed == tuple(scan_cubes(spec, MODE_NON_PROPER)[0])
 
 
 def test_mode_equivalence_on_block_language():
@@ -121,11 +130,12 @@ def test_non_proper_strictly_smaller_at_l3():
     assert forbidden_side(spec) == 3
     allc = normalize_to_cubes(spec)
     nonp = normalize_to_cubes(spec, MODE_NON_PROPER)
-    assert len(nonp.cubes) < len(allc.cubes)
+    assert nonp.forbidden_count < allc.forbidden_count
+    assert nonp.allowed == tuple(scan_cubes(spec, MODE_NON_PROPER)[0])
     # lone centre 1: the single-cell pattern occurs only strictly inside
     cube = Block((3, 3), (0, 0, 0, 0, 1, 0, 0, 0, 0))
-    assert cube in allc.cubes
-    assert cube not in nonp.cubes
+    assert cube.data in _forbidden(allc)
+    assert cube.data not in _forbidden(nonp)
 
 
 def test_gapped_support_normalizes_correctly():
@@ -133,9 +143,10 @@ def test_gapped_support_normalizes_correctly():
     spec = make_spec(2, ["0", "1"], [Pattern.from_cells([((0, 0), 1), ((1, 1), 1)])])
     cubes = normalize_to_cubes(spec)
     assert cubes.side == 2
-    assert {c.data for c in cubes.cubes} == {
+    assert _forbidden(cubes) == {
         (1, 0, 0, 1), (1, 0, 1, 1), (1, 1, 0, 1), (1, 1, 1, 1)
     }
+    assert list(cubes.allowed) == scan_cubes(spec)[0]
     from sftkit import brute_force_allowed, level0_state, reduced_step
 
     index = enumerate_allowed_cubes(spec, cubes)
@@ -160,7 +171,7 @@ def test_cube_count_bound():
     for _ in range(5):
         spec = random_square_spec(rng)
         cubes = normalize_to_cubes(spec)
-        assert len(cubes.cubes) <= 2 ** (2 * 2)
+        assert cubes.forbidden_count == len(scan_cubes(spec)[1]) <= 2 ** (2 * 2)
 
 
 def test_check_power_decides_before_building_the_power():
@@ -180,7 +191,7 @@ def test_check_power_decides_before_building_the_power():
 
 
 # (dimension, symbols, largest side) with at most 512 candidate cubes
-_SIZES = ((1, 2, 4), (1, 3, 3), (2, 2, 3), (2, 3, 2), (3, 2, 2), (3, 3, 1))
+_SIZES = ((1, 1, 6), (1, 2, 4), (1, 3, 3), (2, 1, 4), (2, 2, 3), (2, 3, 2), (3, 1, 3), (3, 2, 2), (3, 3, 1))
 
 
 @st.composite
@@ -214,24 +225,31 @@ def _occurs_on_the_boundary(cube: Block, cells) -> bool:
 def test_cube_set_is_the_cubes_that_hold_a_pattern(spec_and_mode):
     spec, mode = spec_and_mode
     cubes = normalize_to_cubes(spec, mode)
+    # the search lists what the candidate scan keeps, in the same order
+    allowed, forbidden = scan_cubes(spec, mode)
+    assert cubes.allowed == tuple(allowed)
+    assert cubes.forbidden_count == len(forbidden)
+    assert (cubes.side, cubes.dimension, cubes.mode) == (forbidden_side(spec), spec.dimension, mode)
     occurs = naive_occurs if mode == MODE_ALL else _occurs_on_the_boundary
     every = list(iter_cubes(spec, cubes.side))
-    held = {c.data for c in every if any(occurs(c, list(p.cells)) for p in spec.forbidden)}
-    assert {c.data for c in cubes.cubes} == held
-    assert all(c.shape == (cubes.side,) * spec.dimension for c in cubes.cubes)
+    held = [c.data for c in every if any(occurs(c, list(p.cells)) for p in spec.forbidden)]
+    assert forbidden == held
     index = enumerate_allowed_cubes(spec, cubes)
-    assert [c.data for c in index] == sorted({c.data for c in every} - held)
+    assert [c.data for c in index] == allowed
     assert all(c.shape == every[0].shape for c in index)
-    assert cubes.allowed == tuple(c.data for c in index)
 
 
-def test_a_hand_built_cube_set_lists_no_allowed_cubes(hard_squares):
+def test_a_cube_set_is_its_allowed_cubes(hard_squares):
     cubes = normalize_to_cubes(hard_squares)
-    by_hand = CubeSet(cubes.side, cubes.cubes, cubes.alphabet_size)
-    # the list is no part of the set's value: both scan alike and compare equal
-    assert by_hand.allowed is None and by_hand == cubes
-    with pytest.raises(SpecError, match="built by hand"):
-        enumerate_allowed_cubes(hard_squares, by_hand)
+    by_hand = cube_set(2, scan_cubes(hard_squares)[1], 2, 2)
+    # a set is its side, allowed cubes, alphabet, dimension and mode; its
+    # lookup set and forbidden count follow from them
+    assert by_hand == cubes and by_hand.allowed_set == cubes.allowed_set
+    assert (by_hand.forbidden_count, cubes.forbidden_count) == (9, 9)
+    # the index is a view over the list, not a copy of it
+    index = enumerate_allowed_cubes(hard_squares, by_hand)
+    assert isinstance(index, Blocks) and index.datas is by_hand.allowed
+    assert index == enumerate_allowed_cubes(hard_squares, cubes)
 
 
 def test_analyze_walks_the_candidate_cubes_once(hard_squares, monkeypatch):
@@ -239,12 +257,56 @@ def test_analyze_walks_the_candidate_cubes_once(hard_squares, monkeypatch):
     from sftkit import analyze
 
     calls = []
-    real = sftkit.normalize._cube_datas
+    real = sftkit.normalize._search
 
     def counted(*a, **k):
         calls.append(a)
         return real(*a, **k)
 
-    monkeypatch.setattr(sftkit.normalize, "_cube_datas", counted)
+    monkeypatch.setattr(sftkit.normalize, "_search", counted)
     analyze(hard_squares, 1)
     assert len(calls) == 1
+
+
+def test_a_one_symbol_cube_of_3600_cells_is_searched_without_recursion():
+    # one symbol, so one candidate 60x60 cube; the gapped corner pattern is
+    # tested only when the cube's last cell is placed, 3,600 cells deep
+    row = Pattern.from_cells([((0, c), 0) for c in range(60)])
+    corners = Pattern.from_cells([((0, 0), 0), ((59, 59), 0)])
+    for pattern, mode in ((row, MODE_ALL), (corners, MODE_ALL), (corners, MODE_NON_PROPER)):
+        cubes = normalize_to_cubes(make_spec(2, ["0"], [pattern]), mode)
+        assert (cubes.side, cubes.allowed, cubes.forbidden_count) == (60, (), 1)
+
+
+def _wang_spec(tiles: int, colours: int, seed: int):
+    """A random Wang tile set as a spec: each tile has four edge colours,
+    and a horizontal or vertical pair of tiles is forbidden when the edges
+    they share differ."""
+    rng = random.Random(seed)
+    edges = [tuple(rng.randrange(colours) for _ in range(4)) for _ in range(tiles)]  # north, east, south, west
+    forbidden = []
+    for (a, ea), (b, eb) in itertools.product(enumerate(edges), repeat=2):
+        if ea[1] != eb[3]:
+            forbidden.append(Pattern.from_cells([((0, 0), a), ((0, 1), b)]))
+        if ea[2] != eb[0]:
+            forbidden.append(Pattern.from_cells([((0, 0), a), ((1, 0), b)]))
+    return make_spec(2, [f"t{i}" for i in range(tiles)], forbidden)
+
+
+def test_a_sixteen_tile_wang_set_is_searched_fast(tmp_path, capsys):
+    import json
+    import time
+
+    from sftkit import profile_count, serialize_spec
+    from sftkit.cli import main
+
+    spec = _wang_spec(16, 4, 16)
+    start = time.perf_counter()
+    cubes = normalize_to_cubes(spec)
+    assert time.perf_counter() - start < 0.1
+    assert cubes.allowed and cubes.forbidden_count == 16**4 - len(cubes.allowed)
+    path = tmp_path / "wang.json"
+    path.write_text(json.dumps(serialize_spec(spec)))
+    assert main(["count", str(path), "--engine", "matrix", "--shape", "4x2", "--format", "csv"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1].split(",")[-1] == str(profile_count(spec, (4, 2)))

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from operator import itemgetter
 from unittest import mock
 
 import pytest
@@ -14,7 +15,7 @@ from sftkit import Block, Pattern, concat, make_spec, normalize_to_cubes, parse_
 from sftkit.cli import main
 from sftkit.relation import join, pair_relation, seam_relation
 
-from conftest import naive_allowed, naive_allowed_set
+from conftest import cube_set, naive_allowed, naive_allowed_set
 
 
 @st.composite
@@ -451,8 +452,9 @@ def coded_cases(draw):
     # forbidden cubes cut from the tape, so that some blocks and seams hold them
     cube = (side,) * len(shape)
     corners = [tuple(rng.randrange(s - side + 1) for s in tape_shape) for _ in range(draw(st.integers(0, 4)))]
-    cubes = frozenset(window(tape, corner, cube) for corner in corners)
-    return shape, axis, sorted({bytes(cells) for cells in datas}), CubeSet(side, cubes, k)
+    blocks = sorted({bytes(cells) for cells in datas})
+    forbidden = [window(tape, corner, cube).data for corner in corners]
+    return shape, axis, blocks, _joins_cube_set(blocks, shape, axis, side, k, forbidden)
 
 
 def _unit_axes_case(shape, axis, k, side, seed):
@@ -465,8 +467,43 @@ def _unit_axes_case(shape, axis, k, side, seed):
     offsets = [tuple(o if a == axis else 0 for a in range(len(shape))) for o in range(2 * extent + 1)]
     datas = [window(tape, o, shape).data for o in offsets]
     corners = [tuple(rng.randrange(s - side + 1) for s in tape_shape) for _ in range(3)]
-    cubes = frozenset(window(tape, corner, (side,) * len(shape)) for corner in corners)
-    return shape, axis, sorted({bytes(p) for p in datas}), CubeSet(side, cubes, k)
+    blocks = sorted({bytes(p) for p in datas})
+    forbidden = [window(tape, corner, (side,) * len(shape)).data for corner in corners]
+    return shape, axis, blocks, _joins_cube_set(blocks, shape, axis, side, k, forbidden)
+
+
+def _joins_cube_set(blocks, shape, axis, side, k, forbidden):
+    """The cube set that forbids the cubes of `forbidden` and allows every
+    other l-cube that some join of two of the blocks along `axis` holds.
+    Each window the seam join scans lies in such a join, so on these blocks
+    it scans as the set that allows every other cube over k symbols, which
+    is too large to list for 256 symbols or 3x3x3 cubes."""
+    d = len(shape)
+    joined = shape[:axis] + (2 * shape[axis],) + shape[axis + 1 :]
+    outer, inner = math.prod(shape[:axis]), math.prod(shape[axis:])
+    cube = list(itertools.product(range(side), repeat=d))
+
+    def reads(src, starts):
+        # one getter per window at `starts`, reading its cells and a sentinel
+        st = [math.prod(src[a + 1 :]) for a in range(d)]
+        return [
+            itemgetter(*[sum((o + c) * s for o, c, s in zip(off, cell, st)) for cell in cube], -1)
+            for off in itertools.product(*starts)
+        ]
+
+    inside = reads(shape, [range(s - side + 1) for s in shape])
+    # the windows of a join that cross its seam
+    seam = range(shape[axis] - side + 1, shape[axis])
+    across = reads(joined, [seam if a == axis else range(j - side + 1) for a, j in enumerate(joined)])
+    universe = set()
+    for a in blocks:
+        cells = [*a, None]
+        universe.update(r(cells)[:-1] for r in inside)
+    for a, b in itertools.product(blocks, repeat=2):
+        cells = [x for o in range(outer) for half in (a, b) for x in half[o * inner : (o + 1) * inner]]
+        cells.append(None)
+        universe.update(r(cells)[:-1] for r in across)
+    return cube_set(side, forbidden, k, d, sorted(universe))
 
 
 @settings(max_examples=150, deadline=None)
@@ -539,9 +576,10 @@ def _scaled(case, factor):
     # the same blocks and cubes as tuples with every symbol times `factor`:
     # the same order, over more than 256 symbols when factor * k > 256
     shape, axis, datas, cubes = case
-    scaled = frozenset(Block(c.shape, tuple(factor * x for x in c.data)) for c in cubes.cubes)
+    # (a cube with any other symbol is forbidden too, and no block holds one)
+    scaled = tuple(tuple(map(factor.__mul__, c)) for c in cubes.allowed)
     blocks = [tuple(factor * x for x in p) for p in datas]
-    return blocks, CubeSet(cubes.side, scaled, factor * cubes.alphabet_size)
+    return blocks, CubeSet(cubes.side, scaled, factor * cubes.alphabet_size, cubes.dimension)
 
 
 @settings(max_examples=150, deadline=None)

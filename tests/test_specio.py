@@ -338,9 +338,9 @@ def test_archive_cube_rebuild_is_capped_before_it_runs(tmp_path, hard_squares, m
     path = _resigned(tmp_path, analyze(hard_squares, 0), wide_spec)
 
     def no_rebuild(*a, **k):
-        raise AssertionError("the candidate walk ran")
+        raise AssertionError("the cube search ran")
 
-    monkeypatch.setattr(sftkit.normalize, "_cube_datas", no_rebuild)
+    monkeypatch.setattr(sftkit.normalize, "_search", no_rebuild)
     assert "max_cubes" in _load_error(path)
 
 
@@ -351,15 +351,15 @@ def test_archive_loader_enumerates_the_cubes_once(tmp_path, hard_squares, monkey
     path = tmp_path / "state.json"
     save_state(analyze(hard_squares, 1), str(path))
     calls = []
-    real = sftkit.normalize._cube_datas
+    real = sftkit.normalize._search
 
     def counted(*a, **k):
         calls.append(a)
         return real(*a, **k)
 
-    # the candidate walk that `iter_cubes` and the normalizer share
+    # the normalizer's search for the allowed cubes
     for module in (sftkit.normalize, sftkit.specio):
-        monkeypatch.setattr(module, "_cube_datas", counted, raising=False)
+        monkeypatch.setattr(module, "_search", counted, raising=False)
     load_state(str(path))
     assert len(calls) == 1
 
