@@ -19,23 +19,31 @@ seam) once.
 
 Relations are `relation.Relation` key groups, so a stage's block count is
 the size of the relation below it, read without listing a pair. A stage is
-built only when something reads its blocks: the walk behind `analyze`,
+built only when something reads its blocks, and so is its relation: a
+stage stepped from another knows its block count and joins its blocks on
+first read, and the relation on such a stage is counted from the key
+groups of the stage below it (`relation.joined_pair_count`), its groups
+built with the stage when read. The walk behind `analyze`,
 `count --engine matrix`, `export-state` and `sample` stops one stage short
-of its target; the first three count the target from the last relation,
-and `sample` draws its block by rank from it (`relation.nth_join`). Every
-stage that is built, or drawn from unbuilt, is first held to `max_blocks`
-and `max_cells`.
+of its target. `analyze` and `count` count the last relation, and any
+relation where a budget check may stop the walk, so outside the seam
+regime they build neither the target nor the stage below it.
+`export-state`, `import-state` and `sample` read the stage below the
+target, so their walk builds each stage before its relation and counts
+none; `sample` draws its block by rank from the last relation
+(`relation.nth_join`). Every stage that is built, or drawn from unbuilt,
+is first held to `max_blocks` and `max_cells`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import AbstractSet, Sequence
 
 from .caps import DEFAULT_CAPS, Caps, refuse
 from .core import Block, Blocks, Coord, CubeSet, SftSpec, data_type, prod
 from .errors import BudgetError, SpecError
 from .normalize import MODE_ALL, enumerate_allowed_cubes, normalize_to_cubes
-from .relation import join_pairs, pair_relation
+from .relation import Relation, join_pairs, joined_pair_count, pair_relation
 
 
 @dataclass(frozen=True)
@@ -47,7 +55,9 @@ class DChainState:
     `core.Blocks` view sorted by data, so a `Block` is only built where one
     is read. `relation` holds the admitted pairs along the next axis once
     computed; its size is the next stage's block count, and it is what the
-    next step materializes.
+    next step materializes. `below` is the stage this one was stepped from,
+    whose blocks and relation count this one's relation while its blocks
+    are unbuilt; it is not part of a stage's value.
     """
 
     dimension: int
@@ -55,6 +65,7 @@ class DChainState:
     stage: int
     blocks: Blocks
     relation: AbstractSet[tuple[int, int]] | None
+    below: DChainState | None = field(default=None, compare=False, repr=False)
 
     @property
     def shape(self) -> Coord:
@@ -112,12 +123,25 @@ def _check_pairs(n: int, caps: Caps) -> None:
 
 
 def chain_relation(state: DChainState, cubes: CubeSet, caps: Caps = DEFAULT_CAPS) -> DChainState:
-    """Compute the admitted pairs along the next axis."""
+    """Compute the admitted pairs along the next axis. On a stage whose
+    blocks are not built, the relation is counted from the stage below
+    (`relation.joined_pair_count`), and its key groups are built, with the
+    stage, when first read; in the seam regime it is built at once."""
     if state.relation is not None:
         return state
     _check_pairs(len(state.blocks), caps)
-    rel = pair_relation(state.blocks.datas, state.shape, state.next_axis(), cubes)
-    return replace(state, relation=rel)
+    axis, below = state.next_axis(), state.below
+    if below is not None and not state.blocks.built:
+        size = joined_pair_count(
+            below.blocks.datas, below.relation, below.shape, below.next_axis(), axis, cubes.side
+        )
+        if size is not None:
+
+            def groups():
+                return pair_relation(state.blocks.datas, state.shape, axis, cubes).groups
+
+            return replace(state, relation=Relation.counted(size, groups))
+    return replace(state, relation=pair_relation(state.blocks.datas, state.shape, axis, cubes))
 
 
 def check_next_stage(state: DChainState, caps: Caps = DEFAULT_CAPS) -> None:
@@ -130,9 +154,10 @@ def check_next_stage(state: DChainState, caps: Caps = DEFAULT_CAPS) -> None:
 
 
 def d_chain_step(state: DChainState, cubes: CubeSet, caps: Caps = DEFAULT_CAPS) -> DChainState:
-    """Advance one direction stage, doubling the next axis. The new blocks
-    are sorted by data, so for axis 0 their order is that of the sorted
-    relation pairs."""
+    """Advance one direction stage, doubling the next axis. The new stage
+    knows its block count, the relation's size, and joins its blocks when
+    they are first read, sorted by data (for axis 0, the order of the
+    sorted relation pairs)."""
     state = chain_relation(state, cubes, caps)
     assert state.relation is not None
     check_next_stage(state, caps)
@@ -140,9 +165,23 @@ def d_chain_step(state: DChainState, cubes: CubeSet, caps: Caps = DEFAULT_CAPS) 
     level, stage = state.next_stage()
     shape = state.shape
     new_shape = shape[:axis] + (2 * shape[axis],) + shape[axis + 1 :]
-    out = join_pairs(state.blocks.datas, state.relation, shape, axis)
-    out.sort()
-    return DChainState(state.dimension, level, stage, Blocks(new_shape, out), None)
+
+    def joined() -> list:
+        out = join_pairs(state.blocks.datas, state.relation, shape, axis)
+        out.sort()
+        return out
+
+    blocks = Blocks.deferred(new_shape, len(state.relation), joined)
+    return DChainState(state.dimension, level, stage, blocks, None, state)
+
+
+def _may_stop(state: DChainState, caps: Caps) -> bool:
+    # whether a budget check may stop the walk at `state`: its own n^2 pair
+    # checks, or those of its relation, which keeps at most n^2 pairs, and
+    # the stage that relation would build
+    most = len(state.blocks) ** 2
+    cells = 2 * most * prod(state.shape)
+    return most * most > caps.max_work or most > caps.max_blocks or cells > caps.max_cells
 
 
 def chain_report(
@@ -151,6 +190,7 @@ def chain_report(
     target: tuple[int, int],
     caps: Caps = DEFAULT_CAPS,
     build_target: bool = True,
+    lazy: bool = False,
 ) -> tuple[DChainState, ...]:
     """Walk the chain from `start` towards stage `target` = (level, stage)
     and return the stages walked.
@@ -165,13 +205,23 @@ def chain_report(
     before it as the BudgetError's `partial`; when the last of them has its
     relation computed, that relation's size certifies the next stage's
     block count.
+
+    Every stage past `start` is stepped unbuilt. The walk builds it before
+    computing its relation, unless `lazy` is on and the walk may stop
+    there: at the stage below an unbuilt target, or where a budget check
+    may refuse its relation or the stage it would build. Such a stage's
+    relation is counted, and the stage and the relation's groups are built
+    only if they are read, as the next step does.
     """
     stages = [start]
     state = start
     try:
         while (state.level, state.stage) < target and (state.blocks or state.stage != state.dimension):
+            last = state.next_stage() == target
+            if not (lazy and ((last and not build_target) or _may_stop(state, caps))):
+                state.blocks.datas  # built now, so its relation is built, not counted
             state = stages[-1] = chain_relation(state, cubes, caps)
-            if state.next_stage() == target:
+            if last:
                 if not build_target:
                     break
             else:

@@ -118,7 +118,7 @@ def _matrix_count(spec: SftSpec, shape: tuple[int, ...], caps: Caps) -> int:
     from .chain import chain_report, spec_start, stage_of
 
     cubes, _, start = spec_start(spec, caps)
-    st = chain_report(start, cubes, stage_of(shape, cubes.side), caps, build_target=False)[-1]
+    st = chain_report(start, cubes, stage_of(shape, cubes.side), caps, build_target=False, lazy=True)[-1]
     # a next-stage count is the size of the relation: that stage is never built
     return len(st.blocks if st.relation is None else st.relation)
 
@@ -219,7 +219,8 @@ def _cmd_export(args, spec: SftSpec, caps: Caps) -> int:
     from .levels import analyze
     from .specio import save_state
 
-    result = analyze(spec, args.levels, mode="reduced", caps=caps)
+    # the archive reads the walk's last stage: built once, never counted
+    result = analyze(spec, args.levels, mode="reduced", caps=caps, lazy=False)
     save_state(result, args.out)
     _emit_report(result.report, args.format, sys.stdout)
     return result.report.exit_code()

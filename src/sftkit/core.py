@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import prod
@@ -131,16 +131,36 @@ class Blocks(Sequence[Block]):
     """Equal-shape blocks held as their flat data (`bytes` or tuples, see
     `data_type`) with the shape stored once. A `Block`, with tuple data, is
     built only when an item is read; slices stay views. It compares equal
-    to any sequence of the same blocks."""
+    to any sequence of the same blocks. Blocks made by `deferred` know
+    their count and make their data on first read."""
 
-    __slots__ = ("shape", "datas")
+    __slots__ = ("shape", "_datas", "_make", "_len")
 
     def __init__(self, shape: Coord, datas: Iterable[Sequence[int]]):
         self.shape = shape
-        self.datas = tuple(datas)
+        self._datas = tuple(datas)
+        self._len = len(self._datas)
+
+    @classmethod
+    def deferred(cls, shape: Coord, count: int, make: Callable[[], Iterable[Sequence[int]]]) -> "Blocks":
+        """`count` blocks of `shape` whose data `make()` gives when first read."""
+        blocks = cls.__new__(cls)
+        blocks.shape, blocks._datas, blocks._make, blocks._len = shape, None, make, count
+        return blocks
+
+    @property
+    def built(self) -> bool:
+        return self._datas is not None
+
+    @property
+    def datas(self) -> tuple[Sequence[int], ...]:
+        if self._datas is None:
+            self._datas = tuple(self._make())
+            self._make = None
+        return self._datas
 
     def __len__(self) -> int:
-        return len(self.datas)
+        return self._len
 
     def __getitem__(self, x):
         if isinstance(x, slice):
@@ -162,7 +182,7 @@ class Blocks(Sequence[Block]):
         return hash(tuple(self))
 
     def __repr__(self) -> str:
-        return f"Blocks({self.shape}, {len(self.datas)} blocks)"
+        return f"Blocks({self.shape}, {self._len} blocks)"
 
 
 @lru_cache(maxsize=None)

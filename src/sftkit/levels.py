@@ -236,7 +236,7 @@ def level_states(stages: Sequence[DChainState], cubes: CubeSet) -> tuple[LevelSt
     for st, up in zip(stages, (*stages[1:], None)):
         if st.stage == 2:
             stacks = up if up is not None and up.relation is not None else None
-            levels.append(LevelState(2, st.level, 2, st.blocks, st.relation, stacks, cubes))
+            levels.append(LevelState(2, st.level, 2, st.blocks, st.relation, stacks=stacks, cubes=cubes))
     return tuple(levels)
 
 
@@ -267,6 +267,7 @@ def analyze(
     levels: int,
     mode: str = "reduced",
     caps: Caps = DEFAULT_CAPS,
+    lazy: bool = True,
 ) -> AnalysisResult:
     """Run normalization and the doubling pipeline up to the level budget.
 
@@ -276,6 +277,11 @@ def analyze(
     "nonempty-to-level-N" when squares of side 2^N*l exist, and
     "inconclusive" when a budget stop intervened. No finite level ever
     certifies unconditional nonemptiness.
+
+    With `lazy` on, the reduced walk counts the relation of each stage it
+    may stop at without building the stage (`chain.chain_report`); a
+    caller that reads the walk's last stage, as `save_state` does, turns
+    it off, so that stage is built once and not counted as well.
     """
     if levels < 0:
         raise SpecError("level budget must be >= 0")
@@ -288,7 +294,7 @@ def analyze(
         return _analyze_literal(spec, cubes, index, levels, caps)
     reason = None
     try:
-        stages = chain_report(start, cubes, (levels, spec.dimension), caps, build_target=False)
+        stages = chain_report(start, cubes, (levels, spec.dimension), caps, build_target=False, lazy=lazy)
     except BudgetError as e:
         stages, reason = e.partial, str(e)
     return _result(spec, cubes, index, stages, report_rows(stages), reason, caps)

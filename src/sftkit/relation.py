@@ -36,6 +36,19 @@ those key groups as a `Relation` and never lists the pairs itself. Each
 pair has exactly one key, so the relation's size, which is the next
 stage's block count, is the sum of the group sizes.
 
+A stage that a relation would build need not be built to know the size of
+its own relation (`joined_pair_count`). Along the next axis b, a block
+X = p + q of that stage, joined along axis a != b, has the halves
+p_lo + q_lo and p_hi + q_hi; with the halves of the stage below interned as
+small ints, X's halves are two id pairs, and the middle join's size is a
+sum over the pairs (p, q) of N_hi[(lo p, lo q)] * N_lo[(hi p, hi q)], N_lo
+and N_hi counting the pairs by their low and high id pair. For d = 1
+(b = a) X's halves are p and q, and each key group (lows, highs) keeps
+(sum of in-degrees over lows) times (sum of out-degrees over highs)
+pairs; for l = 1 the size is |R|^2. The count covers every stage the
+middle join or the every-pair rule pairs; in the seam regime (the first
+cycle for l >= 3) the stage is built.
+
 Where every axis before the pairing one has length 1, halves are row-major
 slices: `_split_keys` computes the cut once and slices each block (the
 literal step's 2x2 letter squares, and every axis-0 join). Otherwise halves,
@@ -52,7 +65,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections import defaultdict
+from collections import Counter, defaultdict
 from collections.abc import Callable, Hashable, Iterable, Iterator, Set
 from functools import lru_cache
 from operator import itemgetter
@@ -75,15 +88,31 @@ class Relation(Set):
     frozenset of them, built on first use, except that two relations with
     equal groups are equal at once. Equality also compares the sizes, so a
     relation whose groups repeat a pair equals no relation of distinct
-    groups.
+    groups. A relation made by `counted` knows its size and makes its
+    groups on first read.
     """
 
-    __slots__ = ("groups", "_len", "_pairs")
+    __slots__ = ("_groups", "_make", "_len", "_pairs")
 
     def __init__(self, groups: Iterable[tuple[Sequence[int], Sequence[int]]] = ()):
-        self.groups = tuple(groups)
-        self._len = sum(len(lows) * len(highs) for lows, highs in self.groups)
+        self._groups = tuple(groups)
+        self._len = sum(len(lows) * len(highs) for lows, highs in self._groups)
         self._pairs: frozenset[tuple[int, int]] | None = None
+
+    @classmethod
+    def counted(cls, size: int, make: Callable[[], Iterable[tuple[Sequence[int], Sequence[int]]]]) -> Relation:
+        """A relation of `size` pairs whose key groups `make()` gives when
+        first read; they must hold `size` distinct pairs."""
+        rel = cls.__new__(cls)
+        rel._groups, rel._make, rel._len, rel._pairs = None, make, size, None
+        return rel
+
+    @property
+    def groups(self) -> tuple[tuple[Sequence[int], Sequence[int]], ...]:
+        if self._groups is None:
+            self._groups = tuple(self._make())
+            self._make = None
+        return self._groups
 
     def __len__(self) -> int:
         return self._len
@@ -116,7 +145,9 @@ class Relation(Set):
         return hash(self.pairs())
 
     def __repr__(self) -> str:
-        return f"Relation({self._len} pairs in {len(self.groups)} groups)"
+        if self._groups is None:
+            return f"Relation({self._len} pairs, groups not built)"
+        return f"Relation({self._len} pairs in {len(self._groups)} groups)"
 
     @classmethod
     def _from_iterable(cls, it) -> frozenset:
@@ -383,3 +414,59 @@ def middle_join(datas: Sequence[Data], shape: Coord, axis: int) -> Relation:
         by_hi[hi].append(i)
     middles = keys if 2 * cut == extent else _split_keys(datas, shape, axis, extent - cut)
     return Relation((by_hi[lo], by_lo[hi]) for lo, hi in middles if lo in by_hi and hi in by_lo)
+
+
+def joined_pair_count(
+    datas: Sequence[Data], rel: Relation, shape: Coord, axis: int, next_axis: int, side: int
+) -> int | None:
+    """`len(pair_relation(J, ...))` along `next_axis` for the stage J that
+    `join_pairs(datas, rel, shape, axis)` makes, where `datas` is a
+    complete allowed set of blocks of cubes of side `side`, counted without
+    joining a pair; None where `pair_relation` would seam-scan J.
+
+    A block X = p + q of J (joined along `axis`) has, along `next_axis` b,
+    the halves X_lo = p_lo + q_lo and X_hi = p_hi + q_hi when b != axis, so
+    with the halves of `datas` interned as small ints the halves of X are
+    the id pairs (lo(p), lo(q)) and (hi(p), hi(q)). `middle_join` keeps
+    N_hi[lo(M)] * N_lo[hi(M)] pairs per middle block M of J, where N_lo and
+    N_hi count the blocks of J by their low and high half. For b = axis
+    (d = 1) the halves of X are p and q themselves, so a key group
+    (lows, highs) of `rel` keeps (sum of in-degrees over lows) times (sum
+    of out-degrees over highs). For l = 1 every pair of J is kept."""
+    t, n = side - 1, len(rel)
+    if t == 0:
+        return n * n
+    extent = 2 * shape[axis] if next_axis == axis else shape[next_axis]
+    if extent < 2 * t or extent % 2:
+        return None
+    if not n:
+        return 0
+    groups = rel.groups
+    if next_axis == axis:
+        indeg, outdeg = [0] * len(datas), [0] * len(datas)
+        for lows, highs in groups:
+            for j in highs:
+                indeg[j] += len(lows)
+            for i in lows:
+                outdeg[i] += len(highs)
+        return sum(
+            sum(map(indeg.__getitem__, lows)) * sum(map(outdeg.__getitem__, highs))
+            for lows, highs in groups
+        )
+    ids: dict[Hashable, int] = {}
+    lo_id, hi_id = [], []
+    for lo, hi in _split_keys(datas, shape, next_axis, extent // 2):
+        lo_id.append(ids.setdefault(lo, len(ids)))
+        hi_id.append(ids.setdefault(hi, len(ids)))
+    m = len(ids)
+    # the pairs as flat lists of their low and high indices, and each pair's
+    # halves as one int key a side
+    chain, repeat = itertools.chain.from_iterable, itertools.repeat
+    counts = chain(repeat(len(highs), len(lows)) for lows, highs in groups)
+    ps = list(chain(map(repeat, chain(lows for lows, _ in groups), counts)))
+    qs = list(chain(highs * len(lows) for lows, highs in groups))
+    lo_m, hi_m = [x * m for x in lo_id], [x * m for x in hi_id]
+    los = list(map(operator.add, map(lo_m.__getitem__, ps), map(lo_id.__getitem__, qs)))
+    his = list(map(operator.add, map(hi_m.__getitem__, ps), map(hi_id.__getitem__, qs)))
+    n_lo, n_hi = Counter(los), Counter(his)
+    return sum(map(operator.mul, map(n_hi.get, los, repeat(0)), map(n_lo.get, his, repeat(0))))

@@ -49,6 +49,9 @@ _NTH_JOIN_TESTS = (
     "tests/test_golden.py::test_golden_output[sample-d1-3]",
 )
 
+# relations counted from the stage below: the property over small specs
+_COUNT_TESTS = ("tests/test_counted.py::test_counted_relations_are_the_ones_the_built_stages_give",)
+
 MUTANTS = (
     Mutant(
         "middle_join: no middle-membership test",
@@ -194,7 +197,7 @@ MUTANTS = (
     ),
     Mutant(
         "_same: the relations compared by their key groups",
-        "src/sftkit/specio.py",
+        "src/sftkit/archive.py",
         "else archived == derived\n",
         "else archived.groups == derived.groups\n",
         (
@@ -204,15 +207,15 @@ MUTANTS = (
     ),
     Mutant(
         "_restore: relations not compared",
-        "src/sftkit/specio.py",
+        "src/sftkit/archive.py",
         "        same = same and _same(a.relation, b.relation)\n",
         "",
         ("tests/test_specio.py::test_archive_relations_are_rederived",),
     ),
     Mutant(
         "_restore: no rescan of blocks the walk did not make",
-        "src/sftkit/specio.py",
-        "if not all(allowed_data(x, a.shape, cubes) for x in a.blocks.datas if x not in made):",
+        "src/sftkit/archive.py",
+        "if not all(specio.allowed_data(x, a.shape, cubes) for x in a.blocks.datas if x not in made):",
         "if False:",
         (
             "tests/test_cli.py::test_import_state_rescans_a_forged_square",
@@ -221,14 +224,14 @@ MUTANTS = (
     ),
     Mutant(
         "_key_groups: no index bound",
-        "src/sftkit/specio.py",
+        "src/sftkit/archive.py",
         "if indices and (min(indices) < 0 or max(indices) >= bound):",
         "if False:",
         ("tests/test_specio.py::test_archive_relation_indices_are_checked",),
     ),
     Mutant(
         "_restore: the last stage always built",
-        "src/sftkit/specio.py",
+        "src/sftkit/archive.py",
         "build_target=build)",
         "build_target=True)",
         (
@@ -239,14 +242,14 @@ MUTANTS = (
     ),
     Mutant(
         "_restore: no stage-order check",
-        "src/sftkit/specio.py",
+        "src/sftkit/archive.py",
         "if (level, stage) != want:",
         "if False:",
         ("tests/test_specio.py::test_archive_missing_or_ill_typed_fields",),
     ),
     Mutant(
         "save_state: writes the stages stepped into the target",
-        "src/sftkit/specio.py",
+        "src/sftkit/archive.py",
         "            for st in result.walk\n",
         "            for st in result.stages\n",
         (
@@ -338,7 +341,7 @@ MUTANTS = (
     ),
     Mutant(
         "_archive_payload: the separator always a comma",
-        "src/sftkit/specio.py",
+        "src/sftkit/archive.py",
         "    while sep and any(sep in s for s in spec.alphabet):\n        sep = chr(ord(sep) + 1)\n",
         "",
         (
@@ -586,7 +589,7 @@ MUTANTS = (
     ),
     Mutant(
         "_restore: archived stage 0 not compared with the spec's allowed cubes",
-        "src/sftkit/specio.py",
+        "src/sftkit/archive.py",
         "    if base != start.blocks:\n",
         "    if False:\n",
         ("tests/test_specio.py::test_archive_index_forgeries_keep_their_messages",),
@@ -604,6 +607,55 @@ MUTANTS = (
         "all(_is_int(c) for c in cell[0])",
         "all(isinstance(c, int) for c in cell[0])",
         ("tests/test_specio.py::test_parse_refuses_boolean_sparse_coordinates",),
+    ),
+    Mutant(
+        "joined_pair_count: low and high half counts swapped",
+        "src/sftkit/relation.py",
+        "map(n_hi.get, los, repeat(0)), map(n_lo.get, his, repeat(0))",
+        "map(n_lo.get, los, repeat(0)), map(n_hi.get, his, repeat(0))",
+        _COUNT_TESTS,
+    ),
+    Mutant(
+        "joined_pair_count: in- and out-degrees swapped for d = 1",
+        "src/sftkit/relation.py",
+        "sum(map(indeg.__getitem__, lows)) * sum(map(outdeg.__getitem__, highs))",
+        "sum(map(outdeg.__getitem__, lows)) * sum(map(indeg.__getitem__, highs))",
+        _COUNT_TESTS,
+    ),
+    Mutant(
+        "joined_pair_count: |R| pairs in place of |R|^2 for l = 1",
+        "src/sftkit/relation.py",
+        "        return n * n\n",
+        "        return n\n",
+        (*_COUNT_TESTS, "tests/test_counted.py::test_one_cell_cubes_count_every_pair"),
+    ),
+    Mutant(
+        "joined_pair_count: the seam regime counted by the middle rule",
+        "src/sftkit/relation.py",
+        "if extent < 2 * t or extent % 2:",
+        "if extent % 2:",
+        ("tests/test_counted.py::test_the_seam_regime_is_built_not_counted",),
+    ),
+    Mutant(
+        "chain_relation: a built stage counted too",
+        "src/sftkit/chain.py",
+        "if below is not None and not state.blocks.built:",
+        "if below is not None:",
+        ("tests/test_counted.py::test_walks_that_read_their_last_stage_count_nothing",),
+    ),
+    Mutant(
+        "chain_report: every stage of a lazy walk counted",
+        "src/sftkit/chain.py",
+        "if not (lazy and ((last and not build_target) or _may_stop(state, caps))):",
+        "if not lazy:",
+        ("tests/test_counted.py::test_the_walk_counts_only_where_it_may_stop",),
+    ),
+    Mutant(
+        "export-state: its walk counts the stage it archives",
+        "src/sftkit/cli.py",
+        'caps=caps, lazy=False)',
+        'caps=caps, lazy=True)',
+        ("tests/test_counted.py::test_walks_that_read_their_last_stage_count_nothing",),
     ),
     Mutant(
         "__getattr__: keeps what it returns in the package",

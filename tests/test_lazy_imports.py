@@ -57,6 +57,19 @@ def test_loading_a_spec_loads_no_engine():
     assert not loaded & (ENGINE | {"hashlib", "multiprocessing"})
 
 
+def test_only_the_archive_commands_load_the_archive_code(tmp_path):
+    body = "import sftkit\nfrom sftkit import cli\nsftkit.load_spec_file(sys.argv[1])"
+    _, loaded = _fresh(body, HARD_SQUARES)
+    assert "sftkit.specio" in loaded and "sftkit.archive" not in loaded
+    for argv in (("analyze", "--levels", "1"), ("sample", "--level", "1", "--seed", "3")):
+        out, loaded = _command(argv[0], HARD_SQUARES, *argv[1:])
+        assert out and "sftkit.archive" not in loaded
+    state = str(tmp_path / "state.json")
+    for argv in (("export-state", HARD_SQUARES, "--levels", "1", "--out", state), ("import-state", state)):
+        out, loaded = _command(*argv)
+        assert out[-1] == "verdict: nonempty-to-level-1" and "sftkit.archive" in loaded
+
+
 def test_submodules_resolve_after_a_bare_import():
     out, loaded = _fresh("import sftkit\nprint(sftkit.relation.join.__module__, sftkit.core.__name__)")
     assert out == ["sftkit.relation sftkit.core"]
